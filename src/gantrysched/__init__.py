@@ -28,16 +28,9 @@ from .model import (
     WORK_CYCLE_SLOTS,
     Chromosome,
     ConfigError,
-    Episode,
     GantryStatus,
     ProblemSpec,
-    Run,
-    SlotCell,
-    Track,
     cycle_status_pattern,
-    expected_next,
-    parse_episodes,
-    parse_runs,
     random_chromosome,
     status_duration,
 )
@@ -73,7 +66,6 @@ __all__ = [
     "COUNT_NAMES",
     "Chromosome",
     "ConfigError",
-    "Episode",
     "FitnessBreakdown",
     "GaParams",
     "GantryStatus",
@@ -81,16 +73,13 @@ __all__ = [
     "N_STATUSES",
     "ProblemSpec",
     "QuantumChromosome",
-    "Run",
     "RunResult",
     "STATUS_DURATIONS",
     "ScoreTable",
-    "SlotCell",
     "SweepAxis",
     "SweepGrid",
     "SweepRecord",
     "SweepSummary",
-    "Track",
     "VACANT",
     "WORK_CYCLE_SLOTS",
     "amplify",
@@ -98,13 +87,10 @@ __all__ = [
     "cycle_status_pattern",
     "derive_seed",
     "evaluate_breakdown",
-    "expected_next",
     "filter_records",
     "mutate_patient_ids",
     "mutate_statuses",
     "observe",
-    "parse_episodes",
-    "parse_runs",
     "q_evaluate",
     "q_mutate",
     "q_repair",

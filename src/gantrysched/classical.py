@@ -114,27 +114,35 @@ def select(
     return [pairs[i] for i in order[:k]]
 
 
+def _swap_tails(a_grids, b_grids, point: int):
+    """Swap the cell data of two parents' grids after ``point`` track-major cells.
+
+    Every grid has (gantry, slot) as its first two axes; a trailing axis
+    moves with its cell.  Returns the grids of the two children.
+    """
+    if any(x.shape != y.shape for x, y in zip(a_grids, b_grids)):
+        raise ValueError("parents must have identical shape")
+    n_cells = math.prod(a_grids[0].shape[:2])
+    if not 1 <= point <= n_cells - 1:
+        raise ValueError(f"crossover point must lie in [1, {n_cells - 1}], got {point}")
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        flat_x, flat_y = x.reshape(n_cells, -1), y.reshape(n_cells, -1)
+        return np.concatenate((flat_x[:point], flat_y[point:])).reshape(x.shape)
+
+    first = tuple(mix(x, y) for x, y in zip(a_grids, b_grids))
+    second = tuple(mix(y, x) for x, y in zip(a_grids, b_grids))
+    return first, second
+
+
 def single_point_crossover(
     a: Chromosome, b: Chromosome, point: int
 ) -> tuple[Chromosome, Chromosome]:
     """Swap cell tails at a cut point in the track-major flattening."""
-    if a.statuses.shape != b.statuses.shape:
-        raise ValueError("parents must have identical shape")
-    n_cells = a.n_cells
-    if not 1 <= point <= n_cells - 1:
-        raise ValueError(f"crossover point must lie in [1, {n_cells - 1}], got {point}")
-    shape = a.statuses.shape
-    sa, sb = a.statuses.reshape(-1), b.statuses.reshape(-1)
-    pa, pb = a.patients.reshape(-1), b.patients.reshape(-1)
-    child1 = Chromosome(
-        np.concatenate((sa[:point], sb[point:])).reshape(shape),
-        np.concatenate((pa[:point], pb[point:])).reshape(shape),
+    (stat1, pat1), (stat2, pat2) = _swap_tails(
+        (a.statuses, a.patients), (b.statuses, b.patients), point
     )
-    child2 = Chromosome(
-        np.concatenate((sb[:point], sa[point:])).reshape(shape),
-        np.concatenate((pb[:point], pa[point:])).reshape(shape),
-    )
-    return child1, child2
+    return Chromosome(stat1, pat1), Chromosome(stat2, pat2)
 
 
 def _paired_crossover(pop, r_c, rng, cross, n_cells):
@@ -151,14 +159,6 @@ def _paired_crossover(pop, r_c, rng, cross, n_cells):
         b = pop[int(chosen[2 * k + 1])]
         out.extend(cross(a, b, int(points[k])))
     return out
-
-
-def crossover_step(
-    pop: Sequence[Chromosome], r_c: float, rng: np.random.Generator
-) -> list[Chromosome]:
-    """Pair off chromosomes at random and append their crossover children."""
-    n_cells = pop[0].n_cells if pop else 0
-    return _paired_crossover(pop, r_c, rng, single_point_crossover, n_cells)
 
 
 def mutate_patient_ids(
@@ -375,9 +375,12 @@ def run_classical(
         ),
     )
 
+    def crossover_pop(pop, r_c, rng):
+        return _paired_crossover(pop, r_c, rng, single_point_crossover, spec.n_cells)
+
     def repair(chrom: Chromosome, gen: int, i: int) -> Chromosome:
         return repair_chromosome(chrom, spec)
 
     return _evolve(
-        params, table, threads, fresh, evaluate, crossover_step, mutators, repair
+        params, table, threads, fresh, evaluate, crossover_pop, mutators, repair
     )

@@ -10,15 +10,18 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
+import uuid
 from pathlib import Path
 
-from .classical import GaParams, RunResult, run_classical
+from .classical import GaParams, RunResult
 from .fitness import ScoreTable, evaluate_breakdown
 from .model import VACANT, Chromosome, ConfigError, GantryStatus, ProblemSpec
-from .quantum import qubit_estimate, run_quantum
+from .quantum import qubit_estimate
 from .sweep import (
+    ALGORITHMS,
     SWEEP_PARAMS,
     SweepAxis,
     SweepGrid,
@@ -32,8 +35,6 @@ from .sweep import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-_RUNNERS = {"classical": run_classical, "quantum": run_quantum}
 
 _SPEC_DEFAULTS = {"n_g": 3, "n_p": 12, "n_t": 108}
 _PARAM_DEFAULTS = {
@@ -60,6 +61,8 @@ def _require_int(name: str, value) -> int:
 def _require_number(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config field {name!r} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"config field {name!r} must be finite, got {value!r}")
     return float(value)
 
 
@@ -87,7 +90,7 @@ def _resolve_config(
     allowed = (
         set(_SPEC_DEFAULTS)
         | set(_GA_FIELDS)
-        | {f"{name}_{field}" for name in _RUNNERS for field in _GA_FIELDS}
+        | {f"{name}_{field}" for name in ALGORITHMS for field in _GA_FIELDS}
         | {f"score_{name}" for name in _SCORE_FIELDS}
         | {"out_dir"}
     )
@@ -126,10 +129,8 @@ def _resolve_config(
     params = GaParams(**ga_values)
 
     score_values = {
-        name: _require_number(f"score_{name}", doc.get(f"score_{name}", default))
-        for name, default in (
-            (f.name, f.default) for f in dataclasses.fields(ScoreTable)
-        )
+        f.name: _require_number(f"score_{f.name}", doc.get(f"score_{f.name}", f.default))
+        for f in dataclasses.fields(ScoreTable)
     }
     table = ScoreTable(**score_values)
 
@@ -184,10 +185,20 @@ def _resolve_grid(doc: dict) -> tuple[dict[str, SweepAxis], dict[str, list[float
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temporary file of a unique name in the target directory."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x") as fh:
+            fh.write(text)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def schedule_document(
@@ -270,7 +281,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     spec, params, table, out_dir, echo = _resolve_config(
         doc, args.algo, args.seed, args.out
     )
-    result = _RUNNERS[args.algo](spec, params, table, threads=args.threads)
+    result = ALGORITHMS[args.algo](spec, params, table, threads=args.threads)
     summary = {
         "algorithm": args.algo,
         "seed": params.seed,
@@ -278,12 +289,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "elapsed_seconds": result.elapsed,
         "config": echo,
     }
-    _write_atomic(out_dir / "curves.csv", _curves_csv(result))
-    _write_atomic(
-        out_dir / "best_schedule.json",
-        json.dumps(schedule_document(spec, table, result.best_schedule), indent=2) + "\n",
-    )
-    _write_atomic(out_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
+    outputs = {
+        "curves.csv": _curves_csv(result),
+        "best_schedule.json": _json_text(schedule_document(spec, table, result.best_schedule)),
+        "summary.json": _json_text(summary),
+    }
+    for name, text in outputs.items():
+        _write_atomic(out_dir / name, text)
     print(
         f"{args.algo} run (seed {params.seed}): best fitness "
         f"{result.best_breakdown.total!r} over {len(result.records)} records -> {out_dir}"
@@ -323,6 +335,13 @@ def _cmd_qubits(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gantrysched",
@@ -337,12 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (run_p, sweep_p):
         p.add_argument("--config", type=Path, required=True, help="flat JSON config file")
         p.add_argument(
-            "--algo", choices=sorted(_RUNNERS), default="classical", help="algorithm variant"
+            "--algo", choices=sorted(ALGORITHMS), default="classical", help="algorithm variant"
         )
         p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
         p.add_argument(
             "--threads",
-            type=int,
+            type=_positive_int,
             default=default_threads,
             help="worker threads (affects speed only, never results)",
         )

@@ -34,7 +34,6 @@ from .model import (
     Chromosome,
     ConfigError,
     GantryStatus,
-    _run_bounds,
 )
 
 _DISPOSE = int(GantryStatus.DISPOSE)
@@ -105,6 +104,19 @@ class FitnessBreakdown:
 
     def counts(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in COUNT_NAMES}
+
+
+def _run_bounds(statuses: np.ndarray, patients: np.ndarray):
+    """Run-length encode one track.
+
+    Returns (starts, lengths, run_statuses, run_patients) as arrays; a run
+    boundary falls wherever the status or the patient changes.
+    """
+    n = statuses.size
+    change = (statuses[1:] != statuses[:-1]) | (patients[1:] != patients[:-1])
+    starts = np.concatenate(([0], np.flatnonzero(change) + 1))
+    ends = np.concatenate((starts[1:], [n]))
+    return starts, ends - starts, statuses[starts], patients[starts]
 
 
 def _complete_episode_patients(

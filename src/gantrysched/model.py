@@ -1,4 +1,4 @@
-"""Scheduling domain model: gantry statuses, daily schedules, runs, episodes.
+"""Scheduling domain model: gantry statuses, problem sizes, daily schedules.
 
 A daily schedule covers ``n_g`` treatment gantries over ``n_t`` one-minute
 time slots.  Each slot records the gantry status and, unless the gantry is
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,11 +48,6 @@ def status_duration(status: GantryStatus | int) -> int:
     return int(STATUS_DURATIONS[int(status)])
 
 
-def expected_next(status: GantryStatus | int) -> GantryStatus:
-    """Return the status that follows in the closed treatment cycle."""
-    return GantryStatus((int(status) + 1) % N_STATUSES)
-
-
 def cycle_status_pattern() -> np.ndarray:
     """The 26-slot status sequence of one complete working cycle."""
     return np.repeat(np.arange(1, N_STATUSES, dtype=np.int8), STATUS_DURATIONS[1:])
@@ -76,84 +70,6 @@ class ProblemSpec:
     @property
     def n_cells(self) -> int:
         return self.n_g * self.n_t
-
-    @property
-    def fits_complete_episode(self) -> bool:
-        return self.n_t >= WORK_CYCLE_SLOTS
-
-
-@dataclass(frozen=True)
-class SlotCell:
-    """One slot of one gantry: a status plus the patient present, if any."""
-
-    status: GantryStatus
-    patient: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.status == GantryStatus.IDLE:
-            if self.patient is not None:
-                raise ValueError("idle cells must be vacant")
-        elif self.patient is None or self.patient < 0:
-            raise ValueError("non-idle cells must hold a patient id")
-
-
-@dataclass(frozen=True)
-class Run:
-    """Maximal block of consecutive slots sharing one status and patient."""
-
-    status: GantryStatus
-    patient: int | None
-    start: int
-    length: int
-
-
-@dataclass(frozen=True)
-class Episode:
-    """Maximal same-patient working segment on one gantry.
-
-    ``complete`` is true exactly when the segment consists of the seven
-    working statuses in cycle order, each at its nominal duration, which
-    makes the segment span 26 slots.
-    """
-
-    patient: int
-    gantry: int
-    start: int
-    end: int  # inclusive
-    complete: bool
-
-
-class Track:
-    """Read-only view of one gantry's slot sequence."""
-
-    __slots__ = ("statuses", "patients")
-
-    def __init__(self, statuses: np.ndarray, patients: np.ndarray):
-        self.statuses = statuses
-        self.patients = patients
-
-    @classmethod
-    def from_cells(cls, cells: Iterable[SlotCell]) -> "Track":
-        cells = list(cells)
-        statuses = np.array([int(c.status) for c in cells], dtype=np.int8)
-        patients = np.array(
-            [VACANT if c.patient is None else c.patient for c in cells], dtype=np.int32
-        )
-        statuses.setflags(write=False)
-        patients.setflags(write=False)
-        return cls(statuses, patients)
-
-    def __len__(self) -> int:
-        return int(self.statuses.size)
-
-    def __getitem__(self, t: int) -> SlotCell:
-        status = GantryStatus(int(self.statuses[t]))
-        patient = int(self.patients[t])
-        return SlotCell(status, None if patient == VACANT else patient)
-
-    def __iter__(self) -> Iterator[SlotCell]:
-        for t in range(len(self)):
-            yield self[t]
 
 
 class Chromosome:
@@ -188,14 +104,6 @@ class Chromosome:
         self.statuses = statuses
         self.patients = patients
 
-    @classmethod
-    def from_cells(cls, rows: Sequence[Sequence[SlotCell]]) -> "Chromosome":
-        statuses = [[int(c.status) for c in row] for row in rows]
-        patients = [
-            [VACANT if c.patient is None else c.patient for c in row] for row in rows
-        ]
-        return cls(statuses, patients)
-
     @property
     def n_g(self) -> int:
         return int(self.statuses.shape[0])
@@ -208,13 +116,6 @@ class Chromosome:
     def n_cells(self) -> int:
         return self.statuses.size
 
-    @property
-    def tracks(self) -> tuple[Track, ...]:
-        return tuple(Track(self.statuses[g], self.patients[g]) for g in range(self.n_g))
-
-    def cell(self, g: int, t: int) -> SlotCell:
-        return Track(self.statuses[g], self.patients[g])[t]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Chromosome):
             return NotImplemented
@@ -226,80 +127,6 @@ class Chromosome:
 
     def __repr__(self) -> str:
         return f"Chromosome(n_g={self.n_g}, n_t={self.n_t})"
-
-
-def _as_track(track) -> Track:
-    if isinstance(track, Track):
-        return track
-    return Track.from_cells(track)
-
-
-def _run_bounds(statuses: np.ndarray, patients: np.ndarray):
-    """Run-length encode one track.
-
-    Returns (starts, lengths, run_statuses, run_patients) as arrays; a run
-    boundary falls wherever the status or the patient changes.
-    """
-    n = statuses.size
-    change = (statuses[1:] != statuses[:-1]) | (patients[1:] != patients[:-1])
-    starts = np.concatenate(([0], np.flatnonzero(change) + 1))
-    ends = np.concatenate((starts[1:], [n]))
-    return starts, ends - starts, statuses[starts], patients[starts]
-
-
-def parse_runs(track) -> list[Run]:
-    """Partition a track into maximal same-status, same-patient runs."""
-    track = _as_track(track)
-    starts, lengths, run_stat, run_pat = _run_bounds(track.statuses, track.patients)
-    runs = []
-    for start, length, status, patient in zip(starts, lengths, run_stat, run_pat):
-        runs.append(
-            Run(
-                status=GantryStatus(int(status)),
-                patient=None if patient == VACANT else int(patient),
-                start=int(start),
-                length=int(length),
-            )
-        )
-    return runs
-
-
-def parse_episodes(track, gantry: int) -> list[Episode]:
-    """Extract one episode per maximal same-patient working segment."""
-    track = _as_track(track)
-    runs = parse_runs(track)
-    pattern_runs = [
-        (GantryStatus(s), status_duration(s)) for s in range(1, N_STATUSES)
-    ]
-    episodes: list[Episode] = []
-    i = 0
-    while i < len(runs):
-        run = runs[i]
-        if run.status == GantryStatus.IDLE:
-            i += 1
-            continue
-        j = i
-        while (
-            j + 1 < len(runs)
-            and runs[j + 1].status != GantryStatus.IDLE
-            and runs[j + 1].patient == run.patient
-        ):
-            j += 1
-        segment = runs[i : j + 1]
-        start = segment[0].start
-        end = segment[-1].start + segment[-1].length - 1
-        complete = [(r.status, r.length) for r in segment] == pattern_runs
-        episodes.append(
-            Episode(
-                patient=run.patient,
-                gantry=gantry,
-                start=start,
-                end=end,
-                complete=complete,
-            )
-        )
-        i = j + 1
-    return episodes
 
 
 def random_chromosome(spec: ProblemSpec, rng: np.random.Generator) -> Chromosome:

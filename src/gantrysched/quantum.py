@@ -20,6 +20,7 @@ from .classical import (
     RunResult,
     _evolve,
     _paired_crossover,
+    _swap_tails,
     repair_chromosome,
 )
 from .fitness import ScoreTable, evaluate_breakdown
@@ -124,45 +125,28 @@ def quantum_from_schedule(schedule: Chromosome, n_p: int) -> QuantumChromosome:
 
 
 def sample_index(v, u):
-    """Sample a basis index from squared amplitudes by inverse transform.
+    """Sample basis indices from squared amplitudes by inverse transform.
 
-    Returns the smallest index whose cumulative squared amplitude reaches
-    ``u`` (scaled by the actual total, which is 1 up to rounding).  For
-    ``u = 0`` the first index with nonzero amplitude is returned.  ``u``
-    may be a scalar or an array of draws.
+    Each vector along the last axis of ``v`` takes its draw from ``u`` (one
+    vector may also take a batch of draws).  The result is the smallest index
+    whose cumulative squared amplitude reaches ``u`` times the vector's total.
+    ``u = 0`` picks the first nonzero amplitude; a scalar ``u`` gives an ``int``.
     """
     v = np.asarray(v, dtype=np.float64)
-    sq = v * v
-    cum = np.cumsum(sq)
-    total = cum[-1]
-    if np.isscalar(u) or np.ndim(u) == 0:
-        if u == 0:
-            return int(np.flatnonzero(sq)[0])
-        return int(np.searchsorted(cum, u * total, side="left"))
     u = np.asarray(u, dtype=np.float64)
-    idx = np.searchsorted(cum, u * total, side="left")
-    if np.any(u == 0):
-        idx = np.where(u == 0, int(np.flatnonzero(sq)[0]), idx)
-    return idx
-
-
-def _sample_grid(amps: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorized per-cell inverse-transform sampling over the last axis."""
-    sq = amps * amps
+    sq = v * v
     cum = np.cumsum(sq, axis=-1)
-    target = u[..., None] * cum[..., -1:]
-    idx = np.sum(cum < target, axis=-1)
+    idx = np.sum(cum < u[..., None] * cum[..., -1:], axis=-1)
     if np.any(u == 0):
-        first_nonzero = np.argmax(sq > 0, axis=-1)
-        idx = np.where(u == 0, first_nonzero, idx)
-    return idx
+        idx = np.where(u == 0, np.argmax(sq > 0, axis=-1), idx)
+    return int(idx) if np.ndim(idx) == 0 else idx
 
 
 def observe(qchrom: QuantumChromosome, rng: np.random.Generator) -> Chromosome:
     """Project every cell onto a classical slot; the amplitudes are untouched."""
     shape = (qchrom.n_g, qchrom.n_t)
-    statuses = _sample_grid(qchrom.status_amps, rng.random(shape)).astype(np.int8)
-    patients = _sample_grid(qchrom.id_amps, rng.random(shape)).astype(np.int32)
+    statuses = sample_index(qchrom.status_amps, rng.random(shape)).astype(np.int8)
+    patients = sample_index(qchrom.id_amps, rng.random(shape)).astype(np.int32)
     patients[statuses == GantryStatus.IDLE] = VACANT
     return Chromosome(statuses, patients, n_p=qchrom.n_p)
 
@@ -179,21 +163,10 @@ def q_single_point_crossover(
     a: QuantumChromosome, b: QuantumChromosome, point: int
 ) -> tuple[QuantumChromosome, QuantumChromosome]:
     """Swap amplitude-cell tails at a cut point in the track-major flattening."""
-    if a.id_amps.shape != b.id_amps.shape:
-        raise ValueError("parents must have identical shape")
-    n_cells = a.n_cells
-    if not 1 <= point <= n_cells - 1:
-        raise ValueError(f"crossover point must lie in [1, {n_cells - 1}], got {point}")
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        d = x.shape[-1]
-        flat_x = x.reshape(n_cells, d)
-        flat_y = y.reshape(n_cells, d)
-        return np.concatenate((flat_x[:point], flat_y[point:])).reshape(x.shape)
-
-    child1 = QuantumChromosome(mix(a.id_amps, b.id_amps), mix(a.status_amps, b.status_amps))
-    child2 = QuantumChromosome(mix(b.id_amps, a.id_amps), mix(b.status_amps, a.status_amps))
-    return child1, child2
+    (ids1, stat1), (ids2, stat2) = _swap_tails(
+        (a.id_amps, a.status_amps), (b.id_amps, b.status_amps), point
+    )
+    return QuantumChromosome(ids1, stat1), QuantumChromosome(ids2, stat2)
 
 
 def q_mutate(qchrom: QuantumChromosome, rng: np.random.Generator) -> QuantumChromosome:

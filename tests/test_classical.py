@@ -15,17 +15,17 @@ from gantrysched import (
     evaluate_breakdown,
     mutate_patient_ids,
     mutate_statuses,
-    parse_episodes,
     random_chromosome,
     repair_chromosome,
     run_classical,
     select,
     single_point_crossover,
 )
-from gantrysched.classical import crossover_step
+from gantrysched.classical import _paired_crossover
 from gantrysched.rng import substream
 
-from conftest import idle_rows, perfect_chromosome
+from brute_fitness import brute_breakdown
+from conftest import idle_rows, perfect_chromosome, rows_with_cycle
 
 PARAMS = GaParams(
     r_s=0.83, r_c=0.27, r_m=0.37, r_r=0.85, n_ini=10, n_max=150, g_max=10, seed=0
@@ -118,7 +118,9 @@ class TestCrossover:
     def test_population_growth(self, small_spec):
         rng = substream(32, 0, 0, 0)
         pop = [random_chromosome(small_spec, rng) for _ in range(10)]
-        grown = crossover_step(pop, r_c=0.27, rng=substream(32, 0, 2, 0))
+        grown = _paired_crossover(
+            pop, 0.27, substream(32, 0, 2, 0), single_point_crossover, small_spec.n_cells
+        )
         # floor(0.27 * 10 / 2) = 1 pair, two children appended
         assert len(grown) == 12
         assert grown[:10] == pop
@@ -190,6 +192,14 @@ class TestMutateStatuses:
             assert np.all(busy >= 0) and np.all(busy < spec.n_p)
 
 
+def assert_single_treatment(chrom: Chromosome, patient: int, start: int):
+    """The one track holds exactly one complete treatment, idle elsewhere."""
+    statuses, patients = rows_with_cycle(chrom.n_t, patient, start)
+    assert chrom.statuses.tolist() == [statuses]
+    assert chrom.patients.tolist() == [patients]
+    assert brute_breakdown(chrom.statuses, chrom.patients)["completed_therapies"] == 1
+
+
 class TestRepair:
     def test_output_has_no_structural_penalties(self, medium_spec):
         rng = substream(60, 0, 0, 0)
@@ -212,15 +222,13 @@ class TestRepair:
         spec = ProblemSpec(n_g=1, n_p=4, n_t=27)
         statuses, patients = idle_rows(27)
         fixed = repair_chromosome(Chromosome([statuses], [patients]), spec)
-        episodes = parse_episodes(fixed.tracks[0], gantry=0)
-        assert [(e.start, e.end, e.complete) for e in episodes] == [(1, 26, True)]
+        assert_single_treatment(fixed, patient=0, start=1)  # slots 1 to 26
 
     def test_exact_fit_uses_whole_track(self):
         spec = ProblemSpec(n_g=1, n_p=2, n_t=26)
         statuses, patients = idle_rows(26)
         fixed = repair_chromosome(Chromosome([statuses], [patients]), spec)
-        episodes = parse_episodes(fixed.tracks[0], gantry=0)
-        assert [(e.start, e.end, e.complete) for e in episodes] == [(0, 25, True)]
+        assert_single_treatment(fixed, patient=0, start=0)  # slots 0 to 25
 
     def test_short_track_stays_idle(self):
         spec = ProblemSpec(n_g=1, n_p=2, n_t=25)
@@ -232,16 +240,14 @@ class TestRepair:
         spec = ProblemSpec(n_g=1, n_p=6, n_t=27)
         chrom = Chromosome([[0] + [3] * 26], [[-1] + [4] * 26])
         fixed = repair_chromosome(chrom, spec)
-        episodes = parse_episodes(fixed.tracks[0], gantry=0)
-        assert [e.patient for e in episodes] == [4]
+        assert_single_treatment(fixed, patient=4, start=1)
 
     def test_respects_already_treated(self):
         spec = ProblemSpec(n_g=1, n_p=3, n_t=27)
         statuses, patients = idle_rows(27)
         chrom = Chromosome([statuses], [patients])
         fixed = repair_chromosome(chrom, spec, already_treated=[0, 1])
-        episodes = parse_episodes(fixed.tracks[0], gantry=0)
-        assert [e.patient for e in episodes] == [2]
+        assert_single_treatment(fixed, patient=2, start=1)
         nobody_left = repair_chromosome(chrom, spec, already_treated=[0, 1, 2])
         assert np.all(nobody_left.statuses == 0)
 

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from gantrysched import cli
 from gantrysched.cli import main, schedule_from_document
 from gantrysched.fitness import evaluate_breakdown
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TINY_CONFIG = {
     "n_g": 1,
@@ -135,6 +139,34 @@ class TestRunErrors:
         config = write_config(tmp_path, r_s=1.4)
         assert main(["run", "--config", str(config)]) == 2
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2(self, tmp_path, threads, capsys):
+        config = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--config", str(config), "--threads", threads])
+        assert exit_info.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize("where", ["config", "grid"])
+    def test_non_finite_numbers_exit_2(self, tmp_path, value, where, capsys):
+        """JSON's non-standard constants are rejected before anything runs."""
+        if where == "config":
+            config = write_config(tmp_path, score_conflict=float(value))
+            argv = ["run", "--config", str(config)]
+            field = "score_conflict"
+        else:
+            config = write_config(tmp_path)
+            axis = {"center": 0.5, "half_width": float(value), "step": 0.1}
+            grid = write_grid(tmp_path, {"r_s": axis})
+            argv = ["sweep", "--config", str(config), "--grid", str(grid)]
+            field = "r_s.half_width"
+        assert value in (tmp_path / f"{where}.json").read_text()
+        assert main(argv) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unwritable_out_dir_exits_3(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
@@ -205,6 +237,7 @@ class TestQubitsCommand:
 
 class TestModuleEntryPoint:
     def test_runs_as_module(self):
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [
                 sys.executable, "-m", "gantrysched.cli",
@@ -212,6 +245,7 @@ class TestModuleEntryPoint:
             ],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "30"
@@ -223,3 +257,30 @@ class TestAtomicWrites:
         assert main(["run", "--config", str(config)]) == 0
         leftovers = [p for p in (tmp_path / "out").iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
+
+    def test_stale_tmp_directory_is_ignored(self, tmp_path):
+        """A leftover at the old fixed temporary name does not block a run."""
+        stale = tmp_path / "out" / "curves.csv.tmp"
+        stale.mkdir(parents=True)
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config)]) == 0
+        assert (tmp_path / "out" / "curves.csv").read_text().startswith("generation,")
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "best_schedule.json", "curves.csv", "curves.csv.tmp", "summary.json"
+        ]
+
+
+class TestGoldenRun:
+    def test_medium_quantum_seed0_is_byte_identical(self, tmp_path):
+        """The seeded medium quantum run reproduces its recorded outputs exactly."""
+        out = tmp_path / "run"
+        code = main(
+            [
+                "run", "--config", str(ROOT / "configs" / "medium.json"),
+                "--algo", "quantum", "--seed", "0", "--threads", "1", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        golden = ROOT / "tests" / "golden" / "medium-quantum-seed0"
+        for name in ("curves.csv", "best_schedule.json"):
+            assert (out / name).read_bytes() == (golden / name).read_bytes(), name

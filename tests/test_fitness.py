@@ -17,7 +17,7 @@ from gantrysched import (
 from gantrysched.rng import substream
 
 from brute_fitness import brute_breakdown
-from conftest import idle_rows, perfect_chromosome
+from conftest import idle_rows, perfect_chromosome, rows_with_cycle
 
 
 def assert_matches_oracle(chrom: Chromosome, table: ScoreTable | None = None):
@@ -160,6 +160,13 @@ class TestOracleAgreement:
         assert_matches_oracle(perfect_chromosome(n_g=2, n_t=30, start=2, patients=[0, 0]))
         assert_matches_oracle(Chromosome([[7, 7, 7, 7, 1]], [[0, 0, 0, 0, 1]]))
         assert_matches_oracle(Chromosome([[3] * 6], [[1] * 6]))
+        assert_matches_oracle(Chromosome([[0, 1, 1, 2, 0]], [[-1, 4, 4, 4, -1]]))
+        assert_matches_oracle(Chromosome([[3, 3, 3, 3]], [[0, 0, 1, 1]]))
+        assert_matches_oracle(Chromosome([[1, 2, 2, 2, 1, 2]], [[0, 0, 0, 0, 1, 1]]))
+        assert_matches_oracle(Chromosome([[1, 0, 1]], [[0, -1, 0]]))
+        short_wait = rows_with_cycle(28, patient=5, start=1)
+        short_wait[0][4] = 3  # steal one waiting slot for targeting
+        assert_matches_oracle(Chromosome([short_wait[0]], [short_wait[1]]))
 
 
 class TestInvariants:

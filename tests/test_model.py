@@ -1,4 +1,4 @@
-"""Domain model tests: statuses, schedules, runs, and episodes."""
+"""Domain model tests: statuses, schedules, and the scorer's run and episode parsing."""
 
 from __future__ import annotations
 
@@ -13,15 +13,12 @@ from gantrysched import (
     ConfigError,
     GantryStatus,
     ProblemSpec,
-    SlotCell,
-    Track,
     cycle_status_pattern,
-    expected_next,
-    parse_episodes,
-    parse_runs,
+    evaluate_breakdown,
     random_chromosome,
     status_duration,
 )
+from gantrysched.fitness import _complete_episode_patients, _run_bounds
 from gantrysched.rng import substream
 
 from conftest import CYCLE_SLOTS, perfect_chromosome, rows_with_cycle
@@ -39,9 +36,14 @@ class TestStatusCycle:
         assert WORK_CYCLE_SLOTS == 26
 
     def test_expected_next_wraps(self):
-        """The cycle is closed: disposal leads back to idle."""
-        order = [expected_next(s) for s in range(8)]
-        assert order == [1, 2, 3, 4, 5, 6, 7, 0]
+        """The cycle is closed: disposal leads back to idle, idle to ready."""
+        for status in range(8):
+            follower = (status + 1) % 8
+            pair = Chromosome(
+                [[status, follower]],
+                [[VACANT if s == 0 else 0 for s in (status, follower)]],
+            )
+            assert evaluate_breakdown(pair).ordered_transitions == 1
 
     def test_cycle_status_pattern(self):
         """The slot pattern expands each working status to its duration."""
@@ -54,10 +56,6 @@ class TestProblemSpec:
     def test_counts(self):
         spec = ProblemSpec(n_g=3, n_p=12, n_t=108)
         assert spec.n_cells == 324
-        assert spec.fits_complete_episode
-
-    def test_too_short_for_episode(self):
-        assert not ProblemSpec(n_g=1, n_p=1, n_t=25).fits_complete_episode
 
     @pytest.mark.parametrize("bad", [dict(n_g=0), dict(n_p=-1), dict(n_t=0)])
     def test_rejects_non_positive(self, bad):
@@ -67,25 +65,7 @@ class TestProblemSpec:
             ProblemSpec(**values)
 
 
-class TestSlotCell:
-    def test_idle_must_be_vacant(self):
-        with pytest.raises(ValueError):
-            SlotCell(GantryStatus.IDLE, 3)
-
-    def test_busy_needs_patient(self):
-        with pytest.raises(ValueError):
-            SlotCell(GantryStatus.READY)
-        assert SlotCell(GantryStatus.READY, 2).patient == 2
-
-
 class TestChromosome:
-    def test_round_trip_through_cells(self):
-        chrom = perfect_chromosome(n_g=2)
-        rebuilt = Chromosome.from_cells(
-            [[chrom.cell(g, t) for t in range(chrom.n_t)] for g in range(chrom.n_g)]
-        )
-        assert rebuilt == chrom
-
     def test_arrays_are_read_only(self):
         chrom = perfect_chromosome()
         with pytest.raises(ValueError):
@@ -114,81 +94,66 @@ class TestChromosome:
         with pytest.raises(TypeError):
             hash(a)
 
-    def test_track_view(self):
-        chrom = perfect_chromosome()
-        track = chrom.tracks[0]
-        assert len(track) == 28
-        assert track[0] == SlotCell(GantryStatus.IDLE)
-        assert track[1] == SlotCell(GantryStatus.READY, 0)
+def runs(statuses, patients) -> list[tuple[int, int, int, int]]:
+    """(status, patient, start, length) of every run the scorer sees on one track."""
+    starts, lengths, run_stat, run_pat = _run_bounds(
+        np.array(statuses, dtype=np.int8), np.array(patients, dtype=np.int32)
+    )
+    return list(zip(run_stat.tolist(), run_pat.tolist(), starts.tolist(), lengths.tolist()))
+
+
+def complete_episodes(statuses, patients) -> list[int]:
+    """Patients of the complete episodes the scorer finds on one track."""
+    _, lengths, run_stat, run_pat = _run_bounds(
+        np.array(statuses, dtype=np.int8), np.array(patients, dtype=np.int32)
+    )
+    return _complete_episode_patients(run_stat, run_pat, lengths).tolist()
 
 
 class TestParseRuns:
     def test_hand_case(self):
-        track = Track(
-            np.array([0, 1, 1, 2, 0], dtype=np.int8),
-            np.array([-1, 4, 4, 4, -1], dtype=np.int32),
-        )
-        runs = parse_runs(track)
-        assert [(r.status, r.patient, r.start, r.length) for r in runs] == [
-            (GantryStatus.IDLE, None, 0, 1),
+        assert runs([0, 1, 1, 2, 0], [-1, 4, 4, 4, -1]) == [
+            (GantryStatus.IDLE, VACANT, 0, 1),
             (GantryStatus.READY, 4, 1, 2),
             (GantryStatus.WAIT_PATIENT, 4, 3, 1),
-            (GantryStatus.IDLE, None, 4, 1),
+            (GantryStatus.IDLE, VACANT, 4, 1),
         ]
 
     def test_patient_change_splits_run(self):
         """Same status with a new patient starts a new run."""
-        track = Track(
-            np.array([3, 3, 3, 3], dtype=np.int8),
-            np.array([0, 0, 1, 1], dtype=np.int32),
-        )
-        runs = parse_runs(track)
-        assert len(runs) == 2
-        assert runs[0].patient == 0 and runs[1].patient == 1
+        assert runs([3, 3, 3, 3], [0, 0, 1, 1]) == [(3, 0, 0, 2), (3, 1, 2, 2)]
 
     def test_lengths_cover_track(self, small_spec):
         rng = substream(7, 0, 0, 0)
         for _ in range(50):
             chrom = random_chromosome(small_spec, rng)
-            for track in chrom.tracks:
-                runs = parse_runs(track)
-                assert sum(r.length for r in runs) == small_spec.n_t
-                assert runs[0].start == 0
+            for g in range(small_spec.n_g):
+                found = runs(chrom.statuses[g], chrom.patients[g])
+                assert sum(length for *_, length in found) == small_spec.n_t
+                assert found[0][2] == 0
+                assert all(a[2] + a[3] == b[2] for a, b in zip(found, found[1:]))
 
 
 class TestParseEpisodes:
     def test_complete_cycle(self):
-        statuses, patients = rows_with_cycle(28, patient=5, start=1)
-        episodes = parse_episodes(
-            Track(np.array(statuses, np.int8), np.array(patients, np.int32)), gantry=2
-        )
-        assert len(episodes) == 1
-        ep = episodes[0]
-        assert (ep.patient, ep.gantry, ep.start, ep.end, ep.complete) == (5, 2, 1, 26, True)
+        assert complete_episodes(*rows_with_cycle(28, patient=5, start=1)) == [5]
 
     def test_short_run_breaks_completeness(self):
         statuses, patients = rows_with_cycle(28, patient=5, start=1)
         statuses[4] = 3  # steal one waiting slot for targeting
-        track = Track(np.array(statuses, np.int8), np.array(patients, np.int32))
-        episodes = parse_episodes(track, gantry=0)
-        assert len(episodes) == 1
-        assert not episodes[0].complete
+        assert complete_episodes(statuses, patients) == []
 
     def test_patient_change_splits_episode(self):
-        track = Track(
-            np.array([1, 2, 2, 2, 1, 2], dtype=np.int8),
-            np.array([0, 0, 0, 0, 1, 1], dtype=np.int32),
-        )
-        episodes = parse_episodes(track, gantry=0)
-        assert [(e.patient, e.start, e.end) for e in episodes] == [(0, 0, 3), (1, 4, 5)]
-        assert not any(e.complete for e in episodes)
+        """Back-to-back cycles of two patients are two complete episodes."""
+        statuses = CYCLE_SLOTS * 2
+        patients = [0] * len(CYCLE_SLOTS) + [1] * len(CYCLE_SLOTS)
+        assert complete_episodes(statuses, patients) == [0, 1]
 
     def test_idle_splits_episode(self):
-        track = Track(
-            np.array([1, 0, 1], dtype=np.int8),
-            np.array([0, -1, 0], dtype=np.int32),
-        )
-        assert len(parse_episodes(track, gantry=0)) == 2
+        """An idle slot between two cycles of one patient separates them."""
+        statuses = CYCLE_SLOTS + [0] + CYCLE_SLOTS
+        patients = [2] * len(CYCLE_SLOTS) + [VACANT] + [2] * len(CYCLE_SLOTS)
+        assert complete_episodes(statuses, patients) == [2, 2]
 
 
 class TestRandomChromosome:

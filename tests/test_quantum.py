@@ -98,6 +98,11 @@ class TestSampleIndex:
             us = rng.random(50)
             got = sample_index(v, us)
             assert got.tolist() == [sample_index(v, float(u)) for u in us]
+        grid = random_amplitudes(rng, (3, 4, 12))
+        us = rng.random((3, 4))
+        us[0, 0] = 0.0
+        want = [[sample_index(grid[g, t], float(us[g, t])) for t in range(4)] for g in range(3)]
+        assert sample_index(grid, us).tolist() == want
 
     def test_respects_probabilities(self):
         """Draw frequencies track squared amplitudes."""
