@@ -4,7 +4,7 @@ The package models a treatment day as a grid of gantry/time-slot cells,
 scores candidate schedules with a deterministic penalty/benefit evaluator,
 and searches the space with either a classical genetic algorithm or a
 quantum-inspired variant operating on amplitude vectors.  Everything keyed
-off a single seed reproduces bit for bit, independent of thread count.
+off a single seed reproduces bit for bit.
 """
 
 from __future__ import annotations

@@ -2,14 +2,12 @@
 
 The generation loop is deterministic for a given seed.  Every randomized
 unit of work draws from its own substream (see :mod:`gantrysched.rng`), so
-results do not depend on the worker count used to evaluate or mutate
-chromosomes.
+a unit's draws do not depend on how many draws other units made before it.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Sequence
@@ -259,28 +257,9 @@ def _pick_patient(chrom, g, start, treated, n_p):
     return None
 
 
-class _Pool:
-    """Order-preserving map over an optional thread pool."""
-
-    def __init__(self, threads: int):
-        self._executor = (
-            ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-        )
-
-    def map(self, fn, items):
-        if self._executor is None:
-            return [fn(item) for item in items]
-        return list(self._executor.map(fn, items))
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-
-
 def _evolve(
     params: GaParams,
     table: ScoreTable,
-    threads: int,
     fresh: Callable[[int], object],
     evaluate: Callable[[object, int, int], tuple[float, Chromosome]],
     crossover_pop: Callable,
@@ -290,49 +269,43 @@ def _evolve(
     """Generation loop shared by the classical and quantum variants."""
     started = perf_counter()
     seed = params.seed
-    pool = _Pool(threads)
-    try:
-        pop = pool.map(fresh, range(params.n_ini))
-        records: list[GenerationRecord] = []
-        best_total: float | None = None
-        best_schedule: Chromosome | None = None
-        for gen in range(params.g_max + 1):
-            evals = pool.map(lambda i: evaluate(pop[i], gen, i), range(len(pop)))
-            totals = [total for total, _ in evals]
-            best_idx = int(np.argmax(totals))
-            records.append(GenerationRecord(gen, totals[best_idx], len(pop)))
-            if best_total is None or totals[best_idx] > best_total:
-                best_total = totals[best_idx]
-                best_schedule = evals[best_idx][1]
-            if gen == params.g_max:
-                break
+    pop = [fresh(i) for i in range(params.n_ini)]
+    records: list[GenerationRecord] = []
+    best_total: float | None = None
+    best_schedule: Chromosome | None = None
+    for gen in range(params.g_max + 1):
+        evals = [evaluate(chrom, gen, i) for i, chrom in enumerate(pop)]
+        totals = [total for total, _ in evals]
+        best_idx = int(np.argmax(totals))
+        records.append(GenerationRecord(gen, totals[best_idx], len(pop)))
+        if best_total is None or totals[best_idx] > best_total:
+            best_total = totals[best_idx]
+            best_schedule = evals[best_idx][1]
+        if gen == params.g_max:
+            break
 
-            survivors = select(list(zip(pop, totals)), params.r_s, params.n_max)
-            pop = [chrom for chrom, _ in survivors]
-            pop = crossover_pop(pop, params.r_c, substream(seed, gen, PHASE_PAIRING, 0))
+        survivors = select(list(zip(pop, totals)), params.r_s, params.n_max)
+        pop = [chrom for chrom, _ in survivors]
+        pop = crossover_pop(pop, params.r_c, substream(seed, gen, PHASE_PAIRING, 0))
 
-            for pick_phase, mutate in mutators:
-                n_mut = _floor_count(params.r_m * len(pop))
-                if n_mut:
-                    picked = substream(seed, gen, pick_phase, 0).choice(
-                        len(pop), size=n_mut, replace=False
-                    )
-                    picked = [int(i) for i in picked]
-                    mutated = pool.map(lambda i, g=gen: mutate(pop[i], g, i), picked)
-                    for i, chrom in zip(picked, mutated):
-                        pop[i] = chrom
-
-            n_rep = _floor_count(params.r_r * len(pop))
-            if n_rep:
-                picked = substream(seed, gen, PHASE_REPAIR_PICK, 0).choice(
-                    len(pop), size=n_rep, replace=False
+        # The picks are distinct, so updating pop in place reads no result
+        # of the same phase.
+        for pick_phase, mutate in mutators:
+            n_mut = _floor_count(params.r_m * len(pop))
+            if n_mut:
+                picked = substream(seed, gen, pick_phase, 0).choice(
+                    len(pop), size=n_mut, replace=False
                 )
-                picked = [int(i) for i in picked]
-                repaired = pool.map(lambda i, g=gen: repair(pop[i], g, i), picked)
-                for i, chrom in zip(picked, repaired):
-                    pop[i] = chrom
-    finally:
-        pool.close()
+                for i in picked.tolist():
+                    pop[i] = mutate(pop[i], gen, i)
+
+        n_rep = _floor_count(params.r_r * len(pop))
+        if n_rep:
+            picked = substream(seed, gen, PHASE_REPAIR_PICK, 0).choice(
+                len(pop), size=n_rep, replace=False
+            )
+            for i in picked.tolist():
+                pop[i] = repair(pop[i], gen, i)
     breakdown = evaluate_breakdown(best_schedule, table)
     return RunResult(
         records=tuple(records),
@@ -346,8 +319,6 @@ def run_classical(
     spec: ProblemSpec,
     params: GaParams,
     table: ScoreTable | None = None,
-    *,
-    threads: int = 1,
 ) -> RunResult:
     """Run the classical genetic algorithm; bit-reproducible per seed."""
     if table is None:
@@ -381,6 +352,4 @@ def run_classical(
     def repair(chrom: Chromosome, gen: int, i: int) -> Chromosome:
         return repair_chromosome(chrom, spec)
 
-    return _evolve(
-        params, table, threads, fresh, evaluate, crossover_pop, mutators, repair
-    )
+    return _evolve(params, table, fresh, evaluate, crossover_pop, mutators, repair)

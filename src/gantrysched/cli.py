@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import uuid
 from pathlib import Path
@@ -228,19 +227,6 @@ def schedule_document(
     }
 
 
-def schedule_from_document(doc: dict) -> tuple[Chromosome, ScoreTable]:
-    """Rebuild the schedule and score table stored by :func:`schedule_document`."""
-    table = ScoreTable(**doc["scores"])
-    statuses = [
-        [int(GantryStatus[cell["status"]]) for cell in row] for row in doc["tracks"]
-    ]
-    patients = [
-        [VACANT if cell["patient"] is None else int(cell["patient"]) for cell in row]
-        for row in doc["tracks"]
-    ]
-    return Chromosome(statuses, patients, n_p=doc["n_p"]), table
-
-
 def _curves_csv(result: RunResult) -> str:
     lines = ["generation,best_fitness,population"]
     for record in result.records:
@@ -281,7 +267,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     spec, params, table, out_dir, echo = _resolve_config(
         doc, args.algo, args.seed, args.out
     )
-    result = ALGORITHMS[args.algo](spec, params, table, threads=args.threads)
+    result = ALGORITHMS[args.algo](spec, params, table)
     summary = {
         "algorithm": args.algo,
         "seed": params.seed,
@@ -308,15 +294,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     spec, params, table, out_dir, _ = _resolve_config(doc, args.algo, args.seed, args.out)
     axes, exclude = _resolve_grid(_load_json(args.grid, "grid"))
     points = build_grid(SweepGrid(base=params, axes=axes))
-    records = run_sweep(
-        spec,
-        points,
-        table,
-        args.algo,
-        params.seed,
-        threads=args.threads,
-        collect_errors=True,
-    )
+    records = run_sweep(spec, points, table, args.algo, params.seed, collect_errors=True)
     kept, removed = filter_records(records, exclude)
     succeeded = [r for r in kept if r.error is None]
     failed = len(kept) - len(succeeded)
@@ -349,8 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    default_threads = os.cpu_count() or 1
-
     run_p = sub.add_parser("run", help="run one optimization and write its outputs")
     sweep_p = sub.add_parser("sweep", help="run a parameter grid and summarize it")
     for p in (run_p, sweep_p):
@@ -362,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=_positive_int,
-            default=default_threads,
-            help="worker threads (affects speed only, never results)",
+            default=1,
+            help="accepted and ignored; runs are always serial",
         )
         p.add_argument("--out", type=Path, default=None, help="overrides the output directory")
     sweep_p.add_argument("--grid", type=Path, required=True, help="JSON grid file")

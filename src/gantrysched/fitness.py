@@ -23,6 +23,7 @@ Idle runs are neutral: they are free to hold and never scored directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Mapping
 
@@ -41,7 +42,7 @@ _DISPOSE = int(GantryStatus.DISPOSE)
 
 @dataclass(frozen=True)
 class ScoreTable:
-    """Weights applied to event counts. All weights are non-negative."""
+    """Weights applied to event counts. All weights are finite and non-negative."""
 
     conflict: float = 20.0
     duration_violation: float = 20.0
@@ -55,8 +56,8 @@ class ScoreTable:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if not value >= 0:
-                raise ConfigError(f"score {f.name} must be non-negative, got {value!r}")
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"score {f.name} must be finite and non-negative, got {value!r}")
 
 
 COUNT_NAMES = (

@@ -264,8 +264,6 @@ def run_quantum(
     spec: ProblemSpec,
     params: GaParams,
     table: ScoreTable | None = None,
-    *,
-    threads: int = 1,
 ) -> RunResult:
     """Run the quantum-inspired genetic algorithm; bit-reproducible per seed."""
     if table is None:
@@ -292,9 +290,7 @@ def run_quantum(
     def repair(qchrom, gen: int, i: int) -> QuantumChromosome:
         return q_repair(qchrom, spec, table, substream(seed, gen, PHASE_REPAIR, i))
 
-    return _evolve(
-        params, table, threads, fresh, evaluate, crossover_pop, mutators, repair
-    )
+    return _evolve(params, table, fresh, evaluate, crossover_pop, mutators, repair)
 
 
 def qubit_estimate(n_chromosomes: int, n_t: int, n_g: int, n_p: int, n_s: int) -> int:

@@ -1,10 +1,10 @@
-"""Deterministic substream construction for reproducible parallel runs.
+"""Deterministic substream construction for reproducible runs.
 
 Every randomized unit of work (one chromosome in one phase of one
 generation) owns a private generator derived by mixing the run seed with
-the coordinates (generation, phase, index).  Draws therefore never depend
-on how work is scheduled across threads, and a run is bit-reproducible
-for any worker count.
+the coordinates (generation, phase, index).  A unit's draws therefore
+depend only on its coordinates, never on how many draws other units made,
+and a run is bit-reproducible for a given seed.
 """
 
 from __future__ import annotations

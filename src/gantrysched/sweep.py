@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -21,6 +20,9 @@ SWEEP_PARAMS = ("r_s", "r_c", "r_m", "r_r")
 ALGORITHMS = {"classical": run_classical, "quantum": run_quantum}
 
 _VALUE_TOL = 1e-9
+
+# Values are rounded to two decimals in [0, 1], so a longer axis only repeats.
+_MAX_AXIS_VALUES = 101
 
 
 @dataclass(frozen=True)
@@ -39,12 +41,15 @@ class SweepAxis:
 
     def values(self) -> list[float]:
         """Axis values rounded to two decimals, lowest first."""
-        count = math.floor(2 * self.half_width / self.step + _VALUE_TOL) + 1
-        values = [round(self.center - self.half_width + k * self.step, 2) for k in range(count)]
-        for value in values:
+        steps = 2 * self.half_width / self.step + _VALUE_TOL
+        if steps >= _MAX_AXIS_VALUES:
+            raise ConfigError(f"axis has more than {_MAX_AXIS_VALUES} values")
+        count = math.floor(steps) + 1
+        low = self.center - self.half_width
+        for value in (round(low, 2), round(low + (count - 1) * self.step, 2)):
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"axis value {value} falls outside [0, 1]")
-        return values
+        return [round(low + k * self.step, 2) for k in range(count)]
 
 
 @dataclass(frozen=True)
@@ -126,15 +131,14 @@ def run_sweep(
     algorithm: str,
     master_seed: int,
     *,
-    threads: int = 1,
     collect_errors: bool = False,
 ) -> list[SweepRecord]:
     """Run every grid point with a seed derived from the master seed.
 
-    Points run independently (optionally in parallel); fitness results are
-    reproducible for a given master seed while wall times are not.  With
-    ``collect_errors`` a failing point becomes a record with its ``error``
-    set instead of aborting the sweep.
+    Points run one after another; fitness results are reproducible for a
+    given master seed while wall times are not.  With ``collect_errors`` a
+    failing point becomes a record with its ``error`` set instead of
+    aborting the sweep.
     """
     if not points:
         raise ConfigError("no sweep points to run")
@@ -142,8 +146,7 @@ def run_sweep(
         raise ConfigError(f"unknown algorithm {algorithm!r}")
     runner = ALGORITHMS[algorithm]
 
-    def run_point(item: tuple[int, GaParams]) -> SweepRecord:
-        index, point = item
+    def run_point(index: int, point: GaParams) -> SweepRecord:
         seed = derive_seed(master_seed, index)
         point = dataclasses.replace(point, seed=seed)
         fields = dict(
@@ -164,11 +167,7 @@ def run_sweep(
             run_seconds=result.elapsed,
         )
 
-    items = list(enumerate(points))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_point, items))
-    return [run_point(item) for item in items]
+    return [run_point(index, point) for index, point in enumerate(points)]
 
 
 def filter_records(

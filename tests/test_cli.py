@@ -10,9 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from brute_fitness import WEIGHTS, brute_breakdown
 from gantrysched import cli
-from gantrysched.cli import main, schedule_from_document
-from gantrysched.fitness import evaluate_breakdown
+from gantrysched.cli import main
+from gantrysched.fitness import COUNT_NAMES
+from gantrysched.model import GantryStatus
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -67,10 +69,15 @@ class TestRunCommand:
         config = write_config(tmp_path)
         assert main(["run", "--config", str(config)]) == 0
         doc = json.loads((tmp_path / "out" / "best_schedule.json").read_text())
-        chrom, table = schedule_from_document(doc)
-        got = evaluate_breakdown(chrom, table)
-        assert got.total == doc["fitness"]["total"]
-        assert got.counts() == doc["fitness"]["counts"]
+        statuses = [[int(GantryStatus[cell["status"]]) for cell in row] for row in doc["tracks"]]
+        patients = [
+            [-1 if cell["patient"] is None else cell["patient"] for cell in row]
+            for row in doc["tracks"]
+        ]
+        assert doc["scores"] == WEIGHTS
+        expected = brute_breakdown(statuses, patients)
+        assert doc["fitness"]["total"] == expected["total"]
+        assert doc["fitness"]["counts"] == {name: expected[name] for name in COUNT_NAMES}
         assert doc["n_t"] == 30 and doc["n_g"] == 1
 
     def test_quantum_defaults_are_separate(self, tmp_path):
@@ -210,6 +217,18 @@ class TestSweepCommand:
         )
         assert main(["sweep", "--config", str(config), "--grid", str(grid)]) == 2
         assert "outside" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "axis",
+        [
+            {"center": 0.5, "half_width": 50, "step": 0.0001},
+            {"center": 0.5, "half_width": 0.5, "step": 1e-9},
+        ],
+    )
+    def test_oversized_axis_exits_2(self, tmp_path, axis):
+        config = write_config(tmp_path)
+        grid = write_grid(tmp_path, {"r_s": axis})
+        assert main(["sweep", "--config", str(config), "--grid", str(grid)]) == 2
 
     def test_unknown_axis_exits_2(self, tmp_path):
         config = write_config(tmp_path)

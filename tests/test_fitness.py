@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -37,8 +39,9 @@ class TestScoreTable:
         assert table.consecutive_run == 3.0
 
     def test_rejects_negative_weight(self):
-        with pytest.raises(ConfigError):
-            ScoreTable(interruption=-1.0)
+        for value in (-1.0, math.inf, math.nan):
+            with pytest.raises(ConfigError):
+                ScoreTable(interruption=value)
 
     def test_weighted_total(self):
         counts = dict.fromkeys(

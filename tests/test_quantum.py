@@ -289,13 +289,6 @@ class TestRunQuantum:
         assert evaluate_breakdown(result.best_schedule).total == result.best_breakdown.total
         assert result.best_breakdown.total == max(r.best_fitness for r in result.records)
 
-    def test_thread_count_does_not_change_results(self, medium_spec):
-        params = dataclasses.replace(PARAMS, g_max=5)
-        lone = run_quantum(medium_spec, params, threads=1)
-        pooled = run_quantum(medium_spec, params, threads=4)
-        assert lone.records == pooled.records
-        assert lone.best_schedule == pooled.best_schedule
-
     def test_same_seed_reproduces(self, small_spec):
         a = run_quantum(small_spec, PARAMS)
         b = run_quantum(small_spec, PARAMS)

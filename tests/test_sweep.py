@@ -107,14 +107,6 @@ class TestRunSweep:
         second = run_sweep(TINY, points, None, "classical", master_seed=9)
         assert [r.best_fitness for r in first] == [r.best_fitness for r in second]
 
-    def test_threads_do_not_change_fitness(self):
-        points = build_grid(
-            SweepGrid(base=BASE, axes={"r_r": SweepAxis(0.5, 0.3, 0.3)})
-        )
-        lone = run_sweep(TINY, points, None, "quantum", master_seed=2, threads=1)
-        pooled = run_sweep(TINY, points, None, "quantum", master_seed=2, threads=3)
-        assert [r.best_fitness for r in lone] == [r.best_fitness for r in pooled]
-
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigError):
             run_sweep(TINY, [BASE], None, "annealing", master_seed=0)
