@@ -7,6 +7,7 @@ a unit's draws do not depend on how many draws other units made before it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -20,7 +21,6 @@ from .model import (
     VACANT,
     Chromosome,
     ConfigError,
-    GantryStatus,
     ProblemSpec,
     cycle_status_pattern,
     random_chromosome,
@@ -165,8 +165,8 @@ def mutate_patient_ids(
     """Rewrite the patient of one busy cell and of its whole same-status run."""
     flat = int(rng.integers(0, chrom.n_cells))
     g, t = divmod(flat, chrom.n_t)
-    if chrom.statuses[g, t] == GantryStatus.IDLE:
-        busy = np.flatnonzero(chrom.statuses.reshape(-1) != GantryStatus.IDLE)
+    if chrom.statuses[g, t] == 0:  # idle
+        busy = np.flatnonzero(chrom.statuses.reshape(-1))
         if busy.size == 0:
             return chrom
         flat = int(busy[int(rng.integers(0, busy.size))])
@@ -193,7 +193,7 @@ def mutate_statuses(
     g, t = divmod(flat, chrom.n_t)
     status = int(rng.integers(0, N_STATUSES))
     span = min(status_duration(status), chrom.n_t - t)
-    if status == GantryStatus.IDLE:
+    if status == 0:  # idle
         patient = VACANT
     else:
         incumbent = int(chrom.patients[g, t])
@@ -205,56 +205,69 @@ def mutate_statuses(
     return Chromosome(statuses, patients)
 
 
+@functools.lru_cache(maxsize=None)
+def _repair_layout(n_g: int, n_t: int):
+    """Episode start slots, status layout and per-cell episode index of a repair.
+
+    Every track holds the same episodes: one idle separator ahead of each
+    complete working cycle while room allows, the last one flush against
+    the previous cycle if only that fits.  Episodes are numbered in
+    gantry-major order; idle cells hold the episode count.
+    """
+    cycle = cycle_status_pattern()
+    span = cycle.size
+    starts = []
+    t = 1 if n_t > span else 0
+    while t + span <= n_t:
+        starts.append(t)
+        t += span + 1 if t + 2 * span + 1 <= n_t else span
+    n_e = len(starts)
+    starts = np.array(starts, dtype=np.intp)
+    layout = np.zeros((n_g, n_t), dtype=np.int8)
+    episode = np.full((n_g, n_t), n_g * n_e, dtype=np.int64)
+    for k, start in enumerate(starts):
+        layout[:, start : start + span] = cycle
+        episode[:, start : start + span] = np.arange(k, n_g * n_e, n_e)[:, None]
+    for table in (starts, layout, episode):
+        table.setflags(write=False)
+    return starts, layout, episode
+
+
 def repair_chromosome(
     chrom: Chromosome, spec: ProblemSpec, already_treated: Sequence[int] = ()
 ) -> Chromosome:
     """Rebuild every track as a conflict-free sequence of complete episodes.
 
-    Walking each gantry left to right, the planner places one full working
-    cycle per patient, separated by single idle slots when room allows so
-    that the cycle transitions stay intact.  The patient of a new episode is
-    the incumbent cell's id when that patient is still untreated, otherwise
-    the lowest-index untreated patient; when nobody is left the track stays
-    idle.  Gantries are rebuilt in index order, so earlier gantries win any
-    contention for patients.  The result has no duration violations,
-    conflicts, interruptions, or duplicate treatments.
+    Every track gets the same episode slots: one full working cycle per
+    patient, separated by single idle slots when room allows so that the
+    cycle transitions stay intact.  The patient of an episode is the
+    incumbent cell's id at its first slot when that patient is still
+    untreated, otherwise the lowest-index untreated patient; once nobody is
+    left the remaining episodes stay idle.  Episodes are filled gantry by
+    gantry, so earlier gantries win any contention for patients.  The result
+    has no duration violations, conflicts, interruptions, or duplicate
+    treatments.
     """
+    starts, layout, episode = _repair_layout(spec.n_g, spec.n_t)
     treated = set(int(p) for p in already_treated)
-    n_g, n_t = spec.n_g, spec.n_t
-    cycle = cycle_status_pattern()
-    span = cycle.size
-    out_stat = np.zeros((n_g, n_t), dtype=np.int8)
-    out_pat = np.full((n_g, n_t), VACANT, dtype=np.int32)
-    for g in range(n_g):
-        t = 0
-        while t < n_t:
-            if t > 0 and out_stat[g, t - 1] == GantryStatus.IDLE:
-                start = t
-            elif t + 1 + span <= n_t:
-                start = t + 1  # leave an idle separator ahead of the episode
-            else:
-                start = t
-            if start + span > n_t:
-                break  # remaining slots stay idle
-            patient = _pick_patient(chrom, g, start, treated, spec.n_p)
-            if patient is None:
+    busy_at = chrom.statuses[:, starts].ravel().tolist()
+    incumbents = chrom.patients[:, starts].ravel().tolist()
+    picks = []
+    lowest = 0
+    for busy, incumbent in zip(busy_at, incumbents):
+        if not busy or incumbent in treated:
+            while lowest in treated:
+                lowest += 1
+            if lowest >= spec.n_p:
                 break
-            out_stat[g, start : start + span] = cycle
-            out_pat[g, start : start + span] = patient
-            treated.add(patient)
-            t = start + span
-    return Chromosome(out_stat, out_pat, n_p=spec.n_p)
-
-
-def _pick_patient(chrom, g, start, treated, n_p):
-    if chrom.statuses[g, start] != GantryStatus.IDLE:
-        incumbent = int(chrom.patients[g, start])
-        if incumbent not in treated:
-            return incumbent
-    for p in range(n_p):
-        if p not in treated:
-            return p
-    return None
+            incumbent = lowest
+        treated.add(incumbent)
+        picks.append(incumbent)
+    lookup = np.full(len(busy_at) + 1, VACANT, dtype=np.int32)
+    lookup[: len(picks)] = picks
+    patients = lookup[episode]
+    statuses = np.where(patients != VACANT, layout, 0)
+    return Chromosome(statuses, patients, n_p=spec.n_p)
 
 
 def _evolve(

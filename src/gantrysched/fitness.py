@@ -38,6 +38,8 @@ from .model import (
 )
 
 _DISPOSE = int(GantryStatus.DISPOSE)
+# Offsets of the seven working runs of one episode from its first run.
+_CYCLE_RUNS = np.arange(N_STATUSES - 1)
 
 
 @dataclass(frozen=True)
@@ -108,103 +110,78 @@ class FitnessBreakdown:
 
 
 def _run_bounds(statuses: np.ndarray, patients: np.ndarray):
-    """Run-length encode one track.
+    """Run-length encode a grid of tracks, one track per row (or one 1-d track).
 
-    Returns (starts, lengths, run_statuses, run_patients) as arrays; a run
-    boundary falls wherever the status or the patient changes.
+    Returns (starts, lengths, run_statuses, run_patients, opens) as arrays
+    over the track-major flattening; a run boundary falls wherever the
+    status or the patient changes and at every track start, and ``opens``
+    marks the runs that begin a track.
     """
-    n = statuses.size
+    n_t = statuses.shape[-1]
+    statuses, patients = statuses.reshape(-1), patients.reshape(-1)
     change = (statuses[1:] != statuses[:-1]) | (patients[1:] != patients[:-1])
+    change[n_t - 1 :: n_t] = True
     starts = np.concatenate(([0], np.flatnonzero(change) + 1))
-    ends = np.concatenate((starts[1:], [n]))
-    return starts, ends - starts, statuses[starts], patients[starts]
+    ends = np.concatenate((starts[1:], [statuses.size]))
+    return starts, ends - starts, statuses[starts], patients[starts], starts % n_t == 0
 
 
 def _complete_episode_patients(
-    run_stat: np.ndarray, run_pat: np.ndarray, run_len: np.ndarray
+    run_stat: np.ndarray, run_pat: np.ndarray, run_len: np.ndarray, opens: np.ndarray
 ) -> np.ndarray:
-    """Patients of complete episodes on one track, one entry per episode.
+    """Patients of complete episodes, one entry per episode.
 
-    A window of seven consecutive runs forms a complete episode when the
-    statuses are the working cycle in order, every run has its nominal
-    length, the patient never changes, and the window is not embedded in a
-    longer same-patient working segment.
+    A window of seven consecutive runs of one track forms a complete episode
+    when the statuses are the working cycle in order, every run has its
+    nominal length, the patient never changes, and the window is not
+    embedded in a longer same-patient working segment.
     """
-    n_r = run_stat.size
-    if n_r < N_STATUSES - 1:
-        return np.empty(0, dtype=run_pat.dtype)
-    m = n_r - (N_STATUSES - 2)
-    ok = np.ones(m, dtype=bool)
-    first_pat = run_pat[:m]
-    for k in range(N_STATUSES - 1):
-        ok &= run_stat[k : k + m] == k + 1
-        ok &= run_len[k : k + m] == STATUS_DURATIONS[k + 1]
-        if k:
-            ok &= run_pat[k : k + m] == first_pat
-    # window must start and end its same-patient working segment
-    left_ok = np.empty(n_r, dtype=bool)
-    left_ok[0] = True
-    left_ok[1:] = (run_stat[:-1] == 0) | (run_pat[:-1] != run_pat[1:])
-    right_ok = np.empty(n_r, dtype=bool)
-    right_ok[-1] = True
-    right_ok[:-1] = (run_stat[1:] == 0) | (run_pat[1:] != run_pat[:-1])
-    ok &= left_ok[:m] & right_ok[N_STATUSES - 2 :]
-    return first_pat[ok]
+    n_windows = max(run_stat.size - _CYCLE_RUNS.size + 1, 0)
+    first = np.flatnonzero(run_stat[:n_windows] == 1)
+    window = first[:, None] + _CYCLE_RUNS
+    # idle runs hold VACANT, so a patient change also marks every idle neighbor
+    apart = np.concatenate(([True], (run_pat[1:] != run_pat[:-1]) | opens[1:], [True]))
+    fits = (
+        (run_stat[window] == _CYCLE_RUNS + 1)
+        & (run_len[window] == STATUS_DURATIONS[1:])
+        & (run_pat[window] == run_pat[first, None])
+    )
+    fits[:, 1:] &= ~opens[window[:, 1:]]
+    ok = fits.all(axis=1) & apart[first] & apart[first + _CYCLE_RUNS.size]
+    return run_pat[first[ok]]
 
 
-def _track_counts(statuses: np.ndarray, patients: np.ndarray):
-    """Count single-track events; returns the counts and complete-episode patients."""
-    starts, run_len, run_stat, run_pat = _run_bounds(statuses, patients)
+def evaluate_breakdown(chrom: Chromosome, table: ScoreTable | None = None) -> FitnessBreakdown:
+    """Deterministically count all scored events of a schedule in one pass."""
+    if table is None:
+        table = ScoreTable()
+    statuses, patients = chrom.statuses, chrom.patients
+    _, run_len, run_stat, run_pat, opens = _run_bounds(statuses, patients)
     working = run_stat > 0
     nominal = run_len == STATUS_DURATIONS[run_stat]
     consecutive = int(np.count_nonzero(working & nominal))
     violations = int(np.count_nonzero(working & ~nominal))
 
     a, b = run_stat[:-1], run_stat[1:]
-    follows = b == (a + 1) % N_STATUSES
+    follows = (b == (a + 1) % N_STATUSES) & ~opens[1:]
     both_working = (a > 0) & (b > 0)
     same_patient = run_pat[:-1] == run_pat[1:]
     transitions = int(np.count_nonzero(follows & (~both_working | same_patient)))
 
     # patient change between busy slots, except right after a disposal run ends
-    sa, sb = statuses[:-1], statuses[1:]
-    interrupted = (sa > 0) & (sb > 0) & (patients[:-1] != patients[1:]) & (sa != _DISPOSE)
+    sa, sb = statuses[:, :-1], statuses[:, 1:]
+    interrupted = (sa > 0) & (sb > 0) & (patients[:, :-1] != patients[:, 1:]) & (sa != _DISPOSE)
     interruptions = int(np.count_nonzero(interrupted))
 
-    busy = int(np.count_nonzero(statuses))
-    complete = _complete_episode_patients(run_stat, run_pat, run_len)
-    return consecutive, violations, transitions, interruptions, busy, complete
+    # busy cells of two gantries sharing a slot and a patient, per unordered pair
+    busy_cells = statuses > 0
+    busy = int(np.count_nonzero(busy_cells))
+    shared = (patients[:, None] == patients[None]) & busy_cells[:, None] & busy_cells[None]
+    conflicts = (int(np.count_nonzero(shared)) - busy) // 2
 
-
-def evaluate_breakdown(chrom: Chromosome, table: ScoreTable | None = None) -> FitnessBreakdown:
-    """Deterministically count all scored events of a schedule."""
-    if table is None:
-        table = ScoreTable()
-    statuses, patients = chrom.statuses, chrom.patients
-    n_g = chrom.n_g
-
-    consecutive = violations = transitions = interruptions = busy = 0
-    complete_patients: list[np.ndarray] = []
-    for g in range(n_g):
-        c, v, tr, ir, bu, cp = _track_counts(statuses[g], patients[g])
-        consecutive += c
-        violations += v
-        transitions += tr
-        interruptions += ir
-        busy += bu
-        complete_patients.append(cp)
-
-    conflicts = 0
-    for g1 in range(n_g):
-        for g2 in range(g1 + 1, n_g):
-            both_busy = (statuses[g1] > 0) & (statuses[g2] > 0)
-            conflicts += int(
-                np.count_nonzero(both_busy & (patients[g1] == patients[g2]))
-            )
-
-    finished = np.concatenate(complete_patients) if complete_patients else np.empty(0)
-    completed = int(finished.size)
-    duplicates = completed - int(np.unique(finished).size)
+    finished = _complete_episode_patients(run_stat, run_pat, run_len, opens).tolist()
+    completed = len(finished)
+    duplicates = completed - len(set(finished))
 
     counts = {
         "conflicts": conflicts,

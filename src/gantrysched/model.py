@@ -91,7 +91,7 @@ class Chromosome:
             raise ValueError("a chromosome needs at least one gantry and one slot")
         if statuses.min() < 0 or statuses.max() >= N_STATUSES:
             raise ValueError("status values must lie in [0, 8)")
-        idle = statuses == GantryStatus.IDLE
+        idle = statuses == 0
         if not np.all(patients[idle] == VACANT):
             raise ValueError("idle cells must be vacant")
         busy_patients = patients[~idle]
@@ -133,5 +133,5 @@ def random_chromosome(spec: ProblemSpec, rng: np.random.Generator) -> Chromosome
     """Draw a schedule with uniform statuses and uniform patients when busy."""
     statuses = rng.integers(0, N_STATUSES, size=(spec.n_g, spec.n_t), dtype=np.int8)
     patients = rng.integers(0, spec.n_p, size=(spec.n_g, spec.n_t), dtype=np.int32)
-    patients[statuses == GantryStatus.IDLE] = VACANT
+    patients[statuses == 0] = VACANT
     return Chromosome(statuses, patients, n_p=spec.n_p)

@@ -29,7 +29,6 @@ from .model import (
     VACANT,
     Chromosome,
     ConfigError,
-    GantryStatus,
     ProblemSpec,
 )
 from .rng import (
@@ -147,7 +146,7 @@ def observe(qchrom: QuantumChromosome, rng: np.random.Generator) -> Chromosome:
     shape = (qchrom.n_g, qchrom.n_t)
     statuses = sample_index(qchrom.status_amps, rng.random(shape)).astype(np.int8)
     patients = sample_index(qchrom.id_amps, rng.random(shape)).astype(np.int32)
-    patients[statuses == GantryStatus.IDLE] = VACANT
+    patients[statuses == 0] = VACANT
     return Chromosome(statuses, patients, n_p=qchrom.n_p)
 
 
@@ -254,7 +253,7 @@ def q_repair(
     statuses = _amplify_grid(
         qchrom.status_amps, desired.statuses.astype(np.int64), all_cells
     )
-    busy = desired.statuses != GantryStatus.IDLE
+    busy = desired.statuses != 0
     id_targets = np.where(busy, desired.patients, 0).astype(np.int64)
     ids = _amplify_grid(qchrom.id_amps, id_targets, busy)
     return QuantumChromosome(ids, statuses)

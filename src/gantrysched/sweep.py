@@ -23,6 +23,8 @@ _VALUE_TOL = 1e-9
 
 # Values are rounded to two decimals in [0, 1], so a longer axis only repeats.
 _MAX_AXIS_VALUES = 101
+# Any two full axes still build; every point is a whole GA run.
+_MAX_GRID_POINTS = _MAX_AXIS_VALUES**2
 
 
 @dataclass(frozen=True)
@@ -108,10 +110,14 @@ def build_grid(grid: SweepGrid) -> list[GaParams]:
     """Expand a grid into one GaParams per point (Cartesian product).
 
     Axes vary in the fixed order r_s, r_c, r_m, r_r with the last axis
-    fastest, so point indices are stable for a given grid.
+    fastest, so point indices are stable for a given grid.  A grid of more
+    than 101**2 points is rejected before any point is built.
     """
     names = [name for name in SWEEP_PARAMS if name in grid.axes]
     value_lists = [grid.axes[name].values() for name in names]
+    size = math.prod(len(values) for values in value_lists)
+    if size > _MAX_GRID_POINTS:
+        raise ConfigError(f"sweep grid has {size} points, more than {_MAX_GRID_POINTS}")
     points = [grid.base]
     for name, values in zip(names, value_lists):
         points = [

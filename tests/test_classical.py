@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -32,6 +32,7 @@ from gantrysched.classical import _paired_crossover
 from gantrysched.rng import substream
 
 from brute_fitness import brute_breakdown
+from brute_repair import brute_repair
 from conftest import idle_rows, perfect_chromosome, rows_with_cycle
 
 PARAMS = GaParams(
@@ -112,6 +113,24 @@ class TestSelect:
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
             select([], r_s=0.5, n_max=10)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        fitness=st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=60),
+        percent=st.integers(0, 100),
+        n_max=st.integers(2, 80),
+    )
+    @example(fitness=[1.0, 3.0, 2.0], percent=100, n_max=80)  # keeps everyone
+    def test_keeps_formula_count_in_descending_order(self, fitness, percent, n_max):
+        pairs = list(enumerate(fitness))
+        survivors = select(pairs, r_s=percent / 100, n_max=n_max)
+        n = len(pairs)
+        assert len(survivors) == min(n_max, max(2, percent * n // 100), n)
+        kept = [f for _, f in survivors]
+        assert kept == sorted(kept, reverse=True)
+        kept_ids = {i for i, _ in survivors}
+        assert len(kept_ids) == len(survivors)
+        assert all(f <= kept[-1] for i, f in pairs if i not in kept_ids)
 
 
 class TestCrossover:
@@ -234,6 +253,41 @@ class TestRepair:
         assert got["duration_violations"] == 0
         assert got["duplicate_treatments"] == 0
         assert got["interruptions"] == 0
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), spec=SMALL_SPECS)
+    def test_matches_walking_reference(self, data, spec):
+        chrom = data.draw(chromosomes(spec))
+        treated = data.draw(st.lists(st.integers(0, spec.n_p), max_size=spec.n_p + 1))
+        assert repair_chromosome(chrom, spec, treated) == brute_repair(chrom, spec, treated)
+
+    def test_matches_walking_reference_on_large(self):
+        spec = ProblemSpec(n_g=3, n_p=72, n_t=650)
+        rng = substream(62, 0, 0, 0)
+        for treated in ((), range(0, 72, 3), range(72)):
+            chrom = random_chromosome(spec, rng)
+            want = brute_repair(chrom, spec, treated)
+            assert repair_chromosome(chrom, spec, treated) == want
+
+    @pytest.mark.parametrize(
+        "n_t, starts",
+        [
+            (25, []),
+            (26, [0]),
+            (27, [1]),
+            (52, [1]),
+            (53, [1, 27]),
+            (54, [1, 28]),
+            (108, [1, 28, 55, 82]),
+            (650, [1 + 27 * k for k in range(24)]),
+        ],
+    )
+    def test_episode_starts(self, n_t, starts):
+        spec = ProblemSpec(n_g=2, n_p=60, n_t=n_t)
+        idle_day = Chromosome(np.zeros((2, n_t)), np.full((2, n_t), VACANT))
+        fixed = repair_chromosome(idle_day, spec)
+        for row in fixed.statuses:
+            assert np.flatnonzero(row == GantryStatus.READY).tolist() == starts
 
     def test_idempotent(self, medium_spec):
         rng = substream(61, 0, 0, 0)

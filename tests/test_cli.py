@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +38,12 @@ def write_config(tmp_path, extra=None, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def child_env() -> dict[str, str]:
+    """Environment for a child interpreter that imports the package from ``src``."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def write_grid(tmp_path, axes, exclude=None):
@@ -230,6 +237,38 @@ class TestSweepCommand:
         grid = write_grid(tmp_path, {"r_s": axis})
         assert main(["sweep", "--config", str(config), "--grid", str(grid)]) == 2
 
+    def test_oversized_grid_exits_2(self, tmp_path):
+        """Four full axes, 101**4 points, are refused before any point is built.
+
+        The command runs in a child capped at 2 GiB of address space, so a
+        missing bound fails here with a memory error instead of filling the
+        host's memory.
+        """
+        config = write_config(tmp_path)
+        full = {"center": 0.5, "half_width": 0.5, "step": 0.01}  # 101 values
+        grid = write_grid(tmp_path, dict.fromkeys(("r_s", "r_c", "r_m", "r_r"), full))
+        cap = 2 * 1024**3
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "gantrysched.cli",
+                "sweep", "--config", str(config), "--grid", str(grid),
+            ],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "more than 10201" in proc.stderr
+
+    def test_shipped_small_grid_runs(self, tmp_path):
+        config = write_config(tmp_path, g_max=1)
+        grid = ROOT / "configs" / "grid_small.json"
+        assert main(["sweep", "--config", str(config), "--grid", str(grid)]) == 0
+        rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 1 + 15 - 3  # header + 15 points - the excluded r_s row
+
     def test_unknown_axis_exits_2(self, tmp_path):
         config = write_config(tmp_path)
         grid = write_grid(tmp_path, {"g_max": {"center": 0.5, "half_width": 0, "step": 1}})
@@ -256,7 +295,6 @@ class TestQubitsCommand:
 
 class TestModuleEntryPoint:
     def test_runs_as_module(self):
-        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [
                 sys.executable, "-m", "gantrysched.cli",
@@ -264,7 +302,7 @@ class TestModuleEntryPoint:
             ],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "30"

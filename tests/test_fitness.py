@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gantrysched import (
     Chromosome,
@@ -19,7 +21,7 @@ from gantrysched import (
 from gantrysched.rng import substream
 
 from brute_fitness import brute_breakdown
-from conftest import idle_rows, perfect_chromosome, rows_with_cycle
+from conftest import CYCLE_SLOTS, idle_rows, perfect_chromosome, rows_with_cycle
 
 
 def assert_matches_oracle(chrom: Chromosome, table: ScoreTable | None = None):
@@ -170,6 +172,70 @@ class TestOracleAgreement:
         short_wait = rows_with_cycle(28, patient=5, start=1)
         short_wait[0][4] = 3  # steal one waiting slot for targeting
         assert_matches_oracle(Chromosome([short_wait[0]], [short_wait[1]]))
+
+
+@st.composite
+def multi_track_schedules(draw) -> Chromosome:
+    """Grids of 2 to 4 tracks cut from one stream of whole cycles and loose runs.
+
+    Cutting the stream into tracks puts runs and complete cycles across
+    track boundaries, where the scorer must not join them.
+    """
+    n_g, n_t, n_p = draw(st.integers(2, 4)), draw(st.integers(1, 40)), draw(st.integers(1, 3))
+    statuses, patients = [], []
+    while len(statuses) < n_g * n_t:
+        status = draw(st.integers(0, 8))  # 8 stands for a whole cycle
+        patient = -1 if status == 0 else draw(st.integers(0, n_p - 1))
+        block = CYCLE_SLOTS if status == 8 else [status] * draw(st.integers(1, 16))
+        statuses += block
+        patients += [patient] * len(block)
+    shape = (n_g, n_t)
+    cells = n_g * n_t
+    return Chromosome(
+        np.reshape(statuses[:cells], shape), np.reshape(patients[:cells], shape)
+    )
+
+
+class TestAcrossTracks:
+    @settings(max_examples=50, deadline=None)
+    @given(chrom=multi_track_schedules())
+    def test_matches_oracle(self, chrom):
+        assert_matches_oracle(chrom)
+
+    def test_run_continued_on_next_track_is_two_runs(self):
+        """10 targeting slots end track 0 and 5 more begin track 1: not one 15-slot run."""
+        chrom = Chromosome(
+            [[0, 0] + [3] * 10, [3] * 5 + [0] * 7],
+            [[-1, -1] + [0] * 10, [0] * 5 + [-1] * 7],
+        )
+        got = evaluate_breakdown(chrom)
+        assert got.duration_violations == 2
+        assert got.consecutive_runs == 0
+        assert_matches_oracle(chrom)
+
+    def test_cycle_split_across_tracks_is_not_complete(self):
+        """Ready through targeting end track 0; the rest of the cycle begins track 1."""
+        head = CYCLE_SLOTS[:19]  # ready, waiting for the patient, targeting
+        tail = CYCLE_SLOTS[19:]
+        chrom = Chromosome(
+            [[0] * 7 + head, tail + [0] * 19],
+            [[-1] * 7 + [3] * 19, [3] * 7 + [-1] * 19],
+        )
+        got = evaluate_breakdown(chrom)
+        assert got.completed_therapies == 0
+        assert got.consecutive_runs == 7  # every run keeps its nominal length
+        assert_matches_oracle(chrom)
+
+    def test_cycles_meeting_at_a_track_start_are_both_complete(self):
+        """One patient's cycle ends track 0 and another of theirs begins track 1."""
+        chrom = Chromosome(
+            [[0] + CYCLE_SLOTS, CYCLE_SLOTS + [0]],
+            [[-1] + [3] * 26, [3] * 26 + [-1]],
+        )
+        got = evaluate_breakdown(chrom)
+        assert got.completed_therapies == 2
+        assert got.duplicate_treatments == 1
+        assert_matches_oracle(chrom)
 
 
 class TestInvariants:

@@ -96,7 +96,7 @@ class TestChromosome:
 
 def runs(statuses, patients) -> list[tuple[int, int, int, int]]:
     """(status, patient, start, length) of every run the scorer sees on one track."""
-    starts, lengths, run_stat, run_pat = _run_bounds(
+    starts, lengths, run_stat, run_pat, _ = _run_bounds(
         np.array(statuses, dtype=np.int8), np.array(patients, dtype=np.int32)
     )
     return list(zip(run_stat.tolist(), run_pat.tolist(), starts.tolist(), lengths.tolist()))
@@ -104,10 +104,10 @@ def runs(statuses, patients) -> list[tuple[int, int, int, int]]:
 
 def complete_episodes(statuses, patients) -> list[int]:
     """Patients of the complete episodes the scorer finds on one track."""
-    _, lengths, run_stat, run_pat = _run_bounds(
+    _, lengths, run_stat, run_pat, opens = _run_bounds(
         np.array(statuses, dtype=np.int8), np.array(patients, dtype=np.int32)
     )
-    return _complete_episode_patients(run_stat, run_pat, lengths).tolist()
+    return _complete_episode_patients(run_stat, run_pat, lengths, opens).tolist()
 
 
 class TestParseRuns:

@@ -7,6 +7,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gantrysched import (
     ConfigError,
@@ -41,6 +44,21 @@ PARAMS = GaParams(
 def random_amplitudes(rng, shape) -> np.ndarray:
     v = rng.normal(size=shape)
     return v / np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+
+
+@st.composite
+def unit_grids(draw, shape) -> np.ndarray:
+    """Unit vectors along the last axis, with exact zeros among the entries."""
+    entries = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+    v = draw(arrays(np.float64, shape, elements=entries))
+    vanishing = np.sum(v * v, axis=-1) < 1e-300
+    v[vanishing] = 0.0
+    v[vanishing, 0] = 1.0
+    return v / np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+
+
+def unit_drift(grid: np.ndarray) -> float:
+    return float(np.max(np.abs(np.sum(grid * grid, axis=-1) - 1.0)))
 
 
 class TestQuantumChromosome:
@@ -132,6 +150,18 @@ class TestObserve:
             observe(q, substream(73, k, 1, 0))
         assert np.array_equal(q.id_amps, ids_before)
         assert np.array_equal(q.status_amps, status_before)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n_g=st.integers(1, 3), n_t=st.integers(1, 6), n_p=st.integers(1, 5))
+    def test_never_picks_a_zero_amplitude(self, data, n_g, n_t, n_p):
+        q = QuantumChromosome(
+            data.draw(unit_grids((n_g, n_t, n_p))), data.draw(unit_grids((n_g, n_t, 8)))
+        )
+        shadow = observe(q, substream(data.draw(st.integers(0, 2**32)), 0, 1, 0))
+        cells = np.indices((n_g, n_t))
+        assert np.all(q.status_amps[(*cells, shadow.statuses)] != 0)
+        busy = shadow.statuses != 0
+        assert np.all(q.id_amps[(*cells, shadow.patients)][busy] != 0)
 
     def test_idle_cells_come_back_vacant(self):
         spec = ProblemSpec(n_g=2, n_p=4, n_t=10)
@@ -232,6 +262,13 @@ class TestAmplify:
         with pytest.raises(ValueError):
             amplify(np.array([1.0, 0.0]), target=2)
 
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), size=st.integers(2, 12))
+    def test_keeps_unit_norm(self, data, size):
+        v = data.draw(unit_grids((size,)))
+        out = amplify(v, data.draw(st.integers(0, size - 1)))
+        assert unit_drift(out) < 1e-9
+
 
 class TestAmplifyGrid:
     def test_matches_scalar_amplify(self):
@@ -248,6 +285,14 @@ class TestAmplifyGrid:
                         assert np.array_equal(out[g, t], want)
                     else:
                         assert np.array_equal(out[g, t], grid[g, t])
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), n_g=st.integers(1, 3), n_t=st.integers(1, 6), size=st.integers(2, 9))
+    def test_keeps_unit_norms(self, data, n_g, n_t, size):
+        grid = data.draw(unit_grids((n_g, n_t, size)))
+        targets = data.draw(arrays(np.int64, (n_g, n_t), elements=st.integers(0, size - 1)))
+        active = data.draw(arrays(np.bool_, (n_g, n_t)))
+        assert unit_drift(_amplify_grid(grid, targets, active)) < 1e-9
 
 
 class TestQRepair:

@@ -81,6 +81,13 @@ class TestBuildGrid:
         ]
         assert all(p.r_m == BASE.r_m and p.n_ini == BASE.n_ini for p in points)
 
+    def test_point_count_is_bounded(self):
+        full = SweepAxis(center=0.5, half_width=0.5, step=0.01)  # 101 values
+        assert len(build_grid(SweepGrid(base=BASE, axes={"r_s": full, "r_c": full}))) == 101**2
+        three = dict.fromkeys(("r_s", "r_c", "r_m"), full)
+        with pytest.raises(ConfigError, match="more than 10201"):
+            build_grid(SweepGrid(base=BASE, axes=three))
+
     def test_unknown_axis_rejected(self):
         with pytest.raises(ConfigError):
             SweepGrid(base=BASE, axes={"n_ini": SweepAxis(0.5, 0.0, 0.1)})
