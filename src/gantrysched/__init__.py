@@ -25,7 +25,6 @@ from .model import (
     N_STATUSES,
     STATUS_DURATIONS,
     VACANT,
-    WORK_CYCLE_SLOTS,
     Chromosome,
     ConfigError,
     GantryStatus,
@@ -38,11 +37,9 @@ from .quantum import (
     QuantumChromosome,
     amplify,
     observe,
-    q_evaluate,
     q_mutate,
     q_repair,
     q_single_point_crossover,
-    quantum_from_schedule,
     qubit_estimate,
     run_quantum,
     sample_index,
@@ -51,7 +48,6 @@ from .quantum import (
 from .rng import derive_seed, substream
 from .sweep import (
     SweepAxis,
-    SweepGrid,
     SweepRecord,
     SweepSummary,
     build_grid,
@@ -77,11 +73,9 @@ __all__ = [
     "STATUS_DURATIONS",
     "ScoreTable",
     "SweepAxis",
-    "SweepGrid",
     "SweepRecord",
     "SweepSummary",
     "VACANT",
-    "WORK_CYCLE_SLOTS",
     "amplify",
     "build_grid",
     "cycle_status_pattern",
@@ -91,11 +85,9 @@ __all__ = [
     "mutate_patient_ids",
     "mutate_statuses",
     "observe",
-    "q_evaluate",
     "q_mutate",
     "q_repair",
     "q_single_point_crossover",
-    "quantum_from_schedule",
     "qubit_estimate",
     "random_chromosome",
     "repair_chromosome",

@@ -233,9 +233,7 @@ def _repair_layout(n_g: int, n_t: int):
     return starts, layout, episode
 
 
-def repair_chromosome(
-    chrom: Chromosome, spec: ProblemSpec, already_treated: Sequence[int] = ()
-) -> Chromosome:
+def repair_chromosome(chrom: Chromosome, spec: ProblemSpec) -> Chromosome:
     """Rebuild every track as a conflict-free sequence of complete episodes.
 
     Every track gets the same episode slots: one full working cycle per
@@ -249,7 +247,7 @@ def repair_chromosome(
     treatments.
     """
     starts, layout, episode = _repair_layout(spec.n_g, spec.n_t)
-    treated = set(int(p) for p in already_treated)
+    treated = set()
     busy_at = chrom.statuses[:, starts].ravel().tolist()
     incumbents = chrom.patients[:, starts].ravel().tolist()
     picks = []

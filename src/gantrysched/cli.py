@@ -23,7 +23,6 @@ from .sweep import (
     ALGORITHMS,
     SWEEP_PARAMS,
     SweepAxis,
-    SweepGrid,
     SweepRecord,
     build_grid,
     filter_records,
@@ -46,8 +45,8 @@ _PARAM_DEFAULTS = {
     "seed": 0,
 }
 _N_MAX_DEFAULTS = {"classical": 150, "quantum": 50}
-_GA_FIELDS = ("r_s", "r_c", "r_m", "r_r", "n_ini", "n_max", "g_max", "seed")
-_GA_INT_FIELDS = ("n_ini", "n_max", "g_max", "seed")
+_GA_FIELDS = tuple(f.name for f in dataclasses.fields(GaParams))
+_GA_INT_FIELDS = {f.name for f in dataclasses.fields(GaParams) if f.type == "int"}
 _SCORE_FIELDS = tuple(f.name for f in dataclasses.fields(ScoreTable))
 
 
@@ -151,12 +150,10 @@ def _resolve_grid(doc: dict) -> tuple[dict[str, SweepAxis], dict[str, list[float
     if unknown:
         raise ConfigError(f"unknown grid keys: {unknown}")
     axes_doc = doc.get("axes")
-    if not isinstance(axes_doc, dict) or not axes_doc:
-        raise ConfigError("grid file must define a non-empty 'axes' object")
+    if not isinstance(axes_doc, dict):
+        raise ConfigError("grid file must define an 'axes' object")
     axes = {}
     for name, axis in axes_doc.items():
-        if name not in SWEEP_PARAMS:
-            raise ConfigError(f"unknown sweep parameter {name!r}")
         if not isinstance(axis, dict):
             raise ConfigError(f"axis {name!r} must be an object")
         extra = sorted(set(axis) - {"center", "half_width", "step"})
@@ -293,8 +290,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     doc = _load_json(args.config, "config")
     spec, params, table, out_dir, _ = _resolve_config(doc, args.algo, args.seed, args.out)
     axes, exclude = _resolve_grid(_load_json(args.grid, "grid"))
-    points = build_grid(SweepGrid(base=params, axes=axes))
-    records = run_sweep(spec, points, table, args.algo, params.seed, collect_errors=True)
+    points = build_grid(params, axes)
+    records = run_sweep(spec, points, table, args.algo, params.seed)
     kept, removed = filter_records(records, exclude)
     succeeded = [r for r in kept if r.error is None]
     failed = len(kept) - len(succeeded)

@@ -39,9 +39,6 @@ N_STATUSES = 8
 # Minutes each status lasts, indexed by status value.
 STATUS_DURATIONS = np.array([1, 1, 3, 15, 1, 1, 1, 4], dtype=np.int64)
 
-# Slots from READY through the final DISPOSE minute of one treatment.
-WORK_CYCLE_SLOTS = int(STATUS_DURATIONS[1:].sum())
-
 
 def status_duration(status: GantryStatus | int) -> int:
     """Return the nominal duration of a status in slots."""
@@ -83,8 +80,15 @@ class Chromosome:
     __slots__ = ("statuses", "patients")
 
     def __init__(self, statuses, patients, *, n_p: int | None = None):
-        statuses = np.array(statuses, dtype=np.int8)
-        patients = np.array(patients, dtype=np.int32)
+        given = (np.asarray(statuses), np.asarray(patients))
+        if given[0].dtype.kind not in "iu" or given[1].dtype.kind not in "iu":
+            raise ValueError("statuses and patients must be integer arrays")
+        statuses = given[0].astype(np.int8)
+        patients = given[1].astype(np.int32)
+        # Narrowing must not wrap, so the checks below see the values as given.
+        for stored, value in zip((statuses, patients), given):
+            if stored.dtype != value.dtype and not np.array_equal(stored, value):
+                raise ValueError("values must fit int8 statuses and int32 patient ids")
         if statuses.ndim != 2 or statuses.shape != patients.shape:
             raise ValueError("statuses and patients must be equal-shape 2-d arrays")
         if statuses.size == 0:

@@ -112,17 +112,6 @@ def uniform_quantum_chromosome(spec: ProblemSpec) -> QuantumChromosome:
     return QuantumChromosome(ids, statuses)
 
 
-def quantum_from_schedule(schedule: Chromosome, n_p: int) -> QuantumChromosome:
-    """Encode a classical schedule as basis states (id 0 where idle)."""
-    n_g, n_t = schedule.n_g, schedule.n_t
-    ids = np.zeros((n_g, n_t, n_p))
-    statuses = np.zeros((n_g, n_t, N_STATUSES))
-    pat = np.where(schedule.patients == VACANT, 0, schedule.patients)
-    np.put_along_axis(ids, pat[..., None], 1.0, axis=-1)
-    np.put_along_axis(statuses, schedule.statuses[..., None].astype(int), 1.0, axis=-1)
-    return QuantumChromosome(ids, statuses)
-
-
 def sample_index(v, u):
     """Sample basis indices from squared amplitudes by inverse transform.
 
@@ -148,14 +137,6 @@ def observe(qchrom: QuantumChromosome, rng: np.random.Generator) -> Chromosome:
     patients = sample_index(qchrom.id_amps, rng.random(shape)).astype(np.int32)
     patients[statuses == 0] = VACANT
     return Chromosome(statuses, patients, n_p=qchrom.n_p)
-
-
-def q_evaluate(
-    qchrom: QuantumChromosome, table: ScoreTable, rng: np.random.Generator
-) -> tuple[float, Chromosome]:
-    """Observe once and score the shadow; returns (fitness, shadow)."""
-    shadow = observe(qchrom, rng)
-    return evaluate_breakdown(shadow, table).total, shadow
 
 
 def q_single_point_crossover(
@@ -192,26 +173,15 @@ def amplify(v, target: int) -> np.ndarray:
     above the cap leaves the vector unchanged.  Signs are preserved.
     """
     v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1:
+        raise ValueError(f"amplify takes a 1-d vector, got {v.ndim} dimensions")
     if not 0 <= target < v.size:
         raise ValueError(f"target must index into the vector, got {target}")
-    amp = v[target]
-    a = abs(amp)
-    if a >= _AMP_CAP:
-        return v.copy()
-    boosted = min(max(10.0 * a, _AMP_FLOOR), _AMP_CAP)
-    residual = 1.0 - boosted * boosted
-    sq = v * v
-    others = float(np.sum(sq)) - sq[target]
-    if others > 0.0:
-        out = v * math.sqrt(residual / others)
-    else:
-        out = np.full_like(v, math.sqrt(residual / (v.size - 1)))
-    out[target] = -boosted if amp < 0 else boosted
-    return out
+    return _amplify_grid(v, np.asarray(target), np.asarray(True))
 
 
 def _amplify_grid(amps: np.ndarray, targets: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """Apply :func:`amplify` to every active cell of a grid at once."""
+    """Amplify each active cell toward its target as :func:`amplify` describes."""
     tgt = np.take_along_axis(amps, targets[..., None], axis=-1)[..., 0]
     a = np.abs(tgt)
     do = active & (a < _AMP_CAP)
@@ -274,7 +244,8 @@ def run_quantum(
         return uniform
 
     def evaluate(qchrom, gen: int, i: int) -> tuple[float, Chromosome]:
-        return q_evaluate(qchrom, table, substream(seed, gen, PHASE_EVAL, i))
+        shadow = observe(qchrom, substream(seed, gen, PHASE_EVAL, i))
+        return evaluate_breakdown(shadow, table).total, shadow
 
     def crossover_pop(pop, r_c, rng):
         return _paired_crossover(pop, r_c, rng, q_single_point_crossover, spec.n_cells)

@@ -36,10 +36,11 @@ class SweepAxis:
     step: float
 
     def __post_init__(self) -> None:
-        if self.step <= 0:
-            raise ConfigError(f"axis step must be positive, got {self.step!r}")
-        if self.half_width < 0:
-            raise ConfigError(f"axis half_width must be non-negative, got {self.half_width!r}")
+        # Written as ranges that NaN and infinities fail.
+        if not 0 < self.step < math.inf:
+            raise ConfigError(f"axis step must be positive and finite, got {self.step!r}")
+        if not 0 <= self.half_width < math.inf:
+            raise ConfigError(f"axis half_width must be finite and >= 0, got {self.half_width!r}")
 
     def values(self) -> list[float]:
         """Axis values rounded to two decimals, lowest first."""
@@ -52,21 +53,6 @@ class SweepAxis:
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"axis value {value} falls outside [0, 1]")
         return [round(low + k * self.step, 2) for k in range(count)]
-
-
-@dataclass(frozen=True)
-class SweepGrid:
-    """Base parameters plus the axes to vary (any of r_s, r_c, r_m, r_r)."""
-
-    base: GaParams
-    axes: Mapping[str, SweepAxis]
-
-    def __post_init__(self) -> None:
-        unknown = set(self.axes) - set(SWEEP_PARAMS)
-        if unknown:
-            raise ConfigError(f"unknown sweep parameters: {sorted(unknown)}")
-        if not self.axes:
-            raise ConfigError("a sweep grid needs at least one axis")
 
 
 @dataclass(frozen=True)
@@ -106,27 +92,32 @@ class SweepSummary:
     k: int
 
 
-def build_grid(grid: SweepGrid) -> list[GaParams]:
-    """Expand a grid into one GaParams per point (Cartesian product).
+def build_grid(base: GaParams, axes: Mapping[str, SweepAxis]) -> list[GaParams]:
+    """Expand base parameters and axes into one GaParams per grid point.
 
-    Axes vary in the fixed order r_s, r_c, r_m, r_r with the last axis
-    fastest, so point indices are stable for a given grid.  A grid of more
-    than 101**2 points is rejected before any point is built.
+    The points form the Cartesian product of the axes, which may vary any of
+    r_s, r_c, r_m, r_r.  They vary in that fixed order with the last axis
+    fastest, so point indices are stable for a given grid.  A grid without
+    axes, or of more than 101**2 points, is rejected before any point is
+    built.
     """
-    names = [name for name in SWEEP_PARAMS if name in grid.axes]
-    value_lists = [grid.axes[name].values() for name in names]
+    unknown = set(axes) - set(SWEEP_PARAMS)
+    if unknown:
+        raise ConfigError(f"unknown sweep parameters: {sorted(unknown)}")
+    if not axes:
+        raise ConfigError("a sweep grid needs at least one axis")
+    names = [name for name in SWEEP_PARAMS if name in axes]
+    value_lists = [axes[name].values() for name in names]
     size = math.prod(len(values) for values in value_lists)
     if size > _MAX_GRID_POINTS:
         raise ConfigError(f"sweep grid has {size} points, more than {_MAX_GRID_POINTS}")
-    points = [grid.base]
+    points = [base]
     for name, values in zip(names, value_lists):
         points = [
             dataclasses.replace(point, **{name: value})
             for point in points
             for value in values
         ]
-    if not points:
-        raise ConfigError("sweep grid is empty")
     return points
 
 
@@ -136,15 +127,12 @@ def run_sweep(
     table: ScoreTable | None,
     algorithm: str,
     master_seed: int,
-    *,
-    collect_errors: bool = False,
 ) -> list[SweepRecord]:
     """Run every grid point with a seed derived from the master seed.
 
     Points run one after another; fitness results are reproducible for a
-    given master seed while wall times are not.  With ``collect_errors`` a
-    failing point becomes a record with its ``error`` set instead of
-    aborting the sweep.
+    given master seed while wall times are not.  A failing point becomes a
+    record with its ``error`` set; the sweep goes on.
     """
     if not points:
         raise ConfigError("no sweep points to run")
@@ -162,8 +150,6 @@ def run_sweep(
         try:
             result = runner(spec, point, table)
         except Exception as err:  # noqa: BLE001 - point outcome is reported
-            if not collect_errors:
-                raise ConfigError(f"sweep point {index} ({point}) failed: {err}") from err
             return SweepRecord(
                 **fields, best_fitness=math.nan, run_seconds=math.nan, error=str(err)
             )

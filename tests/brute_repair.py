@@ -15,7 +15,7 @@ from gantrysched import Chromosome
 from brute_fitness import CYCLE_PATTERN, IDLE, VACANT
 
 
-def brute_repair(chrom, spec, already_treated=()):
+def brute_repair(chrom, spec):
     """Rebuild every track as a conflict-free sequence of complete episodes.
 
     The patient of a new episode is the incumbent cell's id when that
@@ -23,7 +23,7 @@ def brute_repair(chrom, spec, already_treated=()):
     patient; when nobody is left the track stays idle.  Gantries are rebuilt
     in index order, so earlier gantries win any contention for patients.
     """
-    treated = set(int(p) for p in already_treated)
+    treated = set()
     n_g, n_t = spec.n_g, spec.n_t
     cycle = np.array(CYCLE_PATTERN, dtype=np.int8)
     span = cycle.size

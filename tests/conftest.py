@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from gantrysched import Chromosome, ProblemSpec
+from gantrysched import N_STATUSES, VACANT, Chromosome, ProblemSpec, QuantumChromosome
 
 # One complete treatment, slot by slot: ready through the last disposal minute.
 CYCLE_SLOTS = [1] + [2] * 3 + [3] * 15 + [4] + [5] + [6] + [7] * 4
@@ -30,6 +31,17 @@ def perfect_chromosome(n_g: int = 1, n_t: int = 28, start: int = 1, patients=Non
     return Chromosome([r[0] for r in rows], [r[1] for r in rows])
 
 
+def quantum_from_schedule(schedule: Chromosome, n_p: int) -> QuantumChromosome:
+    """Encode a classical schedule as basis states (id 0 where idle)."""
+    n_g, n_t = schedule.n_g, schedule.n_t
+    ids = np.zeros((n_g, n_t, n_p))
+    statuses = np.zeros((n_g, n_t, N_STATUSES))
+    pat = np.where(schedule.patients == VACANT, 0, schedule.patients)
+    np.put_along_axis(ids, pat[..., None], 1.0, axis=-1)
+    np.put_along_axis(statuses, schedule.statuses[..., None].astype(int), 1.0, axis=-1)
+    return QuantumChromosome(ids, statuses)
+
+
 @pytest.fixture
 def small_spec() -> ProblemSpec:
     return ProblemSpec(n_g=2, n_p=3, n_t=20)
@@ -38,3 +50,4 @@ def small_spec() -> ProblemSpec:
 @pytest.fixture
 def medium_spec() -> ProblemSpec:
     return ProblemSpec(n_g=3, n_p=12, n_t=108)
+

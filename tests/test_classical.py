@@ -258,16 +258,14 @@ class TestRepair:
     @given(data=st.data(), spec=SMALL_SPECS)
     def test_matches_walking_reference(self, data, spec):
         chrom = data.draw(chromosomes(spec))
-        treated = data.draw(st.lists(st.integers(0, spec.n_p), max_size=spec.n_p + 1))
-        assert repair_chromosome(chrom, spec, treated) == brute_repair(chrom, spec, treated)
+        assert repair_chromosome(chrom, spec) == brute_repair(chrom, spec)
 
     def test_matches_walking_reference_on_large(self):
         spec = ProblemSpec(n_g=3, n_p=72, n_t=650)
         rng = substream(62, 0, 0, 0)
-        for treated in ((), range(0, 72, 3), range(72)):
+        for _ in range(3):
             chrom = random_chromosome(spec, rng)
-            want = brute_repair(chrom, spec, treated)
-            assert repair_chromosome(chrom, spec, treated) == want
+            assert repair_chromosome(chrom, spec) == brute_repair(chrom, spec)
 
     @pytest.mark.parametrize(
         "n_t, starts",
@@ -284,7 +282,7 @@ class TestRepair:
     )
     def test_episode_starts(self, n_t, starts):
         spec = ProblemSpec(n_g=2, n_p=60, n_t=n_t)
-        idle_day = Chromosome(np.zeros((2, n_t)), np.full((2, n_t), VACANT))
+        idle_day = Chromosome(np.zeros((2, n_t), dtype=np.int8), np.full((2, n_t), VACANT))
         fixed = repair_chromosome(idle_day, spec)
         for row in fixed.statuses:
             assert np.flatnonzero(row == GantryStatus.READY).tolist() == starts
@@ -318,15 +316,6 @@ class TestRepair:
         chrom = Chromosome([[0] + [3] * 26], [[-1] + [4] * 26])
         fixed = repair_chromosome(chrom, spec)
         assert_single_treatment(fixed, patient=4, start=1)
-
-    def test_respects_already_treated(self):
-        spec = ProblemSpec(n_g=1, n_p=3, n_t=27)
-        statuses, patients = idle_rows(27)
-        chrom = Chromosome([statuses], [patients])
-        fixed = repair_chromosome(chrom, spec, already_treated=[0, 1])
-        assert_single_treatment(fixed, patient=2, start=1)
-        nobody_left = repair_chromosome(chrom, spec, already_treated=[0, 1, 2])
-        assert np.all(nobody_left.statuses == 0)
 
 
 class TestRunClassical:

@@ -149,6 +149,12 @@ class TestRunErrors:
         assert main(["run", "--config", str(config)]) == 2
         assert "n_ini" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["n_ini", "classical_n_max", "g_max", "seed"])
+    def test_fractional_count_exits_2(self, tmp_path, field, capsys):
+        config = write_config(tmp_path, **{field: 4.5})
+        assert main(["run", "--config", str(config)]) == 2
+        assert field in capsys.readouterr().err
+
     def test_out_of_range_ratio_exits_2(self, tmp_path):
         config = write_config(tmp_path, r_s=1.4)
         assert main(["run", "--config", str(config)]) == 2
@@ -328,16 +334,17 @@ class TestAtomicWrites:
 
 
 class TestGoldenRun:
-    def test_medium_quantum_seed0_is_byte_identical(self, tmp_path):
-        """The seeded medium quantum run reproduces its recorded outputs exactly."""
+    @pytest.mark.parametrize("algo", ["classical", "quantum"])
+    def test_medium_seed0_is_byte_identical(self, tmp_path, algo):
+        """The seeded medium run of each algorithm reproduces its recorded outputs exactly."""
         out = tmp_path / "run"
         code = main(
             [
                 "run", "--config", str(ROOT / "configs" / "medium.json"),
-                "--algo", "quantum", "--seed", "0", "--threads", "1", "--out", str(out),
+                "--algo", algo, "--seed", "0", "--threads", "1", "--out", str(out),
             ]
         )
         assert code == 0
-        golden = ROOT / "tests" / "golden" / "medium-quantum-seed0"
+        golden = ROOT / "tests" / "golden" / f"medium-{algo}-seed0"
         for name in ("curves.csv", "best_schedule.json"):
             assert (out / name).read_bytes() == (golden / name).read_bytes(), name

@@ -13,9 +13,12 @@ from gantrysched import (
     Chromosome,
     ConfigError,
     FitnessBreakdown,
+    GantryStatus,
+    ProblemSpec,
     ScoreTable,
     evaluate_breakdown,
     random_chromosome,
+    repair_chromosome,
     weighted_total,
 )
 from gantrysched.rng import substream
@@ -281,3 +284,34 @@ class TestInvariants:
             chrom = random_chromosome(small_spec, rng)
             got = evaluate_breakdown(chrom, table)
             assert got.total == weighted_total(got.counts(), table)
+
+
+class TestKnownObjectiveFlaw:
+    """The default weights rank a layout with no finished therapy first.
+
+    These pin today's numbers on the medium problem, so a change of the
+    objective shows up here; they do not state the intended ranking.
+    """
+
+    MEDIUM = ProblemSpec(n_g=3, n_p=12, n_t=108)
+    FRAGMENT = [GantryStatus.WAIT_CONTROL, GantryStatus.WAIT_ACCELERATOR, GantryStatus.IRRADIATE]
+
+    def test_fragment_layout_scores_4806_without_a_therapy(self):
+        n_g, n_t = self.MEDIUM.n_g, self.MEDIUM.n_t
+        statuses = np.tile(np.array(self.FRAGMENT, dtype=np.int8), (n_g, n_t // 3))
+        patients = np.repeat(np.arange(n_g, dtype=np.int32)[:, None], n_t, axis=1)
+        chrom = Chromosome(statuses, patients, n_p=self.MEDIUM.n_p)
+        got = evaluate_breakdown(chrom, ScoreTable())
+        assert got.total == 4806.0
+        assert got.counts() == dict(
+            conflicts=0, duration_violations=0, duplicate_treatments=0, interruptions=0,
+            busy_slots=324, consecutive_runs=324, ordered_transitions=216,
+            completed_therapies=0,
+        )
+        assert_matches_oracle(chrom)
+
+    def test_repair_output_scores_1884_with_every_therapy(self):
+        chrom = random_chromosome(self.MEDIUM, substream(0, 0, 0, 0))
+        got = evaluate_breakdown(repair_chromosome(chrom, self.MEDIUM), ScoreTable())
+        assert got.total == 1884.0
+        assert got.completed_therapies == 12

@@ -8,7 +8,6 @@ import pytest
 from gantrysched import (
     STATUS_DURATIONS,
     VACANT,
-    WORK_CYCLE_SLOTS,
     Chromosome,
     ConfigError,
     GantryStatus,
@@ -33,7 +32,7 @@ class TestStatusCycle:
 
     def test_working_cycle_length(self):
         """The working part of one treatment spans 26 slots."""
-        assert WORK_CYCLE_SLOTS == 26
+        assert cycle_status_pattern().size == 26
 
     def test_expected_next_wraps(self):
         """The cycle is closed: disposal leads back to idle, idle to ready."""
@@ -49,7 +48,6 @@ class TestStatusCycle:
         """The slot pattern expands each working status to its duration."""
         pattern = cycle_status_pattern()
         assert pattern.tolist() == CYCLE_SLOTS
-        assert pattern.size == WORK_CYCLE_SLOTS
 
 
 class TestProblemSpec:
@@ -84,6 +82,14 @@ class TestChromosome:
             Chromosome([[1]], [[5]], n_p=3)  # patient id beyond the roster
         with pytest.raises(ValueError):
             Chromosome([[1, 1]], [[0]])  # shape mismatch
+        with pytest.raises(ValueError):  # would wrap to statuses [[0, 1]], patients [[-1, 5]]
+            Chromosome(np.array([[256, 257]]), np.array([[-1, 2**32 + 5]]), n_p=12)
+        with pytest.raises(ValueError):
+            Chromosome([[1]], [[2**32 + 5]])  # would wrap to patient 5 without a roster
+        with pytest.raises(ValueError):
+            Chromosome(np.array([[1.7]]), np.array([[0]]))  # would truncate to READY
+        with pytest.raises(ValueError):
+            Chromosome([[1]], [[0.0]])  # float patient ids
 
     def test_equality_is_by_value(self):
         a = perfect_chromosome()

@@ -22,7 +22,6 @@ from gantrysched import (
     q_mutate,
     q_repair,
     q_single_point_crossover,
-    quantum_from_schedule,
     qubit_estimate,
     random_chromosome,
     repair_chromosome,
@@ -33,6 +32,9 @@ from gantrysched import (
 from gantrysched.fitness import ScoreTable
 from gantrysched.quantum import _amplify_grid
 from gantrysched.rng import substream
+
+from brute_amplify import brute_amplify
+from conftest import quantum_from_schedule
 
 CAP = math.sqrt(0.99)
 
@@ -261,6 +263,8 @@ class TestAmplify:
     def test_target_bounds(self):
         with pytest.raises(ValueError):
             amplify(np.array([1.0, 0.0]), target=2)
+        with pytest.raises(ValueError, match="1-d"):  # grids go to _amplify_grid
+            amplify(np.full((2, 2), math.sqrt(0.5)), target=0)
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data(), size=st.integers(2, 12))
@@ -268,6 +272,13 @@ class TestAmplify:
         v = data.draw(unit_grids((size,)))
         out = amplify(v, data.draw(st.integers(0, size - 1)))
         assert unit_drift(out) < 1e-9
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), size=st.integers(2, 12))
+    def test_matches_reference(self, data, size):
+        v = data.draw(unit_grids((size,)))
+        target = data.draw(st.integers(0, size - 1))
+        assert np.array_equal(amplify(v, target), brute_amplify(v, target))
 
 
 class TestAmplifyGrid:
@@ -281,7 +292,7 @@ class TestAmplifyGrid:
             for g in range(3):
                 for t in range(7):
                     if active[g, t]:
-                        want = amplify(grid[g, t], int(targets[g, t]))
+                        want = brute_amplify(grid[g, t], int(targets[g, t]))
                         assert np.array_equal(out[g, t], want)
                     else:
                         assert np.array_equal(out[g, t], grid[g, t])

@@ -13,7 +13,6 @@ from gantrysched import (
     GaParams,
     ProblemSpec,
     SweepAxis,
-    SweepGrid,
     SweepRecord,
     build_grid,
     derive_seed,
@@ -60,18 +59,21 @@ class TestSweepAxis:
             SweepAxis(center=0.5, half_width=0.1, step=0.0)
         with pytest.raises(ConfigError):
             SweepAxis(center=0.5, half_width=-0.1, step=0.1)
+        with pytest.raises(ConfigError):
+            SweepAxis(center=0.5, half_width=float("nan"), step=0.1)
+        with pytest.raises(ConfigError):
+            SweepAxis(center=0.5, half_width=0.1, step=float("nan"))
+        with pytest.raises(ConfigError):
+            SweepAxis(center=0.5, half_width=math.inf, step=math.inf)
 
 
 class TestBuildGrid:
     def test_cartesian_product_in_canonical_order(self):
-        grid = SweepGrid(
-            base=BASE,
-            axes={
-                "r_c": SweepAxis(center=0.2, half_width=0.1, step=0.1),
-                "r_s": SweepAxis(center=0.5, half_width=0.1, step=0.1),
-            },
-        )
-        points = build_grid(grid)
+        axes = {
+            "r_c": SweepAxis(center=0.2, half_width=0.1, step=0.1),
+            "r_s": SweepAxis(center=0.5, half_width=0.1, step=0.1),
+        }
+        points = build_grid(BASE, axes)
         combos = [(p.r_s, p.r_c) for p in points]
         # r_s is the outer axis no matter how the mapping was ordered
         assert combos == [
@@ -83,33 +85,31 @@ class TestBuildGrid:
 
     def test_point_count_is_bounded(self):
         full = SweepAxis(center=0.5, half_width=0.5, step=0.01)  # 101 values
-        assert len(build_grid(SweepGrid(base=BASE, axes={"r_s": full, "r_c": full}))) == 101**2
+        assert len(build_grid(BASE, {"r_s": full, "r_c": full})) == 101**2
         three = dict.fromkeys(("r_s", "r_c", "r_m"), full)
         with pytest.raises(ConfigError, match="more than 10201"):
-            build_grid(SweepGrid(base=BASE, axes=three))
+            build_grid(BASE, three)
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ConfigError):
-            SweepGrid(base=BASE, axes={"n_ini": SweepAxis(0.5, 0.0, 0.1)})
+            build_grid(BASE, {"n_ini": SweepAxis(0.5, 0.0, 0.1)})
 
     def test_empty_axes_rejected(self):
         with pytest.raises(ConfigError):
-            SweepGrid(base=BASE, axes={})
+            build_grid(BASE, {})
 
 
 class TestRunSweep:
     def test_point_seeds_derive_from_master(self):
         axis = {"r_m": SweepAxis(center=0.3, half_width=0.1, step=0.1)}
-        points = build_grid(SweepGrid(base=BASE, axes=axis))
+        points = build_grid(BASE, axis)
         records = run_sweep(TINY, points, None, "classical", master_seed=5)
         assert [r.seed for r in records] == [derive_seed(5, i) for i in range(3)]
         assert all(r.error is None for r in records)
         assert all(math.isfinite(r.best_fitness) for r in records)
 
     def test_reproducible_fitness(self):
-        points = build_grid(
-            SweepGrid(base=BASE, axes={"r_s": SweepAxis(0.6, 0.2, 0.2)})
-        )
+        points = build_grid(BASE, {"r_s": SweepAxis(0.6, 0.2, 0.2)})
         first = run_sweep(TINY, points, None, "classical", master_seed=9)
         second = run_sweep(TINY, points, None, "classical", master_seed=9)
         assert [r.best_fitness for r in first] == [r.best_fitness for r in second]
@@ -133,22 +133,10 @@ class TestRunSweep:
             return real_runner(spec, params, table)
 
         monkeypatch.setitem(sweep_mod.ALGORITHMS, "classical", flaky)
-        points = build_grid(
-            SweepGrid(base=BASE, axes={"r_s": SweepAxis(0.6, 0.2, 0.2)})
-        )
-        records = run_sweep(
-            TINY, points, None, "classical", master_seed=3, collect_errors=True
-        )
+        points = build_grid(BASE, {"r_s": SweepAxis(0.6, 0.2, 0.2)})
+        records = run_sweep(TINY, points, None, "classical", master_seed=3)
         assert [r.error for r in records] == [None, "boom", None]
         assert math.isnan(records[1].best_fitness)
-
-    def test_errors_abort_without_collect(self, monkeypatch):
-        def broken(spec, params, table):
-            raise RuntimeError("boom")
-
-        monkeypatch.setitem(sweep_mod.ALGORITHMS, "classical", broken)
-        with pytest.raises(ConfigError):
-            run_sweep(TINY, [BASE], None, "classical", master_seed=3)
 
 
 class TestFilterRecords:
