@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fitness import FitnessBreakdown, ScoreTable, evaluate_breakdown
+from .fitness import FitnessBreakdown, ScoreTable, ScoreWindow, evaluate_breakdown
 from .model import (
     N_STATUSES,
     VACANT,
@@ -140,7 +140,7 @@ def single_point_crossover(
     (stat1, pat1), (stat2, pat2) = _swap_tails(
         (a.statuses, a.patients), (b.statuses, b.patients), point
     )
-    return Chromosome(stat1, pat1), Chromosome(stat2, pat2)
+    return Chromosome._adopt(stat1, pat1), Chromosome._adopt(stat2, pat2)
 
 
 def _paired_crossover(pop, r_c, rng, cross, n_cells):
@@ -182,7 +182,7 @@ def mutate_patient_ids(
         right += 1
     patients = chrom.patients.copy()
     patients[g, left : right + 1] = new_id
-    return Chromosome(chrom.statuses, patients)
+    return Chromosome._adopt(chrom.statuses, patients)
 
 
 def mutate_statuses(
@@ -202,7 +202,7 @@ def mutate_statuses(
     patients = chrom.patients.copy()
     statuses[g, t : t + span] = status
     patients[g, t : t + span] = patient
-    return Chromosome(statuses, patients)
+    return Chromosome._adopt(statuses, patients)
 
 
 @functools.lru_cache(maxsize=None)
@@ -265,7 +265,7 @@ def repair_chromosome(chrom: Chromosome, spec: ProblemSpec) -> Chromosome:
     lookup[: len(picks)] = picks
     patients = lookup[episode]
     statuses = np.where(patients != VACANT, layout, 0)
-    return Chromosome(statuses, patients, n_p=spec.n_p)
+    return Chromosome._adopt(statuses, patients)
 
 
 def _evolve(
@@ -339,8 +339,11 @@ def run_classical(
     def fresh(i: int) -> Chromosome:
         return random_chromosome(spec, substream(seed, 0, PHASE_INIT, i))
 
+    window = ScoreWindow()
+
     def evaluate(chrom: Chromosome, gen: int, i: int) -> tuple[float, Chromosome]:
-        return evaluate_breakdown(chrom, table).total, chrom
+        window.rotate(gen)
+        return evaluate_breakdown(chrom, table, window).total, chrom
 
     mutators = (
         (

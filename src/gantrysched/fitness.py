@@ -24,6 +24,7 @@ Idle runs are neutral: they are free to hold and never scored directly.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, fields
 from typing import Mapping
 
@@ -151,10 +152,53 @@ def _complete_episode_patients(
     return run_pat[first[ok]]
 
 
-def evaluate_breakdown(chrom: Chromosome, table: ScoreTable | None = None) -> FitnessBreakdown:
-    """Deterministically count all scored events of a schedule in one pass."""
+class ScoreWindow:
+    """Breakdowns of the schedules scored in the current and previous generation.
+
+    Keys are the built-in hash of a schedule's bytes.  An entry holds a weak
+    reference to its schedule, so the window keeps no dropped schedule alive,
+    and counts only while that schedule is alive and equal: a collision or a
+    dropped schedule just re-scores.  A window serves one score table.
+    """
+
+    __slots__ = ("gen", "current", "previous")
+
+    def __init__(self) -> None:
+        self.gen = 0
+        self.current: dict[int, tuple] = {}
+        self.previous: dict[int, tuple] = {}
+
+    def rotate(self, gen: int) -> None:
+        if gen != self.gen:
+            self.gen, self.current, self.previous = gen, {}, self.current
+
+
+def evaluate_breakdown(
+    chrom: Chromosome, table: ScoreTable | None = None, window: ScoreWindow | None = None
+) -> FitnessBreakdown:
+    """Deterministically count all scored events of a schedule in one pass.
+
+    Given a window, a schedule it holds is not counted again, and the
+    window's current generation then holds this schedule.
+    """
     if table is None:
         table = ScoreTable()
+    if window is None:
+        return _count_events(chrom, table)
+    # the key covers everything the scorer reads of a schedule
+    key = hash(chrom.statuses.tobytes() + chrom.patients.tobytes())
+    for entry in (window.current.get(key), window.previous.get(key)):
+        seen = entry[0]() if entry is not None else None
+        if seen is not None and seen == chrom:
+            breakdown = entry[1]
+            break
+    else:
+        breakdown = _count_events(chrom, table)
+    window.current[key] = (weakref.ref(chrom), breakdown)
+    return breakdown
+
+
+def _count_events(chrom: Chromosome, table: ScoreTable) -> FitnessBreakdown:
     statuses, patients = chrom.statuses, chrom.patients
     _, run_len, run_stat, run_pat, opens = _run_bounds(statuses, patients)
     working = run_stat > 0

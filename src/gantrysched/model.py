@@ -77,7 +77,7 @@ class Chromosome:
     wherever the status is idle and a valid patient id everywhere else.
     """
 
-    __slots__ = ("statuses", "patients")
+    __slots__ = ("statuses", "patients", "__weakref__")
 
     def __init__(self, statuses, patients, *, n_p: int | None = None):
         given = (np.asarray(statuses), np.asarray(patients))
@@ -107,6 +107,16 @@ class Chromosome:
         patients.setflags(write=False)
         self.statuses = statuses
         self.patients = patients
+
+    @classmethod
+    def _adopt(cls, statuses: np.ndarray, patients: np.ndarray) -> Chromosome:
+        """Wrap int8 / int32 arrays that the caller owns and built valid, unchecked."""
+        statuses.setflags(write=False)
+        patients.setflags(write=False)
+        chrom = object.__new__(cls)
+        chrom.statuses = statuses
+        chrom.patients = patients
+        return chrom
 
     @property
     def n_g(self) -> int:
@@ -138,4 +148,4 @@ def random_chromosome(spec: ProblemSpec, rng: np.random.Generator) -> Chromosome
     statuses = rng.integers(0, N_STATUSES, size=(spec.n_g, spec.n_t), dtype=np.int8)
     patients = rng.integers(0, spec.n_p, size=(spec.n_g, spec.n_t), dtype=np.int32)
     patients[statuses == 0] = VACANT
-    return Chromosome(statuses, patients, n_p=spec.n_p)
+    return Chromosome._adopt(statuses, patients)

@@ -76,6 +76,16 @@ class QuantumChromosome:
         self.id_amps = id_amps
         self.status_amps = status_amps
 
+    @classmethod
+    def _adopt(cls, id_amps: np.ndarray, status_amps: np.ndarray) -> QuantumChromosome:
+        """Wrap unit-norm float64 grids that the caller owns, unchecked."""
+        id_amps.setflags(write=False)
+        status_amps.setflags(write=False)
+        qchrom = object.__new__(cls)
+        qchrom.id_amps = id_amps
+        qchrom.status_amps = status_amps
+        return qchrom
+
     @property
     def n_g(self) -> int:
         return int(self.id_amps.shape[0])
@@ -109,7 +119,7 @@ def uniform_quantum_chromosome(spec: ProblemSpec) -> QuantumChromosome:
     """Every cell starts as the uniform superposition in both registers."""
     ids = np.full((spec.n_g, spec.n_t, spec.n_p), 1.0 / math.sqrt(spec.n_p))
     statuses = np.full((spec.n_g, spec.n_t, N_STATUSES), 1.0 / math.sqrt(N_STATUSES))
-    return QuantumChromosome(ids, statuses)
+    return QuantumChromosome._adopt(ids, statuses)
 
 
 def sample_index(v, u):
@@ -136,7 +146,7 @@ def observe(qchrom: QuantumChromosome, rng: np.random.Generator) -> Chromosome:
     statuses = sample_index(qchrom.status_amps, rng.random(shape)).astype(np.int8)
     patients = sample_index(qchrom.id_amps, rng.random(shape)).astype(np.int32)
     patients[statuses == 0] = VACANT
-    return Chromosome(statuses, patients, n_p=qchrom.n_p)
+    return Chromosome._adopt(statuses, patients)
 
 
 def q_single_point_crossover(
@@ -146,7 +156,7 @@ def q_single_point_crossover(
     (ids1, stat1), (ids2, stat2) = _swap_tails(
         (a.id_amps, a.status_amps), (b.id_amps, b.status_amps), point
     )
-    return QuantumChromosome(ids1, stat1), QuantumChromosome(ids2, stat2)
+    return QuantumChromosome._adopt(ids1, stat1), QuantumChromosome._adopt(ids2, stat2)
 
 
 def q_mutate(qchrom: QuantumChromosome, rng: np.random.Generator) -> QuantumChromosome:
@@ -161,7 +171,7 @@ def q_mutate(qchrom: QuantumChromosome, rng: np.random.Generator) -> QuantumChro
     ids[g, t, id_basis] = 1.0
     statuses[g, t] = 0.0
     statuses[g, t, status_basis] = 1.0
-    return QuantumChromosome(ids, statuses)
+    return QuantumChromosome._adopt(ids, statuses)
 
 
 def amplify(v, target: int) -> np.ndarray:
@@ -207,7 +217,6 @@ def _amplify_grid(amps: np.ndarray, targets: np.ndarray, active: np.ndarray) -> 
 def q_repair(
     qchrom: QuantumChromosome,
     spec: ProblemSpec,
-    table: ScoreTable,
     rng: np.random.Generator,
 ) -> QuantumChromosome:
     """Amplify the amplitudes of a repaired shadow of the chromosome.
@@ -226,7 +235,7 @@ def q_repair(
     busy = desired.statuses != 0
     id_targets = np.where(busy, desired.patients, 0).astype(np.int64)
     ids = _amplify_grid(qchrom.id_amps, id_targets, busy)
-    return QuantumChromosome(ids, statuses)
+    return QuantumChromosome._adopt(ids, statuses)
 
 
 def run_quantum(
@@ -258,7 +267,7 @@ def run_quantum(
     )
 
     def repair(qchrom, gen: int, i: int) -> QuantumChromosome:
-        return q_repair(qchrom, spec, table, substream(seed, gen, PHASE_REPAIR, i))
+        return q_repair(qchrom, spec, substream(seed, gen, PHASE_REPAIR, i))
 
     return _evolve(params, table, fresh, evaluate, crossover_pop, mutators, repair)
 

@@ -4,8 +4,31 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from gantrysched import N_STATUSES, VACANT, Chromosome, ProblemSpec, QuantumChromosome
+from gantrysched import (
+    N_STATUSES,
+    VACANT,
+    Chromosome,
+    GantryStatus,
+    ProblemSpec,
+    QuantumChromosome,
+)
+
+# Small problems, including tracks too short for one treatment (n_t < 26)
+# and fewer patients than gantries.
+SMALL_SPECS = st.builds(
+    ProblemSpec, n_g=st.integers(1, 4), n_p=st.integers(1, 5), n_t=st.integers(1, 60)
+)
+
+
+@st.composite
+def chromosomes(draw, spec: ProblemSpec) -> Chromosome:
+    shape = (spec.n_g, spec.n_t)
+    statuses = draw(arrays(np.int8, shape, elements=st.integers(0, N_STATUSES - 1)))
+    patients = draw(arrays(np.int32, shape, elements=st.integers(0, spec.n_p - 1)))
+    return Chromosome(statuses, np.where(statuses == GantryStatus.IDLE, VACANT, patients))
 
 # One complete treatment, slot by slot: ready through the last disposal minute.
 CYCLE_SLOTS = [1] + [2] * 3 + [3] * 15 + [4] + [5] + [6] + [7] * 4

@@ -37,7 +37,6 @@ from gantrysched import (
 )
 from gantrysched.cli import main
 from gantrysched.classical import _floor_count
-from gantrysched.fitness import ScoreTable
 from gantrysched.rng import substream
 
 from brute_fitness import brute_breakdown
@@ -131,7 +130,6 @@ def test_05_amplitude_stability_under_mixed_operations():
     """Norms stay unit through 10,000 operator applications."""
     started = perf_counter()
     spec = ProblemSpec(n_g=2, n_p=4, n_t=30)
-    table = ScoreTable()
     a = uniform_quantum_chromosome(spec)
     b = uniform_quantum_chromosome(spec)
     for k in range(10_000):
@@ -148,7 +146,7 @@ def test_05_amplitude_stability_under_mixed_operations():
             point = int(rng.integers(1, spec.n_cells))
             a, b = q_single_point_crossover(a, b, point)
         else:
-            a = q_repair(a, spec, table, rng)
+            a = q_repair(a, spec, rng)
             a, b = b, a
     for chrom in (a, b):
         for grid in (chrom.id_amps, chrom.status_amps):

@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from gantrysched import (
-    N_STATUSES,
     VACANT,
     Chromosome,
     ConfigError,
@@ -28,12 +27,17 @@ from gantrysched import (
     select,
     single_point_crossover,
 )
+from gantrysched import classical
+from gantrysched import fitness as scoring
 from gantrysched.classical import _paired_crossover
+from gantrysched.cli import main
 from gantrysched.rng import substream
 
 from brute_fitness import brute_breakdown
 from brute_repair import brute_repair
-from conftest import idle_rows, perfect_chromosome, rows_with_cycle
+from conftest import SMALL_SPECS, chromosomes, idle_rows, perfect_chromosome, rows_with_cycle
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PARAMS = GaParams(
     r_s=0.83, r_c=0.27, r_m=0.37, r_r=0.85, n_ini=10, n_max=150, g_max=10, seed=0
@@ -42,21 +46,6 @@ PARAMS = GaParams(
 
 def tiny_params(**overrides) -> GaParams:
     return dataclasses.replace(PARAMS, **overrides)
-
-
-# Small problems, including tracks too short for one treatment (n_t < 26)
-# and fewer patients than gantries.
-SMALL_SPECS = st.builds(
-    ProblemSpec, n_g=st.integers(1, 4), n_p=st.integers(1, 5), n_t=st.integers(1, 60)
-)
-
-
-@st.composite
-def chromosomes(draw, spec: ProblemSpec) -> Chromosome:
-    shape = (spec.n_g, spec.n_t)
-    statuses = draw(arrays(np.int8, shape, elements=st.integers(0, N_STATUSES - 1)))
-    patients = draw(arrays(np.int32, shape, elements=st.integers(0, spec.n_p - 1)))
-    return Chromosome(statuses, np.where(statuses == GantryStatus.IDLE, VACANT, patients))
 
 
 def cell_counts(*chroms: Chromosome) -> Counter:
@@ -349,3 +338,73 @@ class TestRunClassical:
     def test_improves_on_medium_problem(self, medium_spec):
         result = run_classical(medium_spec, tiny_params(g_max=10))
         assert result.best_breakdown.total > result.records[0].best_fitness
+
+
+class TestScoreWindow:
+    """Classical scoring reuses exact scores within a two-generation window."""
+
+    @staticmethod
+    def record_evaluations(monkeypatch) -> list:
+        """Collect every (total, schedule) the loop's evaluate callback returns."""
+        returned = []
+        evolve = classical._evolve
+
+        def spy(params, table, fresh, evaluate, *rest):
+            def recording(chrom, gen, i):
+                returned.append(evaluate(chrom, gen, i))
+                return returned[-1]
+
+            return evolve(params, table, fresh, recording, *rest)
+
+        monkeypatch.setattr(classical, "_evolve", spy)
+        return returned
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name) -> list:
+        calls = []
+        function = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    @settings(max_examples=15, deadline=None)
+    @given(spec=SMALL_SPECS, seed=st.integers(0, 2**32 - 1))
+    def test_every_returned_total_matches_oracle(self, spec, seed):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            returned = self.record_evaluations(monkeypatch)
+            run_classical(spec, tiny_params(seed=seed, g_max=6))
+        oracle = {}
+        for total, chrom in returned:
+            key = chrom.statuses.tobytes() + chrom.patients.tobytes()
+            if key not in oracle:
+                oracle[key] = brute_breakdown(chrom.statuses, chrom.patients)["total"]
+            assert total == oracle[key]
+
+    def test_window_skips_repeats_on_medium(self, medium_spec, monkeypatch):
+        returned = self.record_evaluations(monkeypatch)
+        scorer_calls = self.count_calls(monkeypatch, classical, "evaluate_breakdown")
+        counted = self.count_calls(monkeypatch, scoring, "_count_events")
+        run_classical(medium_spec, tiny_params(g_max=200))
+        assert len(returned) == 2010
+        # every evaluation and the final breakdown enter the scorer ...
+        assert len(scorer_calls) == 2011
+        # ... which counts 345 distinct-in-window schedules and the final breakdown
+        assert len(counted) == 346
+
+    def test_colliding_keys_keep_golden_outputs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scoring, "hash", lambda _: 0, raising=False)
+        out = tmp_path / "run"
+        code = main(
+            [
+                "run", "--config", str(ROOT / "configs" / "medium.json"),
+                "--algo", "classical", "--seed", "0", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        golden = ROOT / "tests" / "golden" / "medium-classical-seed0"
+        for name in ("curves.csv", "best_schedule.json"):
+            assert (out / name).read_bytes() == (golden / name).read_bytes(), name

@@ -21,6 +21,8 @@ from gantrysched import (
     repair_chromosome,
     weighted_total,
 )
+from gantrysched import fitness
+from gantrysched.fitness import ScoreWindow
 from gantrysched.rng import substream
 
 from brute_fitness import brute_breakdown
@@ -284,6 +286,54 @@ class TestInvariants:
             chrom = random_chromosome(small_spec, rng)
             got = evaluate_breakdown(chrom, table)
             assert got.total == weighted_total(got.counts(), table)
+
+
+class TestScoreWindow:
+    """A window counts a schedule once while an equal one stays alive in it."""
+
+    @staticmethod
+    def count_events(monkeypatch) -> list:
+        counted = []
+        count = fitness._count_events
+
+        def counting(chrom, table):
+            counted.append(None)
+            return count(chrom, table)
+
+        monkeypatch.setattr(fitness, "_count_events", counting)
+        return counted
+
+    def test_hit_re_points_the_entry_until_two_generations_pass(self, monkeypatch):
+        copies = [perfect_chromosome(n_g=2) for _ in range(3)]
+        want = evaluate_breakdown(copies[0])
+        counted = self.count_events(monkeypatch)
+        window = ScoreWindow()
+        for gen, chrom in enumerate(copies):
+            window.rotate(gen)
+            assert evaluate_breakdown(chrom, None, window) == want
+        assert len(counted) == 1
+        del copies[:2]  # the entry now refers to the last copy only
+        window.rotate(3)
+        window.rotate(4)
+        assert evaluate_breakdown(copies[0], None, window) == want
+        assert len(counted) == 2
+
+    def test_dropped_schedule_is_counted_again(self, monkeypatch):
+        counted = self.count_events(monkeypatch)
+        window = ScoreWindow()
+        evaluate_breakdown(perfect_chromosome(n_g=2), None, window)
+        evaluate_breakdown(perfect_chromosome(n_g=2), None, window)
+        assert len(counted) == 2
+
+    def test_colliding_keys_never_mix_up_schedules(self, monkeypatch):
+        monkeypatch.setattr(fitness, "hash", lambda _: 0, raising=False)
+        schedules = [perfect_chromosome(n_g=2), perfect_chromosome(n_g=2, start=2)]
+        want = [evaluate_breakdown(c) for c in schedules]
+        window = ScoreWindow()
+        for gen in range(3):
+            window.rotate(gen)
+            for chrom, breakdown in zip(schedules, want):
+                assert evaluate_breakdown(chrom, None, window) == breakdown
 
 
 class TestKnownObjectiveFlaw:

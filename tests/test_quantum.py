@@ -29,7 +29,6 @@ from gantrysched import (
     sample_index,
     uniform_quantum_chromosome,
 )
-from gantrysched.fitness import ScoreTable
 from gantrysched.quantum import _amplify_grid
 from gantrysched.rng import substream
 
@@ -311,13 +310,13 @@ class TestQRepair:
         rng = substream(79, 0, 0, 0)
         schedule = repair_chromosome(random_chromosome(medium_spec, rng), medium_spec)
         q = quantum_from_schedule(schedule, medium_spec.n_p)
-        repaired = q_repair(q, medium_spec, ScoreTable(), substream(79, 1, 8, 0))
+        repaired = q_repair(q, medium_spec, substream(79, 1, 8, 0))
         assert repaired == q
 
     def test_observation_after_repair_matches_plan(self, medium_spec):
         """Repair concentrates the amplitudes near one classical plan."""
         q = uniform_quantum_chromosome(medium_spec)
-        repaired = q_repair(q, medium_spec, ScoreTable(), substream(80, 0, 8, 0))
+        repaired = q_repair(q, medium_spec, substream(80, 0, 8, 0))
         shadow = observe(repaired, substream(80, 1, 1, 0))
         fixed = repair_chromosome(shadow, medium_spec)
         # most cells should already agree with a fully repaired plan
@@ -328,7 +327,7 @@ class TestQRepair:
         spec = ProblemSpec(n_g=2, n_p=4, n_t=30)
         q = uniform_quantum_chromosome(spec)
         for k in range(200):
-            q = q_repair(q, spec, ScoreTable(), substream(81, k, 8, 0))
+            q = q_repair(q, spec, substream(81, k, 8, 0))
         for grid in (q.id_amps, q.status_amps):
             drift = np.abs(np.sum(grid * grid, axis=-1) - 1.0)
             assert float(drift.max()) < 1e-9
