@@ -270,28 +270,29 @@ def repair_chromosome(chrom: Chromosome, spec: ProblemSpec) -> Chromosome:
 
 def _evolve(
     params: GaParams,
-    table: ScoreTable,
     fresh: Callable[[int], object],
-    evaluate: Callable[[object, int, int], tuple[float, Chromosome]],
+    evaluate: Callable[[object, int, int], tuple[FitnessBreakdown, Chromosome]],
     crossover_pop: Callable,
     mutators: Sequence[tuple[int, Callable[[object, int, int], object]]],
     repair: Callable[[object, int, int], object],
 ) -> RunResult:
-    """Generation loop shared by the classical and quantum variants."""
+    """Generation loop shared by the classical and quantum variants.
+
+    ``evaluate`` returns the breakdown of a chromosome's schedule and that
+    schedule; the loop keeps the first best pair it sees.
+    """
     started = perf_counter()
     seed = params.seed
     pop = [fresh(i) for i in range(params.n_ini)]
     records: list[GenerationRecord] = []
-    best_total: float | None = None
-    best_schedule: Chromosome | None = None
+    best: tuple[FitnessBreakdown, Chromosome] | None = None
     for gen in range(params.g_max + 1):
         evals = [evaluate(chrom, gen, i) for i, chrom in enumerate(pop)]
-        totals = [total for total, _ in evals]
+        totals = [breakdown.total for breakdown, _ in evals]
         best_idx = int(np.argmax(totals))
         records.append(GenerationRecord(gen, totals[best_idx], len(pop)))
-        if best_total is None or totals[best_idx] > best_total:
-            best_total = totals[best_idx]
-            best_schedule = evals[best_idx][1]
+        if best is None or totals[best_idx] > best[0].total:
+            best = evals[best_idx]
         if gen == params.g_max:
             break
 
@@ -317,11 +318,10 @@ def _evolve(
             )
             for i in picked.tolist():
                 pop[i] = repair(pop[i], gen, i)
-    breakdown = evaluate_breakdown(best_schedule, table)
     return RunResult(
         records=tuple(records),
-        best_schedule=best_schedule,
-        best_breakdown=breakdown,
+        best_schedule=best[1],
+        best_breakdown=best[0],
         elapsed=perf_counter() - started,
     )
 
@@ -341,9 +341,9 @@ def run_classical(
 
     window = ScoreWindow()
 
-    def evaluate(chrom: Chromosome, gen: int, i: int) -> tuple[float, Chromosome]:
+    def evaluate(chrom: Chromosome, gen: int, i: int) -> tuple[FitnessBreakdown, Chromosome]:
         window.rotate(gen)
-        return evaluate_breakdown(chrom, table, window).total, chrom
+        return evaluate_breakdown(chrom, table, window), chrom
 
     mutators = (
         (
@@ -366,4 +366,4 @@ def run_classical(
     def repair(chrom: Chromosome, gen: int, i: int) -> Chromosome:
         return repair_chromosome(chrom, spec)
 
-    return _evolve(params, table, fresh, evaluate, crossover_pop, mutators, repair)
+    return _evolve(params, fresh, evaluate, crossover_pop, mutators, repair)

@@ -16,12 +16,11 @@ import uuid
 from pathlib import Path
 
 from .classical import GaParams, RunResult
-from .fitness import ScoreTable, evaluate_breakdown
+from .fitness import FitnessBreakdown, ScoreTable
 from .model import VACANT, Chromosome, ConfigError, GantryStatus, ProblemSpec
 from .quantum import qubit_estimate
 from .sweep import (
     ALGORITHMS,
-    SWEEP_PARAMS,
     SweepAxis,
     SweepRecord,
     build_grid,
@@ -68,11 +67,15 @@ def _load_json(path: Path, what: str) -> dict:
     if not path.is_file():
         raise ConfigError(f"{what} file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise ConfigError(
             f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}"
         ) from err
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text at byte {err.start}") from err
+    except RecursionError as err:
+        raise ConfigError(f"{path}: JSON nested too deeply") from err
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return doc
@@ -172,8 +175,6 @@ def _resolve_grid(doc: dict) -> tuple[dict[str, SweepAxis], dict[str, list[float
         raise ConfigError("grid 'exclude' must be an object of value lists")
     exclude = {}
     for name, values in exclude_doc.items():
-        if name not in SWEEP_PARAMS:
-            raise ConfigError(f"unknown exclusion parameter {name!r}")
         if not isinstance(values, list):
             raise ConfigError(f"exclusion {name!r} must list values")
         exclude[name] = [_require_number(f"exclude.{name}", v) for v in values]
@@ -198,10 +199,9 @@ def _json_text(doc: dict) -> str:
 
 
 def schedule_document(
-    spec: ProblemSpec, table: ScoreTable, schedule: Chromosome
+    spec: ProblemSpec, table: ScoreTable, schedule: Chromosome, breakdown: FitnessBreakdown
 ) -> dict:
-    """Self-contained JSON document of a schedule and its exact fitness."""
-    breakdown = evaluate_breakdown(schedule, table)
+    """Self-contained JSON document of a schedule and its fitness under ``table``."""
     tracks = []
     for g in range(schedule.n_g):
         row = []
@@ -274,7 +274,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     }
     outputs = {
         "curves.csv": _curves_csv(result),
-        "best_schedule.json": _json_text(schedule_document(spec, table, result.best_schedule)),
+        "best_schedule.json": _json_text(
+            schedule_document(spec, table, result.best_schedule, result.best_breakdown)
+        ),
         "summary.json": _json_text(summary),
     }
     for name, text in outputs.items():
@@ -291,6 +293,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     spec, params, table, out_dir, _ = _resolve_config(doc, args.algo, args.seed, args.out)
     axes, exclude = _resolve_grid(_load_json(args.grid, "grid"))
     points = build_grid(params, axes)
+    if not filter_records(points, exclude)[0]:
+        raise ConfigError(f"the grid's exclusions remove all {len(points)} points")
     records = run_sweep(spec, points, table, args.algo, params.seed)
     kept, removed = filter_records(records, exclude)
     succeeded = [r for r in kept if r.error is None]

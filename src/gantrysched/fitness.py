@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, fields
+from functools import reduce
+from operator import add
 from typing import Mapping
 
 import numpy as np
@@ -63,38 +65,13 @@ class ScoreTable:
                 raise ConfigError(f"score {f.name} must be finite and non-negative, got {value!r}")
 
 
-COUNT_NAMES = (
-    "conflicts",
-    "duration_violations",
-    "duplicate_treatments",
-    "interruptions",
-    "busy_slots",
-    "consecutive_runs",
-    "ordered_transitions",
-    "completed_therapies",
-)
-
-
-def weighted_total(counts: Mapping[str, int], table: ScoreTable) -> float:
-    """Combine event counts into a fitness value: benefits minus penalties."""
-    benefit = (
-        table.consecutive_run * counts["consecutive_runs"]
-        + table.ordered_transition * counts["ordered_transitions"]
-        + table.completed_therapy * counts["completed_therapies"]
-    )
-    penalty = (
-        table.conflict * counts["conflicts"]
-        + table.duration_violation * counts["duration_violations"]
-        + table.duplicate_treatment * counts["duplicate_treatments"]
-        + table.interruption * counts["interruptions"]
-        + table.time_per_slot * counts["busy_slots"]
-    )
-    return benefit - penalty
-
-
 @dataclass(frozen=True)
 class FitnessBreakdown:
-    """Event counts of one schedule plus their weighted total."""
+    """Event counts of one schedule plus their weighted total.
+
+    The counts follow :class:`ScoreTable`'s weights in order: the five
+    penalties first, then the three benefits.
+    """
 
     conflicts: int
     duration_violations: int
@@ -108,6 +85,20 @@ class FitnessBreakdown:
 
     def counts(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in COUNT_NAMES}
+
+
+COUNT_NAMES = tuple(f.name for f in fields(FitnessBreakdown) if f.name != "total")
+_WEIGHTED_COUNTS = tuple(zip((f.name for f in fields(ScoreTable)), COUNT_NAMES))
+_N_PENALTIES = 5  # conflict through time_per_slot
+
+
+def weighted_total(counts: Mapping[str, int], table: ScoreTable) -> float:
+    """Combine event counts into a fitness value: benefits minus penalties.
+
+    Each side is summed left to right in :class:`ScoreTable`'s order.
+    """
+    terms = [getattr(table, weight) * counts[name] for weight, name in _WEIGHTED_COUNTS]
+    return reduce(add, terms[_N_PENALTIES:]) - reduce(add, terms[:_N_PENALTIES])
 
 
 def _run_bounds(statuses: np.ndarray, patients: np.ndarray):
@@ -227,14 +218,7 @@ def _count_events(chrom: Chromosome, table: ScoreTable) -> FitnessBreakdown:
     completed = len(finished)
     duplicates = completed - len(set(finished))
 
-    counts = {
-        "conflicts": conflicts,
-        "duration_violations": violations,
-        "duplicate_treatments": duplicates,
-        "interruptions": interruptions,
-        "busy_slots": busy,
-        "consecutive_runs": consecutive,
-        "ordered_transitions": transitions,
-        "completed_therapies": completed,
-    }
+    penalties = (conflicts, violations, duplicates, interruptions, busy)
+    benefits = (consecutive, transitions, completed)
+    counts = dict(zip(COUNT_NAMES, penalties + benefits))
     return FitnessBreakdown(**counts, total=weighted_total(counts, table))

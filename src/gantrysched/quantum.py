@@ -23,7 +23,7 @@ from .classical import (
     _swap_tails,
     repair_chromosome,
 )
-from .fitness import ScoreTable, evaluate_breakdown
+from .fitness import FitnessBreakdown, ScoreTable, evaluate_breakdown
 from .model import (
     N_STATUSES,
     VACANT,
@@ -252,9 +252,9 @@ def run_quantum(
     def fresh(i: int) -> QuantumChromosome:
         return uniform
 
-    def evaluate(qchrom, gen: int, i: int) -> tuple[float, Chromosome]:
+    def evaluate(qchrom, gen: int, i: int) -> tuple[FitnessBreakdown, Chromosome]:
         shadow = observe(qchrom, substream(seed, gen, PHASE_EVAL, i))
-        return evaluate_breakdown(shadow, table).total, shadow
+        return evaluate_breakdown(shadow, table), shadow
 
     def crossover_pop(pop, r_c, rng):
         return _paired_crossover(pop, r_c, rng, q_single_point_crossover, spec.n_cells)
@@ -269,7 +269,7 @@ def run_quantum(
     def repair(qchrom, gen: int, i: int) -> QuantumChromosome:
         return q_repair(qchrom, spec, substream(seed, gen, PHASE_REPAIR, i))
 
-    return _evolve(params, table, fresh, evaluate, crossover_pop, mutators, repair)
+    return _evolve(params, fresh, evaluate, crossover_pop, mutators, repair)
 
 
 def qubit_estimate(n_chromosomes: int, n_t: int, n_g: int, n_p: int, n_s: int) -> int:

@@ -163,9 +163,9 @@ def run_sweep(
 
 
 def filter_records(
-    records: Sequence[SweepRecord], exclude: Mapping[str, Sequence[float]]
-) -> tuple[list[SweepRecord], int]:
-    """Drop records whose parameters match any excluded value.
+    records: Sequence[SweepRecord | GaParams], exclude: Mapping[str, Sequence[float]]
+) -> tuple[list, int]:
+    """Drop records (or grid points) whose ratios match any excluded value.
 
     Returns the surviving records and the number removed.
     """

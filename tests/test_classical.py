@@ -27,7 +27,7 @@ from gantrysched import (
     select,
     single_point_crossover,
 )
-from gantrysched import classical
+from gantrysched import classical, cli, quantum
 from gantrysched import fitness as scoring
 from gantrysched.classical import _paired_crossover
 from gantrysched.cli import main
@@ -345,30 +345,33 @@ class TestScoreWindow:
 
     @staticmethod
     def record_evaluations(monkeypatch) -> list:
-        """Collect every (total, schedule) the loop's evaluate callback returns."""
+        """Collect every (breakdown, schedule) the loop's evaluate callback returns."""
         returned = []
         evolve = classical._evolve
 
-        def spy(params, table, fresh, evaluate, *rest):
+        def spy(params, fresh, evaluate, *rest):
             def recording(chrom, gen, i):
                 returned.append(evaluate(chrom, gen, i))
                 return returned[-1]
 
-            return evolve(params, table, fresh, recording, *rest)
+            return evolve(params, fresh, recording, *rest)
 
         monkeypatch.setattr(classical, "_evolve", spy)
         return returned
 
     @staticmethod
-    def count_calls(monkeypatch, module, name) -> list:
+    def count_calls(monkeypatch, name, *modules) -> list:
+        """Count calls of the first module's ``name`` through every module that binds it."""
         calls = []
-        function = getattr(module, name)
+        function = getattr(modules[0], name)
 
         def counting(*args, **kwargs):
             calls.append(None)
             return function(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counting)
+        for module in modules:
+            if getattr(module, name, None) is function:
+                monkeypatch.setattr(module, name, counting)
         return calls
 
     @settings(max_examples=15, deadline=None)
@@ -378,22 +381,38 @@ class TestScoreWindow:
             returned = self.record_evaluations(monkeypatch)
             run_classical(spec, tiny_params(seed=seed, g_max=6))
         oracle = {}
-        for total, chrom in returned:
+        for breakdown, chrom in returned:
             key = chrom.statuses.tobytes() + chrom.patients.tobytes()
             if key not in oracle:
                 oracle[key] = brute_breakdown(chrom.statuses, chrom.patients)["total"]
-            assert total == oracle[key]
+            assert breakdown.total == oracle[key]
 
     def test_window_skips_repeats_on_medium(self, medium_spec, monkeypatch):
         returned = self.record_evaluations(monkeypatch)
-        scorer_calls = self.count_calls(monkeypatch, classical, "evaluate_breakdown")
-        counted = self.count_calls(monkeypatch, scoring, "_count_events")
+        scorer_calls = self.count_calls(monkeypatch, "evaluate_breakdown", classical)
+        counted = self.count_calls(monkeypatch, "_count_events", scoring)
         run_classical(medium_spec, tiny_params(g_max=200))
         assert len(returned) == 2010
-        # every evaluation and the final breakdown enter the scorer ...
-        assert len(scorer_calls) == 2011
-        # ... which counts 345 distinct-in-window schedules and the final breakdown
-        assert len(counted) == 346
+        # every evaluation enters the scorer once ...
+        assert len(scorer_calls) == 2010
+        # ... which counts only the 345 schedules not already in its window
+        assert len(counted) == 345
+
+    def test_cli_run_scores_only_evaluations(self, tmp_path, monkeypatch):
+        """Writing the outputs reuses the run's breakdown instead of scoring again."""
+        scorer_calls = self.count_calls(
+            monkeypatch, "evaluate_breakdown", scoring, classical, quantum, cli
+        )
+        counted = self.count_calls(monkeypatch, "_count_events", scoring)
+        code = main(
+            [
+                "run", "--config", str(ROOT / "configs" / "medium.json"),
+                "--algo", "classical", "--seed", "0", "--out", str(tmp_path / "run"),
+            ]
+        )
+        assert code == 0
+        assert len(scorer_calls) == 2010
+        assert len(counted) == 345
 
     def test_colliding_keys_keep_golden_outputs(self, tmp_path, monkeypatch):
         monkeypatch.setattr(scoring, "hash", lambda _: 0, raising=False)

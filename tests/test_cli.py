@@ -139,6 +139,24 @@ class TestRunErrors:
         err = capsys.readouterr().err
         assert "line 2" in err
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"n_g": 1, "out_dir": "\xff"}', "not UTF-8"),
+            (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+        ],
+        ids=["not-utf8", "deeply-nested"],
+    )
+    @pytest.mark.parametrize("where", ["config", "grid"])
+    def test_unreadable_json_exits_2(self, tmp_path, content, message, where, capsys):
+        config = write_config(tmp_path)
+        grid = write_grid(tmp_path, {"r_s": {"center": 0.5, "half_width": 0, "step": 0.1}})
+        (tmp_path / f"{where}.json").write_bytes(content)
+        assert main(["sweep", "--config", str(config), "--grid", str(grid)]) == 2
+        err = capsys.readouterr().err
+        assert f"{where}.json" in err and message in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path, extra={"n_gantries": 2})
         assert main(["run", "--config", str(config)]) == 2
@@ -222,6 +240,28 @@ class TestSweepCommand:
         rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
         assert len(rows) == 3
         assert not any(row.startswith("0.40,") for row in rows[1:])
+
+    def test_grid_excluding_every_point_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        grid = write_grid(
+            tmp_path,
+            {"r_s": {"center": 0.6, "half_width": 0.2, "step": 0.2}},
+            exclude={"r_s": [0.4, 0.6, 0.8]},
+        )
+        assert main(["sweep", "--config", str(config), "--grid", str(grid)]) == 2
+        assert "remove all 3 points" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_exclusion_name_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        grid = write_grid(
+            tmp_path,
+            {"r_s": {"center": 0.6, "half_width": 0.2, "step": 0.2}},
+            exclude={"g_max": [3]},
+        )
+        assert main(["sweep", "--config", str(config), "--grid", str(grid)]) == 2
+        assert "g_max" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_axis_outside_unit_interval_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -22,11 +24,32 @@ from gantrysched import (
     weighted_total,
 )
 from gantrysched import fitness
-from gantrysched.fitness import ScoreWindow
+from gantrysched.fitness import COUNT_NAMES, ScoreWindow
 from gantrysched.rng import substream
 
 from brute_fitness import brute_breakdown
 from conftest import CYCLE_SLOTS, idle_rows, perfect_chromosome, rows_with_cycle
+
+
+def reference_weighted_total(counts, table: ScoreTable) -> float:
+    """The eight weighted terms written out, in the library's order of operations.
+
+    ``brute_breakdown`` subtracts each penalty in turn, so its total can differ
+    from the library's in the last bit; this one cannot.
+    """
+    benefit = (
+        table.consecutive_run * counts["consecutive_runs"]
+        + table.ordered_transition * counts["ordered_transitions"]
+        + table.completed_therapy * counts["completed_therapies"]
+    )
+    penalty = (
+        table.conflict * counts["conflicts"]
+        + table.duration_violation * counts["duration_violations"]
+        + table.duplicate_treatment * counts["duplicate_treatments"]
+        + table.interruption * counts["interruptions"]
+        + table.time_per_slot * counts["busy_slots"]
+    )
+    return benefit - penalty
 
 
 def assert_matches_oracle(chrom: Chromosome, table: ScoreTable | None = None):
@@ -66,6 +89,24 @@ class TestScoreTable:
         )
         counts.update(consecutive_runs=2, busy_slots=4, conflicts=1)
         assert weighted_total(counts, ScoreTable()) == 2 * 3.0 - 4 * 1.5 - 1 * 20.0
+        assert tuple(counts) == COUNT_NAMES
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # small weights round often, so a changed summation order shows
+        weights=st.lists(
+            st.floats(0.0, 1e3) | st.floats(min_value=0.0, allow_infinity=False),
+            min_size=8,
+            max_size=8,
+        ),
+        values=st.lists(st.integers(0, 10**6), min_size=8, max_size=8),
+    )
+    def test_weighted_total_is_bit_exact(self, weights, values):
+        names = [f.name for f in dataclasses.fields(ScoreTable)]
+        table = ScoreTable(**dict(zip(names, weights)))
+        counts = dict(zip(COUNT_NAMES, values))
+        got, want = weighted_total(counts, table), reference_weighted_total(counts, table)
+        assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 class TestFrozenCases:
