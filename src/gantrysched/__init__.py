@@ -39,7 +39,6 @@ from .quantum import (
     observe,
     q_mutate,
     q_repair,
-    q_single_point_crossover,
     qubit_estimate,
     run_quantum,
     sample_index,
@@ -87,7 +86,6 @@ __all__ = [
     "observe",
     "q_mutate",
     "q_repair",
-    "q_single_point_crossover",
     "qubit_estimate",
     "random_chromosome",
     "repair_chromosome",

@@ -11,7 +11,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .model import (
     Chromosome,
     ConfigError,
     ProblemSpec,
+    _CellGrids,
     cycle_status_pattern,
     random_chromosome,
     status_duration,
@@ -41,6 +42,8 @@ from .rng import (
 # Ratio-times-count arithmetic uses a tiny slack so that decimal ratios such
 # as 0.29 * 100 floor to the intended integer despite binary rounding.
 _FLOOR_EPS = 1e-9
+
+G = TypeVar("G", bound=_CellGrids)  # either chromosome kind
 
 
 def _floor_count(value: float) -> int:
@@ -112,15 +115,16 @@ def select(
     return [pairs[i] for i in order[:k]]
 
 
-def _swap_tails(a_grids, b_grids, point: int):
-    """Swap the cell data of two parents' grids after ``point`` track-major cells.
+def single_point_crossover(a: G, b: G, point: int) -> tuple[G, G]:
+    """Swap cell tails at a cut point in the track-major flattening.
 
-    Every grid has (gantry, slot) as its first two axes; a trailing axis
-    moves with its cell.  Returns the grids of the two children.
+    The parents are of one kind, classical or quantum, and one shape; a
+    trailing amplitude axis moves with its cell.
     """
-    if any(x.shape != y.shape for x, y in zip(a_grids, b_grids)):
-        raise ValueError("parents must have identical shape")
-    n_cells = math.prod(a_grids[0].shape[:2])
+    pairs = tuple(zip(a.grids, b.grids))
+    if type(a) is not type(b) or any(x.shape != y.shape for x, y in pairs):
+        raise ValueError("parents must be of one type and identical shape")
+    n_cells = a.n_cells
     if not 1 <= point <= n_cells - 1:
         raise ValueError(f"crossover point must lie in [1, {n_cells - 1}], got {point}")
 
@@ -128,22 +132,13 @@ def _swap_tails(a_grids, b_grids, point: int):
         flat_x, flat_y = x.reshape(n_cells, -1), y.reshape(n_cells, -1)
         return np.concatenate((flat_x[:point], flat_y[point:])).reshape(x.shape)
 
-    first = tuple(mix(x, y) for x, y in zip(a_grids, b_grids))
-    second = tuple(mix(y, x) for x, y in zip(a_grids, b_grids))
-    return first, second
-
-
-def single_point_crossover(
-    a: Chromosome, b: Chromosome, point: int
-) -> tuple[Chromosome, Chromosome]:
-    """Swap cell tails at a cut point in the track-major flattening."""
-    (stat1, pat1), (stat2, pat2) = _swap_tails(
-        (a.statuses, a.patients), (b.statuses, b.patients), point
+    return (
+        type(a)._adopt(*(mix(x, y) for x, y in pairs)),
+        type(a)._adopt(*(mix(y, x) for x, y in pairs)),
     )
-    return Chromosome._adopt(stat1, pat1), Chromosome._adopt(stat2, pat2)
 
 
-def _paired_crossover(pop, r_c, rng, cross, n_cells):
+def _paired_crossover(pop, r_c, rng, n_cells):
     """Append children of floor(r_c * N / 2) disjoint random parent pairs."""
     n = len(pop)
     n_pairs = _floor_count(r_c * n / 2)
@@ -155,7 +150,7 @@ def _paired_crossover(pop, r_c, rng, cross, n_cells):
     for k in range(n_pairs):
         a = pop[int(chosen[2 * k])]
         b = pop[int(chosen[2 * k + 1])]
-        out.extend(cross(a, b, int(points[k])))
+        out.extend(single_point_crossover(a, b, int(points[k])))
     return out
 
 
@@ -163,14 +158,15 @@ def mutate_patient_ids(
     chrom: Chromosome, spec: ProblemSpec, rng: np.random.Generator
 ) -> Chromosome:
     """Rewrite the patient of one busy cell and of its whole same-status run."""
+    n_t = chrom.n_t
     flat = int(rng.integers(0, chrom.n_cells))
-    g, t = divmod(flat, chrom.n_t)
+    g, t = divmod(flat, n_t)
     if chrom.statuses[g, t] == 0:  # idle
         busy = np.flatnonzero(chrom.statuses.reshape(-1))
         if busy.size == 0:
             return chrom
         flat = int(busy[int(rng.integers(0, busy.size))])
-        g, t = divmod(flat, chrom.n_t)
+        g, t = divmod(flat, n_t)
     new_id = int(rng.integers(0, spec.n_p))
     row = chrom.statuses[g]
     status = row[t]
@@ -178,7 +174,7 @@ def mutate_patient_ids(
     while left > 0 and row[left - 1] == status:
         left -= 1
     right = t
-    while right + 1 < chrom.n_t and row[right + 1] == status:
+    while right + 1 < n_t and row[right + 1] == status:
         right += 1
     patients = chrom.patients.copy()
     patients[g, left : right + 1] = new_id
@@ -361,7 +357,7 @@ def run_classical(
     )
 
     def crossover_pop(pop, r_c, rng):
-        return _paired_crossover(pop, r_c, rng, single_point_crossover, spec.n_cells)
+        return _paired_crossover(pop, r_c, rng, spec.n_cells)
 
     def repair(chrom: Chromosome, gen: int, i: int) -> Chromosome:
         return repair_chromosome(chrom, spec)

@@ -61,7 +61,7 @@ class ProblemSpec:
     def __post_init__(self) -> None:
         for name in ("n_g", "n_p", "n_t"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
 
     @property
@@ -69,7 +69,50 @@ class ProblemSpec:
         return self.n_g * self.n_t
 
 
-class Chromosome:
+class _CellGrids:
+    """Immutable value over read-only grids whose first two axes are (gantry, slot).
+
+    A subclass names its grids in ``_GRIDS``, first grid first; a trailing
+    axis holds per-cell data.  Equality compares every grid by content.
+    """
+
+    __slots__ = ()
+    _GRIDS: tuple[str, ...] = ()
+
+    @classmethod
+    def _adopt(cls, *grids: np.ndarray) -> _CellGrids:
+        """Wrap arrays that the caller owns and built valid, unchecked."""
+        obj = object.__new__(cls)
+        for name, grid in zip(cls._GRIDS, grids):
+            grid.setflags(write=False)
+            setattr(obj, name, grid)
+        return obj
+
+    @property
+    def grids(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name in self._GRIDS)
+
+    @property
+    def n_g(self) -> int:
+        return getattr(self, self._GRIDS[0]).shape[0]
+
+    @property
+    def n_t(self) -> int:
+        return getattr(self, self._GRIDS[0]).shape[1]
+
+    @property
+    def n_cells(self) -> int:
+        return self.n_g * self.n_t
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in self._GRIDS)
+
+    __hash__ = None  # array-backed equality; instances are not hashable
+
+
+class Chromosome(_CellGrids):
     """A full daily schedule held as per-gantry status and patient arrays.
 
     Instances are immutable value objects: the backing arrays are read-only
@@ -77,9 +120,10 @@ class Chromosome:
     wherever the status is idle and a valid patient id everywhere else.
     """
 
-    __slots__ = ("statuses", "patients", "__weakref__")
+    _GRIDS = ("statuses", "patients")
+    __slots__ = (*_GRIDS, "__weakref__")
 
-    def __init__(self, statuses, patients, *, n_p: int | None = None):
+    def __new__(cls, statuses, patients, *, n_p: int | None = None) -> Chromosome:
         given = (np.asarray(statuses), np.asarray(patients))
         if given[0].dtype.kind not in "iu" or given[1].dtype.kind not in "iu":
             raise ValueError("statuses and patients must be integer arrays")
@@ -103,41 +147,7 @@ class Chromosome:
             raise ValueError("non-idle cells must hold a patient id")
         if n_p is not None and busy_patients.size and busy_patients.max() >= n_p:
             raise ValueError(f"patient ids must lie in [0, {n_p})")
-        statuses.setflags(write=False)
-        patients.setflags(write=False)
-        self.statuses = statuses
-        self.patients = patients
-
-    @classmethod
-    def _adopt(cls, statuses: np.ndarray, patients: np.ndarray) -> Chromosome:
-        """Wrap int8 / int32 arrays that the caller owns and built valid, unchecked."""
-        statuses.setflags(write=False)
-        patients.setflags(write=False)
-        chrom = object.__new__(cls)
-        chrom.statuses = statuses
-        chrom.patients = patients
-        return chrom
-
-    @property
-    def n_g(self) -> int:
-        return int(self.statuses.shape[0])
-
-    @property
-    def n_t(self) -> int:
-        return int(self.statuses.shape[1])
-
-    @property
-    def n_cells(self) -> int:
-        return self.statuses.size
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Chromosome):
-            return NotImplemented
-        return np.array_equal(self.statuses, other.statuses) and np.array_equal(
-            self.patients, other.patients
-        )
-
-    __hash__ = None  # array-backed equality; instances are not hashable
+        return cls._adopt(statuses, patients)
 
     def __repr__(self) -> str:
         return f"Chromosome(n_g={self.n_g}, n_t={self.n_t})"

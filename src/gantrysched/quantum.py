@@ -12,6 +12,7 @@ classical one with these operators substituted.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .classical import (
     RunResult,
     _evolve,
     _paired_crossover,
-    _swap_tails,
     repair_chromosome,
 )
 from .fitness import FitnessBreakdown, ScoreTable, evaluate_breakdown
@@ -30,6 +30,7 @@ from .model import (
     Chromosome,
     ConfigError,
     ProblemSpec,
+    _CellGrids,
 )
 from .rng import (
     PHASE_EVAL,
@@ -47,7 +48,7 @@ _AMP_FLOOR = 0.5
 _AMP_CAP = math.sqrt(0.99)
 
 
-class QuantumChromosome:
+class QuantumChromosome(_CellGrids):
     """Grid of per-cell amplitude vectors for patient ids and statuses.
 
     ``id_amps`` has shape (n_g, n_t, n_p) and ``status_amps`` has shape
@@ -55,9 +56,10 @@ class QuantumChromosome:
     immutable; operations return new objects.
     """
 
-    __slots__ = ("id_amps", "status_amps")
+    _GRIDS = ("id_amps", "status_amps")
+    __slots__ = _GRIDS
 
-    def __init__(self, id_amps, status_amps):
+    def __new__(cls, id_amps, status_amps) -> QuantumChromosome:
         id_amps = np.array(id_amps, dtype=np.float64)
         status_amps = np.array(status_amps, dtype=np.float64)
         if id_amps.ndim != 3 or status_amps.ndim != 3:
@@ -66,50 +68,18 @@ class QuantumChromosome:
             raise ValueError("id and status grids must cover the same cells")
         if status_amps.shape[2] != N_STATUSES:
             raise ValueError(f"status vectors must have dimension {N_STATUSES}")
+        if status_amps.size == 0:
+            raise ValueError("a chromosome needs at least one gantry and one slot")
         for name, grid in (("id", id_amps), ("status", status_amps)):
             norms = np.sum(grid * grid, axis=-1)
             drift = float(np.max(np.abs(norms - 1.0)))
-            if drift > _NORM_TOL:
+            if not drift <= _NORM_TOL:  # NaN drift fails too
                 raise ValueError(f"{name} amplitudes are not unit norm (drift {drift:.3g})")
-        id_amps.setflags(write=False)
-        status_amps.setflags(write=False)
-        self.id_amps = id_amps
-        self.status_amps = status_amps
-
-    @classmethod
-    def _adopt(cls, id_amps: np.ndarray, status_amps: np.ndarray) -> QuantumChromosome:
-        """Wrap unit-norm float64 grids that the caller owns, unchecked."""
-        id_amps.setflags(write=False)
-        status_amps.setflags(write=False)
-        qchrom = object.__new__(cls)
-        qchrom.id_amps = id_amps
-        qchrom.status_amps = status_amps
-        return qchrom
-
-    @property
-    def n_g(self) -> int:
-        return int(self.id_amps.shape[0])
-
-    @property
-    def n_t(self) -> int:
-        return int(self.id_amps.shape[1])
+        return cls._adopt(id_amps, status_amps)
 
     @property
     def n_p(self) -> int:
         return int(self.id_amps.shape[2])
-
-    @property
-    def n_cells(self) -> int:
-        return self.n_g * self.n_t
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QuantumChromosome):
-            return NotImplemented
-        return np.array_equal(self.id_amps, other.id_amps) and np.array_equal(
-            self.status_amps, other.status_amps
-        )
-
-    __hash__ = None  # array-backed equality; instances are not hashable
 
     def __repr__(self) -> str:
         return f"QuantumChromosome(n_g={self.n_g}, n_t={self.n_t}, n_p={self.n_p})"
@@ -149,16 +119,6 @@ def observe(qchrom: QuantumChromosome, rng: np.random.Generator) -> Chromosome:
     return Chromosome._adopt(statuses, patients)
 
 
-def q_single_point_crossover(
-    a: QuantumChromosome, b: QuantumChromosome, point: int
-) -> tuple[QuantumChromosome, QuantumChromosome]:
-    """Swap amplitude-cell tails at a cut point in the track-major flattening."""
-    (ids1, stat1), (ids2, stat2) = _swap_tails(
-        (a.id_amps, a.status_amps), (b.id_amps, b.status_amps), point
-    )
-    return QuantumChromosome._adopt(ids1, stat1), QuantumChromosome._adopt(ids2, stat2)
-
-
 def q_mutate(qchrom: QuantumChromosome, rng: np.random.Generator) -> QuantumChromosome:
     """Collapse one random cell to random basis states in both registers."""
     flat = int(rng.integers(0, qchrom.n_cells))
@@ -185,9 +145,13 @@ def amplify(v, target: int) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"amplify takes a 1-d vector, got {v.ndim} dimensions")
-    if not 0 <= target < v.size:
-        raise ValueError(f"target must index into the vector, got {target}")
-    return _amplify_grid(v, np.asarray(target), np.asarray(True))
+    try:
+        index = operator.index(target)
+    except TypeError:
+        raise ValueError(f"target must be an integer, got {target!r}") from None
+    if isinstance(target, bool) or not 0 <= index < v.size:
+        raise ValueError(f"target must index into the vector, got {target!r}")
+    return _amplify_grid(v, np.asarray(index), np.asarray(True))
 
 
 def _amplify_grid(amps: np.ndarray, targets: np.ndarray, active: np.ndarray) -> np.ndarray:
@@ -257,7 +221,7 @@ def run_quantum(
         return evaluate_breakdown(shadow, table), shadow
 
     def crossover_pop(pop, r_c, rng):
-        return _paired_crossover(pop, r_c, rng, q_single_point_crossover, spec.n_cells)
+        return _paired_crossover(pop, r_c, rng, spec.n_cells)
 
     mutators = (
         (
@@ -286,7 +250,7 @@ def qubit_estimate(n_chromosomes: int, n_t: int, n_g: int, n_p: int, n_s: int) -
         "n_s": n_s,
     }
     for name, value in values.items():
-        if not isinstance(value, int) or value < 1:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ConfigError(f"{name} must be a positive integer, got {value!r}")
     bits = (n_p - 1).bit_length() + (n_s - 1).bit_length()
     return n_chromosomes * n_t * n_g * bits

@@ -65,6 +65,19 @@ def quantum_from_schedule(schedule: Chromosome, n_p: int) -> QuantumChromosome:
     return QuantumChromosome(ids, statuses)
 
 
+@st.composite
+def quantum_chromosomes(draw, spec: ProblemSpec) -> QuantumChromosome:
+    """Random unit amplitudes, or the basis encoding of a random schedule."""
+    if draw(st.booleans()):
+        return quantum_from_schedule(draw(chromosomes(spec)), spec.n_p)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grids = []
+    for size in (spec.n_p, N_STATUSES):
+        v = rng.normal(size=(spec.n_g, spec.n_t, size))
+        grids.append(v / np.sqrt(np.sum(v * v, axis=-1, keepdims=True)))
+    return QuantumChromosome(*grids)
+
+
 @pytest.fixture
 def small_spec() -> ProblemSpec:
     return ProblemSpec(n_g=2, n_p=3, n_t=20)

@@ -26,13 +26,13 @@ from gantrysched import (
     observe,
     q_mutate,
     q_repair,
-    q_single_point_crossover,
     qubit_estimate,
     random_chromosome,
     repair_chromosome,
     run_classical,
     run_quantum,
     sample_index,
+    single_point_crossover,
     uniform_quantum_chromosome,
 )
 from gantrysched.cli import main
@@ -144,7 +144,7 @@ def test_05_amplitude_stability_under_mixed_operations():
             a = q_mutate(a, rng)
         elif k % 4 == 2:
             point = int(rng.integers(1, spec.n_cells))
-            a, b = q_single_point_crossover(a, b, point)
+            a, b = single_point_crossover(a, b, point)
         else:
             a = q_repair(a, spec, rng)
             a, b = b, a

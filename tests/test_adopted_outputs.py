@@ -20,7 +20,6 @@ from gantrysched import (
     observe,
     q_mutate,
     q_repair,
-    q_single_point_crossover,
     random_chromosome,
     repair_chromosome,
     single_point_crossover,
@@ -28,7 +27,7 @@ from gantrysched import (
 )
 from gantrysched.rng import substream
 
-from conftest import SMALL_SPECS, chromosomes, quantum_from_schedule
+from conftest import SMALL_SPECS, chromosomes, quantum_chromosomes
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -51,19 +50,6 @@ def assert_valid_quantum(qchrom: QuantumChromosome, spec) -> None:
     assert qchrom.id_amps.shape[:2] == (spec.n_g, spec.n_t) and qchrom.n_p == spec.n_p
     assert QuantumChromosome(qchrom.id_amps, qchrom.status_amps) == qchrom
     assert_read_only(qchrom.id_amps, qchrom.status_amps)
-
-
-@st.composite
-def quantum_chromosomes(draw, spec) -> QuantumChromosome:
-    """Random unit amplitudes, or the basis encoding of a random schedule."""
-    if draw(st.booleans()):
-        return quantum_from_schedule(draw(chromosomes(spec)), spec.n_p)
-    rng = np.random.default_rng(draw(SEEDS))
-    grids = []
-    for size in (spec.n_p, 8):
-        v = rng.normal(size=(spec.n_g, spec.n_t, size))
-        grids.append(v / np.sqrt(np.sum(v * v, axis=-1, keepdims=True)))
-    return QuantumChromosome(*grids)
 
 
 @settings(max_examples=60, deadline=None)
@@ -93,6 +79,6 @@ def test_quantum_operator_outputs_pass_public_checks(data, spec, seed):
     outputs = [q_mutate(a, rng), q_repair(a, spec, rng), q_repair(uniform, spec, rng)]
     if spec.n_cells >= 2:
         point = data.draw(st.integers(1, spec.n_cells - 1))
-        outputs.extend(q_single_point_crossover(a, b, point))
+        outputs.extend(single_point_crossover(a, b, point))
     for qchrom in outputs:
         assert_valid_quantum(qchrom, spec)

@@ -35,7 +35,15 @@ from gantrysched.rng import substream
 
 from brute_fitness import brute_breakdown
 from brute_repair import brute_repair
-from conftest import SMALL_SPECS, chromosomes, idle_rows, perfect_chromosome, rows_with_cycle
+from conftest import (
+    SMALL_SPECS,
+    chromosomes,
+    idle_rows,
+    perfect_chromosome,
+    quantum_chromosomes,
+    quantum_from_schedule,
+    rows_with_cycle,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,12 +56,16 @@ def tiny_params(**overrides) -> GaParams:
     return dataclasses.replace(PARAMS, **overrides)
 
 
-def cell_counts(*chroms: Chromosome) -> Counter:
-    """Multiset of (status, patient) cells over all given chromosomes."""
+def cell_counts(*chroms) -> Counter:
+    """Multiset of cells over all given chromosomes of one kind.
+
+    A cell is its row of every grid: (status, patient) for a schedule, the
+    pair of amplitude vectors for a quantum chromosome.
+    """
     return Counter(
-        cell
+        tuple(tuple(row) for row in cell)
         for chrom in chroms
-        for cell in zip(chrom.statuses.ravel().tolist(), chrom.patients.ravel().tolist())
+        for cell in zip(*(grid.reshape(chrom.n_cells, -1).tolist() for grid in chrom.grids))
     )
 
 
@@ -140,19 +152,33 @@ class TestCrossover:
             single_point_crossover(a, a, point=a.n_cells)
 
     @settings(max_examples=50, deadline=None)
-    @given(data=st.data(), spec=SMALL_SPECS)
-    def test_cell_multiset_is_preserved(self, data, spec):
+    @given(
+        data=st.data(),
+        spec=SMALL_SPECS,
+        kind=st.sampled_from([chromosomes, quantum_chromosomes]),
+    )
+    def test_cell_multiset_is_preserved(self, data, spec, kind):
         assume(spec.n_cells >= 2)
-        a, b = data.draw(chromosomes(spec)), data.draw(chromosomes(spec))
+        a, b = data.draw(kind(spec)), data.draw(kind(spec))
         point = data.draw(st.integers(1, spec.n_cells - 1))
-        assert cell_counts(*single_point_crossover(a, b, point)) == cell_counts(a, b)
+        children = single_point_crossover(a, b, point)
+        assert all(type(child) is type(a) for child in children)
+        assert cell_counts(*children) == cell_counts(a, b)
+
+    def test_kinds_do_not_mix(self):
+        spec = ProblemSpec(n_g=2, n_p=3, n_t=4)
+        chrom = random_chromosome(spec, substream(33, 0, 0, 0))
+        qchrom = quantum_from_schedule(chrom, spec.n_p)
+        with pytest.raises(ValueError):
+            single_point_crossover(chrom, qchrom, point=3)
+        with pytest.raises(ValueError):
+            single_point_crossover(qchrom, chrom, point=3)
+        assert chrom != qchrom and qchrom != chrom
 
     def test_population_growth(self, small_spec):
         rng = substream(32, 0, 0, 0)
         pop = [random_chromosome(small_spec, rng) for _ in range(10)]
-        grown = _paired_crossover(
-            pop, 0.27, substream(32, 0, 2, 0), single_point_crossover, small_spec.n_cells
-        )
+        grown = _paired_crossover(pop, 0.27, substream(32, 0, 2, 0), small_spec.n_cells)
         # floor(0.27 * 10 / 2) = 1 pair, two children appended
         assert len(grown) == 12
         assert grown[:10] == pop

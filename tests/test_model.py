@@ -55,7 +55,7 @@ class TestProblemSpec:
         spec = ProblemSpec(n_g=3, n_p=12, n_t=108)
         assert spec.n_cells == 324
 
-    @pytest.mark.parametrize("bad", [dict(n_g=0), dict(n_p=-1), dict(n_t=0)])
+    @pytest.mark.parametrize("bad", [dict(n_g=0), dict(n_p=-1), dict(n_t=0), dict(n_g=True)])
     def test_rejects_non_positive(self, bad):
         values = dict(n_g=2, n_p=3, n_t=20)
         values.update(bad)

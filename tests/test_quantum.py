@@ -21,12 +21,12 @@ from gantrysched import (
     observe,
     q_mutate,
     q_repair,
-    q_single_point_crossover,
     qubit_estimate,
     random_chromosome,
     repair_chromosome,
     run_quantum,
     sample_index,
+    single_point_crossover,
     uniform_quantum_chromosome,
 )
 from gantrysched.quantum import _amplify_grid
@@ -83,6 +83,17 @@ class TestQuantumChromosome:
         status[..., 0] = 1.0
         with pytest.raises(ValueError):
             QuantumChromosome(ids, status)
+
+    def test_rejects_nan_amplitudes(self):
+        ids = np.full((1, 2, 4), 0.5)
+        ids[0, 1] = np.nan  # observe would draw patient 0 for this cell
+        status = np.full((1, 2, 8), math.sqrt(1 / 8))
+        with pytest.raises(ValueError, match="unit norm"):
+            QuantumChromosome(ids, status)
+
+    def test_rejects_empty_grids(self):
+        with pytest.raises(ValueError, match="at least one gantry"):
+            QuantumChromosome(np.zeros((1, 0, 4)), np.zeros((1, 0, 8)))
 
     def test_arrays_are_read_only(self):
         q = uniform_quantum_chromosome(ProblemSpec(n_g=1, n_p=4, n_t=2))
@@ -182,7 +193,7 @@ class TestQuantumCrossover:
         b_ids = random_amplitudes(rng, (2, 2, 3))
         b_status = random_amplitudes(rng, (2, 2, 8))
         b = QuantumChromosome(b_ids, b_status)
-        c1, c2 = q_single_point_crossover(a, b, point=3)
+        c1, c2 = single_point_crossover(a, b, point=3)
         flat_a = a.id_amps.reshape(4, 3)
         flat_b = b.id_amps.reshape(4, 3)
         flat_c1 = c1.id_amps.reshape(4, 3)
@@ -194,9 +205,9 @@ class TestQuantumCrossover:
         spec = ProblemSpec(n_g=1, n_p=2, n_t=3)
         q = uniform_quantum_chromosome(spec)
         with pytest.raises(ValueError):
-            q_single_point_crossover(q, q, point=0)
+            single_point_crossover(q, q, point=0)
         with pytest.raises(ValueError):
-            q_single_point_crossover(q, q, point=3)
+            single_point_crossover(q, q, point=3)
 
 
 class TestQMutate:
@@ -264,6 +275,10 @@ class TestAmplify:
             amplify(np.array([1.0, 0.0]), target=2)
         with pytest.raises(ValueError, match="1-d"):  # grids go to _amplify_grid
             amplify(np.full((2, 2), math.sqrt(0.5)), target=0)
+        for bad in (1.5, True):
+            with pytest.raises(ValueError):
+                amplify(np.array([1.0, 0.0]), target=bad)
+        assert amplify(np.array([0.0, 1.0]), target=np.int64(1))[1] == 1.0
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data(), size=st.integers(2, 12))
@@ -369,7 +384,7 @@ class TestQubitEstimate:
         one = qubit_estimate(1, 10, 2, 4, 8)
         assert qubit_estimate(5, 10, 2, 4, 8) == 5 * one
 
-    @pytest.mark.parametrize("bad", [0, -1, 2.5])
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, True])
     def test_rejects_bad_sizes(self, bad):
         with pytest.raises(ConfigError):
             qubit_estimate(bad, 10, 2, 4, 8)
