@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .fitness import FitnessBreakdown, ScoreTable, ScoreWindow, evaluate_breakdown
+from .fitness import FitnessBreakdown, ScoreTable, ScoreWindow, _count_events, evaluate_breakdown
 from .model import (
     N_STATUSES,
     VACANT,
@@ -359,7 +360,16 @@ def run_classical(
     def crossover_pop(pop, r_c, rng):
         return _paired_crossover(pop, r_c, rng, spec.n_cells)
 
+    # Repair reads only the episode starts (busy iff non-vacant); its outputs share one score.
+    repaired = weakref.WeakValueDictionary()
+    layout_score = _count_events(repair_chromosome(fresh(0), spec), table)
+
     def repair(chrom: Chromosome, gen: int, i: int) -> Chromosome:
-        return repair_chromosome(chrom, spec)
+        key = chrom.patients[:, _repair_layout(spec.n_g, spec.n_t)[0]].tobytes()
+        fixed = repaired.get(key)
+        if fixed is None:
+            fixed = repaired[key] = repair_chromosome(chrom, spec)
+        window.hold(fixed, layout_score)
+        return fixed
 
     return _evolve(params, fresh, evaluate, crossover_pop, mutators, repair)

@@ -163,6 +163,14 @@ class ScoreWindow:
         if gen != self.gen:
             self.gen, self.current, self.previous = gen, {}, self.current
 
+    def hold(self, chrom: Chromosome, breakdown: FitnessBreakdown) -> None:
+        """File a schedule under a breakdown known to be its own, uncounted."""
+        self.current[_window_key(chrom)] = (weakref.ref(chrom), breakdown)
+
+
+def _window_key(chrom: Chromosome) -> int:  # covers all that the scorer reads
+    return hash(chrom.statuses.tobytes() + chrom.patients.tobytes())
+
 
 def evaluate_breakdown(
     chrom: Chromosome, table: ScoreTable | None = None, window: ScoreWindow | None = None
@@ -176,11 +184,10 @@ def evaluate_breakdown(
         table = ScoreTable()
     if window is None:
         return _count_events(chrom, table)
-    # the key covers everything the scorer reads of a schedule
-    key = hash(chrom.statuses.tobytes() + chrom.patients.tobytes())
+    key = _window_key(chrom)
     for entry in (window.current.get(key), window.previous.get(key)):
         seen = entry[0]() if entry is not None else None
-        if seen is not None and seen == chrom:
+        if seen is not None and (seen is chrom or seen == chrom):
             breakdown = entry[1]
             break
     else:

@@ -111,6 +111,9 @@ class _CellGrids:
 
     __hash__ = None  # array-backed equality; instances are not hashable
 
+    def __reduce__(self):  # copies and pickles come back read-only, unchecked
+        return type(self)._adopt, self.grids
+
 
 class Chromosome(_CellGrids):
     """A full daily schedule held as per-gantry status and patient arrays.

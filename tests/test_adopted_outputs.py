@@ -7,6 +7,9 @@ constructors, on small problems and on random and basis-state inputs.
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,3 +85,17 @@ def test_quantum_operator_outputs_pass_public_checks(data, spec, seed):
         outputs.extend(single_point_crossover(a, b, point))
     for qchrom in outputs:
         assert_valid_quantum(qchrom, spec)
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), spec=SMALL_SPECS)
+def test_copies_and_pickles_are_equal_read_only_values(duplicate, data, spec):
+    for value in (data.draw(chromosomes(spec)), data.draw(quantum_chromosomes(spec))):
+        twin = duplicate(value)
+        assert type(twin) is type(value) and twin == value
+        assert_read_only(*twin.grids)

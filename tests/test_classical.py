@@ -275,6 +275,32 @@ class TestRepair:
         chrom = data.draw(chromosomes(spec))
         assert repair_chromosome(chrom, spec) == brute_repair(chrom, spec)
 
+    @staticmethod
+    def assert_one_layout_score(spec: ProblemSpec, a: Chromosome, b: Chromosome) -> None:
+        """Repairs of a and b score alike; b with a's episode starts repairs as a."""
+        starts = classical._repair_layout(spec.n_g, spec.n_t)[0]
+        statuses, patients = b.statuses.copy(), b.patients.copy()
+        statuses[:, starts], patients[:, starts] = a.statuses[:, starts], a.patients[:, starts]
+        fixed = [repair_chromosome(c, spec) for c in (a, b, Chromosome(statuses, patients))]
+        assert fixed[2] == fixed[0]
+        want = brute_breakdown(fixed[0].statuses, fixed[0].patients)
+        for chrom in fixed[:2]:
+            got = evaluate_breakdown(chrom)
+            assert {**got.counts(), "total": got.total} == want
+            assert brute_breakdown(chrom.statuses, chrom.patients) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), spec=SMALL_SPECS)
+    def test_outputs_share_one_score_and_read_only_episode_starts(self, data, spec):
+        a, b = data.draw(chromosomes(spec)), data.draw(chromosomes(spec))
+        self.assert_one_layout_score(spec, a, b)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_outputs_share_one_score_and_read_only_episode_starts_on_large(self, seed):
+        spec = ProblemSpec(n_g=3, n_p=72, n_t=650)
+        rng = substream(63, 0, 0, seed)
+        self.assert_one_layout_score(spec, random_chromosome(spec, rng), random_chromosome(spec, rng))
+
     def test_matches_walking_reference_on_large(self):
         spec = ProblemSpec(n_g=3, n_p=72, n_t=650)
         rng = substream(62, 0, 0, 0)
@@ -416,20 +442,22 @@ class TestScoreWindow:
     def test_window_skips_repeats_on_medium(self, medium_spec, monkeypatch):
         returned = self.record_evaluations(monkeypatch)
         scorer_calls = self.count_calls(monkeypatch, "evaluate_breakdown", classical)
-        counted = self.count_calls(monkeypatch, "_count_events", scoring)
+        counted = self.count_calls(monkeypatch, "_count_events", scoring, classical)
         run_classical(medium_spec, tiny_params(g_max=200))
         assert len(returned) == 2010
         # every evaluation enters the scorer once ...
         assert len(scorer_calls) == 2010
-        # ... which counts only the 345 schedules not already in its window
-        assert len(counted) == 345
+        # ... which counts the repair layout once and, of the rest, only the
+        # 227 schedules that are neither in its window nor repair outputs
+        assert len(counted) == 228
 
     def test_cli_run_scores_only_evaluations(self, tmp_path, monkeypatch):
         """Writing the outputs reuses the run's breakdown instead of scoring again."""
         scorer_calls = self.count_calls(
             monkeypatch, "evaluate_breakdown", scoring, classical, quantum, cli
         )
-        counted = self.count_calls(monkeypatch, "_count_events", scoring)
+        counted = self.count_calls(monkeypatch, "_count_events", scoring, classical)
+        repairs = self.count_calls(monkeypatch, "repair_chromosome", classical)
         code = main(
             [
                 "run", "--config", str(ROOT / "configs" / "medium.json"),
@@ -438,7 +466,10 @@ class TestScoreWindow:
         )
         assert code == 0
         assert len(scorer_calls) == 2010
-        assert len(counted) == 345
+        assert len(counted) == 228
+        # one repair scores the layout; of 1600 schedules sent to repair, 324
+        # show an episode-start pattern that no live repair output answers
+        assert len(repairs) == 1 + 324
 
     def test_colliding_keys_keep_golden_outputs(self, tmp_path, monkeypatch):
         monkeypatch.setattr(scoring, "hash", lambda _: 0, raising=False)

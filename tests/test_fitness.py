@@ -376,6 +376,38 @@ class TestScoreWindow:
             for chrom, breakdown in zip(schedules, want):
                 assert evaluate_breakdown(chrom, None, window) == breakdown
 
+    def test_held_breakdown_is_returned_uncounted(self, monkeypatch):
+        chrom = perfect_chromosome(n_g=2)
+        held = dataclasses.replace(evaluate_breakdown(chrom), total=-1.0)
+        counted = self.count_events(monkeypatch)
+        window = ScoreWindow()
+        window.hold(chrom, held)
+        window.rotate(1)
+        assert evaluate_breakdown(chrom, None, window) is held
+        assert evaluate_breakdown(perfect_chromosome(n_g=2), None, window) is held
+        assert not counted
+
+    def test_held_breakdown_expires_after_two_generations(self, monkeypatch):
+        chrom = perfect_chromosome(n_g=2)
+        want = evaluate_breakdown(chrom)
+        counted = self.count_events(monkeypatch)
+        window = ScoreWindow()
+        window.hold(chrom, dataclasses.replace(want, total=-1.0))
+        window.rotate(1)
+        window.rotate(2)
+        assert evaluate_breakdown(chrom, None, window) == want
+        assert len(counted) == 1
+
+    def test_colliding_hold_of_another_schedule_is_counted_again(self, monkeypatch):
+        monkeypatch.setattr(fitness, "hash", lambda _: 0, raising=False)
+        held, asked = perfect_chromosome(n_g=2), perfect_chromosome(n_g=2, start=2)
+        want = evaluate_breakdown(asked)
+        counted = self.count_events(monkeypatch)
+        window = ScoreWindow()
+        window.hold(held, dataclasses.replace(want, total=-1.0))
+        assert evaluate_breakdown(asked, None, window) == want
+        assert len(counted) == 1
+
 
 class TestKnownObjectiveFlaw:
     """The default weights rank a layout with no finished therapy first.

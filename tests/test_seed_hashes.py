@@ -2,8 +2,8 @@
 
 ``golden/seed_hashes.json`` holds SHA-256 digests of ``curves.csv`` and
 ``best_schedule.json`` for medium seeds 1-9 of both algorithms at
-``g_max`` 40, and for the large classical run at seed 0 and ``g_max`` 20,
-whose population grows to 342.  A change that means to alter seeded
+``g_max`` 40, and for the large classical runs at seeds 0-2 and ``g_max``
+20, whose population grows to 342.  A change that means to alter seeded
 results regenerates the file, and says why:
 
     PYTHONPATH=src python tests/test_seed_hashes.py
@@ -26,7 +26,7 @@ OUTPUTS = ("curves.csv", "best_schedule.json")
 
 RUNS = [
     ("medium", algo, seed, 40) for algo in ("classical", "quantum") for seed in range(1, 10)
-] + [("large", "classical", 0, 20)]
+] + [("large", "classical", seed, 20) for seed in range(3)]
 
 
 def run_key(config: str, algo: str, seed: int, g_max: int) -> str:
