@@ -16,7 +16,7 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .fitness import FitnessBreakdown, ScoreTable, ScoreWindow, _count_events, evaluate_breakdown
+from .fitness import FitnessBreakdown, ScoreTable, _count_events, evaluate_breakdown
 from .model import (
     N_STATUSES,
     VACANT,
@@ -24,6 +24,7 @@ from .model import (
     ConfigError,
     ProblemSpec,
     _CellGrids,
+    _check_int,
     cycle_status_pattern,
     random_chromosome,
     status_duration,
@@ -69,13 +70,9 @@ class GaParams:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
-        if self.n_ini < 2:
-            raise ConfigError(f"n_ini must be at least 2, got {self.n_ini!r}")
-        if self.n_max < 2:
-            raise ConfigError(f"n_max must be at least 2, got {self.n_max!r}")
-        if self.g_max < 0:
-            raise ConfigError(f"g_max must be non-negative, got {self.g_max!r}")
-        if not 0 <= self.seed < SEED_MAX:
+        for name, low in (("n_ini", 2), ("n_max", 2), ("g_max", 0), ("seed", 0)):
+            _check_int(name, getattr(self, name), low)
+        if self.seed >= SEED_MAX:
             raise ConfigError(f"seed must be in [0, 2**64), got {self.seed!r}")
 
 
@@ -336,12 +333,6 @@ def run_classical(
     def fresh(i: int) -> Chromosome:
         return random_chromosome(spec, substream(seed, 0, PHASE_INIT, i))
 
-    window = ScoreWindow()
-
-    def evaluate(chrom: Chromosome, gen: int, i: int) -> tuple[FitnessBreakdown, Chromosome]:
-        window.rotate(gen)
-        return evaluate_breakdown(chrom, table, window), chrom
-
     mutators = (
         (
             PHASE_MUTATE_PICK_A,
@@ -360,16 +351,27 @@ def run_classical(
     def crossover_pop(pop, r_c, rng):
         return _paired_crossover(pop, r_c, rng, spec.n_cells)
 
-    # Repair reads only the episode starts (busy iff non-vacant); its outputs share one score.
+    # Repair reads only the episode starts (busy iff non-vacant), a repair
+    # output is its own repair, and all outputs share one score.
+    starts = _repair_layout(spec.n_g, spec.n_t)[0]
     repaired = weakref.WeakValueDictionary()
     layout_score = _count_events(repair_chromosome(fresh(0), spec), table)
 
+    def key(chrom: Chromosome) -> bytes:
+        return chrom.patients[:, starts].tobytes()
+
     def repair(chrom: Chromosome, gen: int, i: int) -> Chromosome:
-        key = chrom.patients[:, _repair_layout(spec.n_g, spec.n_t)[0]].tobytes()
-        fixed = repaired.get(key)
+        fixed = repaired.get(key(chrom))
         if fixed is None:
-            fixed = repaired[key] = repair_chromosome(chrom, spec)
-        window.hold(fixed, layout_score)
+            fixed = repaired[key(chrom)] = repair_chromosome(chrom, spec)
+            repaired.setdefault(key(fixed), fixed)
         return fixed
+
+    def known(chrom: Chromosome) -> FitnessBreakdown | None:  # repair outputs only
+        fixed = repaired.get(key(chrom))
+        return layout_score if fixed is not None and (fixed is chrom or fixed == chrom) else None
+
+    def evaluate(chrom: Chromosome, gen: int, i: int) -> tuple[FitnessBreakdown, Chromosome]:
+        return evaluate_breakdown(chrom, table, known), chrom
 
     return _evolve(params, fresh, evaluate, crossover_pop, mutators, repair)

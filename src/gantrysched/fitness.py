@@ -24,11 +24,10 @@ Idle runs are neutral: they are free to hold and never scored directly.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, fields
 from functools import reduce
 from operator import add
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -143,57 +142,20 @@ def _complete_episode_patients(
     return run_pat[first[ok]]
 
 
-class ScoreWindow:
-    """Breakdowns of the schedules scored in the current and previous generation.
-
-    Keys are the built-in hash of a schedule's bytes.  An entry holds a weak
-    reference to its schedule, so the window keeps no dropped schedule alive,
-    and counts only while that schedule is alive and equal: a collision or a
-    dropped schedule just re-scores.  A window serves one score table.
-    """
-
-    __slots__ = ("gen", "current", "previous")
-
-    def __init__(self) -> None:
-        self.gen = 0
-        self.current: dict[int, tuple] = {}
-        self.previous: dict[int, tuple] = {}
-
-    def rotate(self, gen: int) -> None:
-        if gen != self.gen:
-            self.gen, self.current, self.previous = gen, {}, self.current
-
-    def hold(self, chrom: Chromosome, breakdown: FitnessBreakdown) -> None:
-        """File a schedule under a breakdown known to be its own, uncounted."""
-        self.current[_window_key(chrom)] = (weakref.ref(chrom), breakdown)
-
-
-def _window_key(chrom: Chromosome) -> int:  # covers all that the scorer reads
-    return hash(chrom.statuses.tobytes() + chrom.patients.tobytes())
-
-
 def evaluate_breakdown(
-    chrom: Chromosome, table: ScoreTable | None = None, window: ScoreWindow | None = None
+    chrom: Chromosome,
+    table: ScoreTable | None = None,
+    known: Callable[[Chromosome], FitnessBreakdown | None] | None = None,
 ) -> FitnessBreakdown:
     """Deterministically count all scored events of a schedule in one pass.
 
-    Given a window, a schedule it holds is not counted again, and the
-    window's current generation then holds this schedule.
+    A breakdown that ``known`` returns for the schedule comes back uncounted;
+    ``None`` from it means count.
     """
-    if table is None:
-        table = ScoreTable()
-    if window is None:
-        return _count_events(chrom, table)
-    key = _window_key(chrom)
-    for entry in (window.current.get(key), window.previous.get(key)):
-        seen = entry[0]() if entry is not None else None
-        if seen is not None and (seen is chrom or seen == chrom):
-            breakdown = entry[1]
-            break
-    else:
-        breakdown = _count_events(chrom, table)
-    window.current[key] = (weakref.ref(chrom), breakdown)
-    return breakdown
+    breakdown = known(chrom) if known is not None else None
+    if breakdown is not None:
+        return breakdown
+    return _count_events(chrom, ScoreTable() if table is None else table)
 
 
 def _count_events(chrom: Chromosome, table: ScoreTable) -> FitnessBreakdown:

@@ -50,6 +50,12 @@ def cycle_status_pattern() -> np.ndarray:
     return np.repeat(np.arange(1, N_STATUSES, dtype=np.int8), STATUS_DURATIONS[1:])
 
 
+def _check_int(name: str, value: object, low: int) -> None:
+    """Reject anything but an int (bools included) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{name} must be an integer of at least {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Size of a scheduling problem: gantries, patients, and time slots."""
@@ -60,9 +66,7 @@ class ProblemSpec:
 
     def __post_init__(self) -> None:
         for name in ("n_g", "n_p", "n_t"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+            _check_int(name, getattr(self, name), 1)
 
     @property
     def n_cells(self) -> int:

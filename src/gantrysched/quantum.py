@@ -28,9 +28,9 @@ from .model import (
     N_STATUSES,
     VACANT,
     Chromosome,
-    ConfigError,
     ProblemSpec,
     _CellGrids,
+    _check_int,
 )
 from .rng import (
     PHASE_EVAL,
@@ -250,7 +250,6 @@ def qubit_estimate(n_chromosomes: int, n_t: int, n_g: int, n_p: int, n_s: int) -
         "n_s": n_s,
     }
     for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        _check_int(name, value, 1)
     bits = (n_p - 1).bit_length() + (n_s - 1).bit_length()
     return n_chromosomes * n_t * n_g * bits

@@ -24,7 +24,7 @@ from gantrysched import (
     weighted_total,
 )
 from gantrysched import fitness
-from gantrysched.fitness import COUNT_NAMES, ScoreWindow
+from gantrysched.fitness import COUNT_NAMES
 from gantrysched.rng import substream
 
 from brute_fitness import brute_breakdown
@@ -329,84 +329,20 @@ class TestInvariants:
             assert got.total == weighted_total(got.counts(), table)
 
 
-class TestScoreWindow:
-    """A window counts a schedule once while an equal one stays alive in it."""
+class TestKnownBreakdown:
+    """A breakdown that ``known`` returns comes back uncounted; ``None`` means count."""
 
-    @staticmethod
-    def count_events(monkeypatch) -> list:
-        counted = []
-        count = fitness._count_events
-
-        def counting(chrom, table):
-            counted.append(None)
-            return count(chrom, table)
-
-        monkeypatch.setattr(fitness, "_count_events", counting)
-        return counted
-
-    def test_hit_re_points_the_entry_until_two_generations_pass(self, monkeypatch):
-        copies = [perfect_chromosome(n_g=2) for _ in range(3)]
-        want = evaluate_breakdown(copies[0])
-        counted = self.count_events(monkeypatch)
-        window = ScoreWindow()
-        for gen, chrom in enumerate(copies):
-            window.rotate(gen)
-            assert evaluate_breakdown(chrom, None, window) == want
-        assert len(counted) == 1
-        del copies[:2]  # the entry now refers to the last copy only
-        window.rotate(3)
-        window.rotate(4)
-        assert evaluate_breakdown(copies[0], None, window) == want
-        assert len(counted) == 2
-
-    def test_dropped_schedule_is_counted_again(self, monkeypatch):
-        counted = self.count_events(monkeypatch)
-        window = ScoreWindow()
-        evaluate_breakdown(perfect_chromosome(n_g=2), None, window)
-        evaluate_breakdown(perfect_chromosome(n_g=2), None, window)
-        assert len(counted) == 2
-
-    def test_colliding_keys_never_mix_up_schedules(self, monkeypatch):
-        monkeypatch.setattr(fitness, "hash", lambda _: 0, raising=False)
-        schedules = [perfect_chromosome(n_g=2), perfect_chromosome(n_g=2, start=2)]
-        want = [evaluate_breakdown(c) for c in schedules]
-        window = ScoreWindow()
-        for gen in range(3):
-            window.rotate(gen)
-            for chrom, breakdown in zip(schedules, want):
-                assert evaluate_breakdown(chrom, None, window) == breakdown
-
-    def test_held_breakdown_is_returned_uncounted(self, monkeypatch):
-        chrom = perfect_chromosome(n_g=2)
-        held = dataclasses.replace(evaluate_breakdown(chrom), total=-1.0)
-        counted = self.count_events(monkeypatch)
-        window = ScoreWindow()
-        window.hold(chrom, held)
-        window.rotate(1)
-        assert evaluate_breakdown(chrom, None, window) is held
-        assert evaluate_breakdown(perfect_chromosome(n_g=2), None, window) is held
-        assert not counted
-
-    def test_held_breakdown_expires_after_two_generations(self, monkeypatch):
+    def test_known_breakdown_is_returned_uncounted(self, monkeypatch):
         chrom = perfect_chromosome(n_g=2)
         want = evaluate_breakdown(chrom)
-        counted = self.count_events(monkeypatch)
-        window = ScoreWindow()
-        window.hold(chrom, dataclasses.replace(want, total=-1.0))
-        window.rotate(1)
-        window.rotate(2)
-        assert evaluate_breakdown(chrom, None, window) == want
-        assert len(counted) == 1
-
-    def test_colliding_hold_of_another_schedule_is_counted_again(self, monkeypatch):
-        monkeypatch.setattr(fitness, "hash", lambda _: 0, raising=False)
-        held, asked = perfect_chromosome(n_g=2), perfect_chromosome(n_g=2, start=2)
-        want = evaluate_breakdown(asked)
-        counted = self.count_events(monkeypatch)
-        window = ScoreWindow()
-        window.hold(held, dataclasses.replace(want, total=-1.0))
-        assert evaluate_breakdown(asked, None, window) == want
-        assert len(counted) == 1
+        held = dataclasses.replace(want, total=-1.0)
+        counted, asked = [], []
+        count = fitness._count_events
+        monkeypatch.setattr(fitness, "_count_events", lambda *a: counted.append(a) or count(*a))
+        assert evaluate_breakdown(chrom, None, lambda c: asked.append(c) or held) is held
+        assert asked == [chrom] and not counted
+        assert evaluate_breakdown(chrom, None, lambda c: asked.append(c)) == want
+        assert asked == [chrom, chrom] and len(counted) == 1
 
 
 class TestKnownObjectiveFlaw:
