@@ -35,7 +35,6 @@ from .model import (
 )
 from .quantum import (
     QuantumChromosome,
-    amplify,
     observe,
     q_mutate,
     q_repair,
@@ -75,7 +74,6 @@ __all__ = [
     "SweepRecord",
     "SweepSummary",
     "VACANT",
-    "amplify",
     "build_grid",
     "cycle_status_pattern",
     "derive_seed",

@@ -25,6 +25,7 @@ from .model import (
     ProblemSpec,
     _CellGrids,
     _check_int,
+    _check_real,
     cycle_status_pattern,
     random_chromosome,
     status_duration,
@@ -67,9 +68,7 @@ class GaParams:
 
     def __post_init__(self) -> None:
         for name in ("r_s", "r_c", "r_m", "r_r"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
+            _check_real(name, getattr(self, name), 0, 1)
         for name, low in (("n_ini", 2), ("n_max", 2), ("g_max", 0), ("seed", 0)):
             _check_int(name, getattr(self, name), low)
         if self.seed >= SEED_MAX:
@@ -136,15 +135,15 @@ def single_point_crossover(a: G, b: G, point: int) -> tuple[G, G]:
     )
 
 
-def _paired_crossover(pop, r_c, rng, n_cells):
+def _paired_crossover(pop, r_c, rng):
     """Append children of floor(r_c * N / 2) disjoint random parent pairs."""
     n = len(pop)
     n_pairs = _floor_count(r_c * n / 2)
     out = list(pop)
-    if n_pairs == 0 or n_cells < 2:
+    if n_pairs == 0 or pop[0].n_cells < 2:
         return out
     chosen = rng.permutation(n)[: 2 * n_pairs]
-    points = rng.integers(1, n_cells, size=n_pairs)
+    points = rng.integers(1, pop[0].n_cells, size=n_pairs)
     for k in range(n_pairs):
         a = pop[int(chosen[2 * k])]
         b = pop[int(chosen[2 * k + 1])]
@@ -266,7 +265,7 @@ def _evolve(
     params: GaParams,
     fresh: Callable[[int], object],
     evaluate: Callable[[object, int, int], tuple[FitnessBreakdown, Chromosome]],
-    crossover_pop: Callable,
+    crossover_pop: Callable,  # always _paired_crossover; benchmark/tracer.py times it here
     mutators: Sequence[tuple[int, Callable[[object, int, int], object]]],
     repair: Callable[[object, int, int], object],
 ) -> RunResult:
@@ -277,6 +276,10 @@ def _evolve(
     """
     started = perf_counter()
     seed = params.seed
+    # Mutation and repair alike replace floor(ratio * N) distinct members, so
+    # updating pop in place reads no result of the same step.
+    steps = [(tag, params.r_m, mutate) for tag, mutate in mutators]
+    steps.append((PHASE_REPAIR_PICK, params.r_r, repair))
     pop = [fresh(i) for i in range(params.n_ini)]
     records: list[GenerationRecord] = []
     best: tuple[FitnessBreakdown, Chromosome] | None = None
@@ -294,24 +297,14 @@ def _evolve(
         pop = [chrom for chrom, _ in survivors]
         pop = crossover_pop(pop, params.r_c, substream(seed, gen, PHASE_PAIRING, 0))
 
-        # The picks are distinct, so updating pop in place reads no result
-        # of the same phase.
-        for pick_phase, mutate in mutators:
-            n_mut = _floor_count(params.r_m * len(pop))
-            if n_mut:
+        for pick_phase, ratio, step in steps:
+            n_picks = _floor_count(ratio * len(pop))
+            if n_picks:
                 picked = substream(seed, gen, pick_phase, 0).choice(
-                    len(pop), size=n_mut, replace=False
+                    len(pop), size=n_picks, replace=False
                 )
                 for i in picked.tolist():
-                    pop[i] = mutate(pop[i], gen, i)
-
-        n_rep = _floor_count(params.r_r * len(pop))
-        if n_rep:
-            picked = substream(seed, gen, PHASE_REPAIR_PICK, 0).choice(
-                len(pop), size=n_rep, replace=False
-            )
-            for i in picked.tolist():
-                pop[i] = repair(pop[i], gen, i)
+                    pop[i] = step(pop[i], gen, i)
     return RunResult(
         records=tuple(records),
         best_schedule=best[1],
@@ -348,9 +341,6 @@ def run_classical(
         ),
     )
 
-    def crossover_pop(pop, r_c, rng):
-        return _paired_crossover(pop, r_c, rng, spec.n_cells)
-
     # Repair reads only the episode starts (busy iff non-vacant), a repair
     # output is its own repair, and all outputs share one score.
     starts = _repair_layout(spec.n_g, spec.n_t)[0]
@@ -374,4 +364,4 @@ def run_classical(
     def evaluate(chrom: Chromosome, gen: int, i: int) -> tuple[FitnessBreakdown, Chromosome]:
         return evaluate_breakdown(chrom, table, known), chrom
 
-    return _evolve(params, fresh, evaluate, crossover_pop, mutators, repair)
+    return _evolve(params, fresh, evaluate, _paired_crossover, mutators, repair)

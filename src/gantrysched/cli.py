@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .classical import GaParams, RunResult
 from .fitness import FitnessBreakdown, ScoreTable
-from .model import VACANT, Chromosome, ConfigError, GantryStatus, ProblemSpec
+from .model import VACANT, Chromosome, ConfigError, GantryStatus, ProblemSpec, _check_real
 from .quantum import qubit_estimate
 from .sweep import (
     ALGORITHMS,
@@ -56,10 +56,7 @@ def _require_int(name: str, value) -> int:
 
 
 def _require_number(name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config field {name!r} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"config field {name!r} must be finite, got {value!r}")
+    _check_real(f"config field {name!r}", value, -math.inf, math.inf)
     return float(value)
 
 

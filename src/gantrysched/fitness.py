@@ -35,8 +35,8 @@ from .model import (
     STATUS_DURATIONS,
     N_STATUSES,
     Chromosome,
-    ConfigError,
     GantryStatus,
+    _check_real,
 )
 
 _DISPOSE = int(GantryStatus.DISPOSE)
@@ -59,9 +59,7 @@ class ScoreTable:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"score {f.name} must be finite and non-negative, got {value!r}")
+            _check_real(f"score {f.name}", getattr(self, f.name), 0, math.inf)
 
 
 @dataclass(frozen=True)

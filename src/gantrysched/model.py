@@ -9,6 +9,8 @@ so a schedule can only contain a finished treatment when ``n_t >= 26``.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -54,6 +56,13 @@ def _check_int(name: str, value: object, low: int) -> None:
     """Reject anything but an int (bools included) of at least ``low``."""
     if isinstance(value, bool) or not isinstance(value, int) or value < low:
         raise ConfigError(f"{name} must be an integer of at least {low}, got {value!r}")
+
+
+def _check_real(name: str, value: object, low: float, high: float) -> None:
+    """Reject anything but a finite real number (bools excluded) in [low, high]."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and low <= value <= high and math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite number in [{low}, {high}], got {value!r}")
 
 
 @dataclass(frozen=True)

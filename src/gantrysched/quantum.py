@@ -12,7 +12,6 @@ classical one with these operators substituted.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
@@ -134,28 +133,16 @@ def q_mutate(qchrom: QuantumChromosome, rng: np.random.Generator) -> QuantumChro
     return QuantumChromosome._adopt(ids, statuses)
 
 
-def amplify(v, target: int) -> np.ndarray:
-    """Boost the target amplitude and rescale the rest of the vector.
-
-    The target's magnitude becomes min(max(10 * |a|, 0.5), sqrt(0.99)); the
-    other amplitudes shrink in proportion to their previous squared values
-    (or share the residual uniformly if they were all zero).  A target at or
-    above the cap leaves the vector unchanged.  Signs are preserved.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"amplify takes a 1-d vector, got {v.ndim} dimensions")
-    try:
-        index = operator.index(target)
-    except TypeError:
-        raise ValueError(f"target must be an integer, got {target!r}") from None
-    if isinstance(target, bool) or not 0 <= index < v.size:
-        raise ValueError(f"target must index into the vector, got {target!r}")
-    return _amplify_grid(v, np.asarray(index), np.asarray(True))
-
-
 def _amplify_grid(amps: np.ndarray, targets: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """Amplify each active cell toward its target as :func:`amplify` describes."""
+    """Boost each active vector's target amplitude and rescale the rest of it.
+
+    The vectors lie along the last axis of ``amps``; ``targets`` and
+    ``active`` cover the other axes.  The target's magnitude becomes
+    min(max(10 * |a|, 0.5), sqrt(0.99)); the other amplitudes shrink in
+    proportion to their previous squared values (or share the residual
+    uniformly if they were all zero).  A target at or above the cap leaves
+    the vector unchanged, as does an inactive cell.  Signs are preserved.
+    """
     tgt = np.take_along_axis(amps, targets[..., None], axis=-1)[..., 0]
     a = np.abs(tgt)
     do = active & (a < _AMP_CAP)
@@ -220,9 +207,6 @@ def run_quantum(
         shadow = observe(qchrom, substream(seed, gen, PHASE_EVAL, i))
         return evaluate_breakdown(shadow, table), shadow
 
-    def crossover_pop(pop, r_c, rng):
-        return _paired_crossover(pop, r_c, rng, spec.n_cells)
-
     mutators = (
         (
             PHASE_MUTATE_PICK_A,
@@ -233,7 +217,7 @@ def run_quantum(
     def repair(qchrom, gen: int, i: int) -> QuantumChromosome:
         return q_repair(qchrom, spec, substream(seed, gen, PHASE_REPAIR, i))
 
-    return _evolve(params, fresh, evaluate, crossover_pop, mutators, repair)
+    return _evolve(params, fresh, evaluate, _paired_crossover, mutators, repair)
 
 
 def qubit_estimate(n_chromosomes: int, n_t: int, n_g: int, n_p: int, n_s: int) -> int:

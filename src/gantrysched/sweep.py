@@ -11,7 +11,7 @@ import numpy as np
 
 from .classical import GaParams, run_classical
 from .fitness import ScoreTable
-from .model import ConfigError, ProblemSpec
+from .model import ConfigError, ProblemSpec, _check_real
 from .quantum import run_quantum
 from .rng import derive_seed
 
@@ -36,11 +36,10 @@ class SweepAxis:
     step: float
 
     def __post_init__(self) -> None:
-        # Written as ranges that NaN and infinities fail.
-        if not 0 < self.step < math.inf:
-            raise ConfigError(f"axis step must be positive and finite, got {self.step!r}")
-        if not 0 <= self.half_width < math.inf:
-            raise ConfigError(f"axis half_width must be finite and >= 0, got {self.half_width!r}")
+        for name, low in (("center", -math.inf), ("half_width", 0), ("step", 0)):
+            _check_real(f"axis {name}", getattr(self, name), low, math.inf)
+        if self.step == 0:
+            raise ConfigError(f"axis step must be positive, got {self.step!r}")
 
     def values(self) -> list[float]:
         """Axis values rounded to two decimals, lowest first."""

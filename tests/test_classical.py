@@ -89,6 +89,11 @@ class TestGaParams:
             dict(seed=True),
             dict(seed="1"),
             dict(n_ini=np.int64(10)),
+            # the ratios are finite real numbers, never bools or strings
+            dict(r_s="0.5"),
+            dict(r_s=True),
+            dict(r_m=None),
+            dict(r_c=float("nan")),
         ],
     )
     def test_rejects_bad_values(self, bad):
@@ -187,7 +192,7 @@ class TestCrossover:
     def test_population_growth(self, small_spec):
         rng = substream(32, 0, 0, 0)
         pop = [random_chromosome(small_spec, rng) for _ in range(10)]
-        grown = _paired_crossover(pop, 0.27, substream(32, 0, 2, 0), small_spec.n_cells)
+        grown = _paired_crossover(pop, 0.27, substream(32, 0, 2, 0))
         # floor(0.27 * 10 / 2) = 1 pair, two children appended
         assert len(grown) == 12
         assert grown[:10] == pop

@@ -72,6 +72,9 @@ class TestScoreTable:
         for value in (-1.0, math.inf, math.nan):
             with pytest.raises(ConfigError):
                 ScoreTable(interruption=value)
+        for value in ("1", True, None):  # weights are real numbers, never bools
+            with pytest.raises(ConfigError, match="conflict"):
+                ScoreTable(conflict=value)
 
     def test_weighted_total(self):
         counts = dict.fromkeys(

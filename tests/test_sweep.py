@@ -66,6 +66,14 @@ class TestSweepAxis:
         with pytest.raises(ConfigError):
             SweepAxis(center=0.5, half_width=math.inf, step=math.inf)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(center="x"), dict(center=math.nan), dict(half_width=True), dict(step="0.1")],
+    )
+    def test_rejects_non_numbers(self, bad):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            SweepAxis(**{**dict(center=0.5, half_width=0.1, step=0.1), **bad})
+
 
 class TestBuildGrid:
     def test_cartesian_product_in_canonical_order(self):
