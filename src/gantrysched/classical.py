@@ -239,10 +239,16 @@ def repair_chromosome(chrom: Chromosome, spec: ProblemSpec) -> Chromosome:
     has no duration violations, conflicts, interruptions, or duplicate
     treatments.
     """
-    starts, layout, episode = _repair_layout(spec.n_g, spec.n_t)
+    starts = _repair_layout(spec.n_g, spec.n_t)[0]
+    return _repair_starts(chrom.statuses[:, starts], chrom.patients[:, starts], spec)
+
+
+def _repair_starts(busy_at_starts, incumbents_at_starts, spec: ProblemSpec) -> Chromosome:
+    """Repair from the (n_g, episodes) start cells: busy (nonzero) flags and incumbents."""
+    _, layout, episode = _repair_layout(spec.n_g, spec.n_t)
     treated = set()
-    busy_at = chrom.statuses[:, starts].ravel().tolist()
-    incumbents = chrom.patients[:, starts].ravel().tolist()
+    busy_at = busy_at_starts.ravel().tolist()
+    incumbents = incumbents_at_starts.ravel().tolist()
     picks = []
     lowest = 0
     for busy, incumbent in zip(busy_at, incumbents):

@@ -102,26 +102,15 @@ def _resolve_config(
     }
     spec = ProblemSpec(**spec_values)
 
+    defaults = {**_PARAM_DEFAULTS, "n_max": _N_MAX_DEFAULTS[algo]}
     ga_values = {}
-    for field in _GA_FIELDS:
-        prefixed = f"{algo}_{field}"
-        if prefixed in doc:
-            value = doc[prefixed]
-            source = prefixed
-        elif field in doc:
-            value = doc[field]
-            source = field
-        elif field == "n_max":
-            value, source = _N_MAX_DEFAULTS[algo], None
+    for field in _GA_FIELDS:  # the algorithm's own key wins over the shared one
+        source = next((key for key in (f"{algo}_{field}", field) if key in doc), None)
+        if source is None:
+            ga_values[field] = defaults[field]
         else:
-            value, source = _PARAM_DEFAULTS[field], None
-        if source is not None:
-            value = (
-                _require_int(source, value)
-                if field in _GA_INT_FIELDS
-                else _require_number(source, value)
-            )
-        ga_values[field] = value
+            check = _require_int if field in _GA_INT_FIELDS else _require_number
+            ga_values[field] = check(source, doc[source])
     if seed_override is not None:
         ga_values["seed"] = seed_override
     params = GaParams(**ga_values)
@@ -199,18 +188,13 @@ def schedule_document(
     spec: ProblemSpec, table: ScoreTable, schedule: Chromosome, breakdown: FitnessBreakdown
 ) -> dict:
     """Self-contained JSON document of a schedule and its fitness under ``table``."""
-    tracks = []
-    for g in range(schedule.n_g):
-        row = []
-        for t in range(schedule.n_t):
-            patient = int(schedule.patients[g, t])
-            row.append(
-                {
-                    "status": GantryStatus(int(schedule.statuses[g, t])).name,
-                    "patient": None if patient == VACANT else patient,
-                }
-            )
-        tracks.append(row)
+    tracks = [
+        [
+            {"status": GantryStatus(status).name, "patient": None if who == VACANT else who}
+            for status, who in zip(statuses, patients)
+        ]
+        for statuses, patients in zip(schedule.statuses.tolist(), schedule.patients.tolist())
+    ]
     return {
         "n_g": spec.n_g,
         "n_p": spec.n_p,

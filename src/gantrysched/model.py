@@ -9,8 +9,8 @@ so a schedule can only contain a finished treatment when ``n_t >= 26``.
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -61,7 +61,8 @@ def _check_int(name: str, value: object, low: int) -> None:
 def _check_real(name: str, value: object, low: float, high: float) -> None:
     """Reject anything but a finite real number (bools excluded) in [low, high]."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and low <= value <= high and math.isfinite(value)):
+    # exact comparisons: NaN, infinities and ints too large for a float fail
+    if not (real and low <= value <= high and abs(value) <= sys.float_info.max):
         raise ConfigError(f"{name} must be a finite number in [{low}, {high}], got {value!r}")
 
 

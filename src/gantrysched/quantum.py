@@ -20,7 +20,8 @@ from .classical import (
     RunResult,
     _evolve,
     _paired_crossover,
-    repair_chromosome,
+    _repair_layout,
+    _repair_starts,
 )
 from .fitness import FitnessBreakdown, ScoreTable, evaluate_breakdown
 from .model import (
@@ -102,11 +103,11 @@ def sample_index(v, u):
     v = np.asarray(v, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     sq = v * v
-    cum = np.cumsum(sq, axis=-1)
-    idx = np.sum(cum < u[..., None] * cum[..., -1:], axis=-1)
-    if np.any(u == 0):
-        idx = np.where(u == 0, np.argmax(sq > 0, axis=-1), idx)
-    return int(idx) if np.ndim(idx) == 0 else idx
+    cum = sq.cumsum(axis=-1)
+    idx = (cum < u[..., None] * cum[..., -1:]).sum(axis=-1)
+    if (u == 0).any():
+        idx = np.where(u == 0, (sq > 0).argmax(axis=-1), idx)
+    return int(idx) if idx.ndim == 0 else idx
 
 
 def observe(qchrom: QuantumChromosome, rng: np.random.Generator) -> Chromosome:
@@ -136,32 +137,33 @@ def q_mutate(qchrom: QuantumChromosome, rng: np.random.Generator) -> QuantumChro
 def _amplify_grid(amps: np.ndarray, targets: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Boost each active vector's target amplitude and rescale the rest of it.
 
-    The vectors lie along the last axis of ``amps``; ``targets`` and
-    ``active`` cover the other axes.  The target's magnitude becomes
-    min(max(10 * |a|, 0.5), sqrt(0.99)); the other amplitudes shrink in
-    proportion to their previous squared values (or share the residual
-    uniformly if they were all zero).  A target at or above the cap leaves
-    the vector unchanged, as does an inactive cell.  Signs are preserved.
+    The vectors lie along the last axis of ``amps``; ``targets`` (each in
+    [0, vector length)) and ``active`` cover the other axes.  The target's
+    magnitude becomes min(max(10 * |a|, 0.5), sqrt(0.99)); the other
+    amplitudes shrink in proportion to their previous squared values (or
+    share the residual uniformly if they were all zero).  A target at or
+    above the cap leaves the vector unchanged, as does an inactive cell;
+    when no vector changes, ``amps`` itself comes back.  Signs are preserved.
     """
-    tgt = np.take_along_axis(amps, targets[..., None], axis=-1)[..., 0]
+    n = amps.shape[-1]
+    flat = np.arange(0, targets.size * n, n).reshape(targets.shape) + targets
+    tgt = amps.take(flat)
     a = np.abs(tgt)
     do = active & (a < _AMP_CAP)
-    if not np.any(do):
-        return amps.copy()
+    if not do.any():
+        return amps
     boosted = np.clip(10.0 * a, _AMP_FLOOR, _AMP_CAP)
     residual = 1.0 - boosted * boosted
-    sq = amps * amps
-    others = np.sum(sq, axis=-1) - tgt * tgt
+    out = np.multiply(amps, amps)  # the squares, then the result in place
+    others = out.sum(axis=-1) - tgt * tgt
     safe = others > 0.0
     scale = np.sqrt(residual / np.where(safe, others, 1.0))
-    factor = np.where(do & safe, scale, 1.0)
-    out = amps * factor[..., None]
+    np.multiply(amps, np.where(do & safe, scale, 1.0)[..., None], out=out)
     uniform = do & ~safe
-    if np.any(uniform):
-        share = np.sqrt(residual / (amps.shape[-1] - 1))
-        out = np.where(uniform[..., None], share[..., None], out)
-    new_tgt = np.where(do, np.where(tgt < 0, -boosted, boosted), tgt)
-    np.put_along_axis(out, targets[..., None], new_tgt[..., None], axis=-1)
+    if uniform.any():
+        share = np.sqrt(residual / (n - 1))
+        np.copyto(out, share[..., None], where=uniform[..., None])
+    np.put(out, flat, np.where(do, np.where(tgt < 0, -boosted, boosted), tgt))
     return out
 
 
@@ -172,21 +174,25 @@ def q_repair(
 ) -> QuantumChromosome:
     """Amplify the amplitudes of a repaired shadow of the chromosome.
 
-    One observation is repaired classically; every status vector is then
-    amplified toward the repaired status, and the id vector toward the
-    repaired patient wherever that status is not idle.  Id vectors of idle
-    cells are left untouched.
+    The shadow is the classical repair of one observation.  Repair reads
+    only the episode starts, so only they are sampled, from uniforms drawn
+    as :func:`observe` draws them.  Every status vector is then amplified
+    toward the repaired status, and the id vector toward the repaired
+    patient wherever that status is not idle; other id vectors stay as is.
     """
-    shadow = observe(qchrom, rng)
-    desired = repair_chromosome(shadow, spec)
-    all_cells = np.ones((qchrom.n_g, qchrom.n_t), dtype=bool)
-    statuses = _amplify_grid(
-        qchrom.status_amps, desired.statuses.astype(np.int64), all_cells
+    shape = (qchrom.n_g, qchrom.n_t)
+    starts = _repair_layout(spec.n_g, spec.n_t)[0]
+    u_status, u_id = rng.random(shape)[:, starts], rng.random(shape)[:, starts]
+    desired = _repair_starts(
+        sample_index(qchrom.status_amps[:, starts], u_status),
+        sample_index(qchrom.id_amps[:, starts], u_id),
+        spec,
     )
     busy = desired.statuses != 0
-    id_targets = np.where(busy, desired.patients, 0).astype(np.int64)
-    ids = _amplify_grid(qchrom.id_amps, id_targets, busy)
-    return QuantumChromosome._adopt(ids, statuses)
+    return QuantumChromosome._adopt(
+        _amplify_grid(qchrom.id_amps, np.where(busy, desired.patients, 0), busy),
+        _amplify_grid(qchrom.status_amps, desired.statuses, np.ones_like(busy)),
+    )
 
 
 def run_quantum(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 SEED_MAX = 2**64
+_WORD = 2**32 - 1
 
 # Phase tags for substream derivation.  The values are arbitrary but frozen:
 # changing any of them changes every seeded run.
@@ -26,19 +27,30 @@ PHASE_REPAIR_PICK = 7
 PHASE_REPAIR = 8
 
 
-def substream(seed: int, generation: int, phase: int, index: int) -> np.random.Generator:
-    """Return the generator owned by one (generation, phase, index) unit of work."""
+def _seed_sequence(seed: int, *coordinates: int) -> np.random.SeedSequence:
+    """``SeedSequence(entropy=seed, spawn_key=coordinates)`` without its per-int coercion.
+
+    Given a spawn key, numpy mixes the seed's 32-bit words (least significant
+    first, zero-padded to four), then each coordinate's words (one for zero).
+    """
     if not 0 <= seed < SEED_MAX:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    if generation < 0 or phase < 0 or index < 0:
-        raise ValueError("substream coordinates must be non-negative")
-    key = np.random.SeedSequence(entropy=seed, spawn_key=(generation, phase, index))
-    return np.random.default_rng(key)
+    if min(coordinates) < 0:
+        raise ValueError("seed coordinates must be non-negative")
+    words = [seed & _WORD, seed >> 32, 0, 0]
+    for value in coordinates:
+        words.append(value & _WORD)
+        while value > _WORD:
+            value >>= 32
+            words.append(value & _WORD)
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
+
+
+def substream(seed: int, generation: int, phase: int, index: int) -> np.random.Generator:
+    """Return the generator owned by one (generation, phase, index) unit of work."""
+    return np.random.default_rng(_seed_sequence(seed, generation, phase, index))
 
 
 def derive_seed(master_seed: int, index: int) -> int:
     """Mix a master seed with an index into a fresh 64-bit seed."""
-    if not 0 <= master_seed < SEED_MAX:
-        raise ValueError(f"seed must be in [0, 2**64), got {master_seed}")
-    key = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
-    return int(key.generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(master_seed, index).generate_state(1, np.uint64)[0])

@@ -94,6 +94,7 @@ class TestGaParams:
             dict(r_s=True),
             dict(r_m=None),
             dict(r_c=float("nan")),
+            dict(r_s=10**400),  # too large for a float
         ],
     )
     def test_rejects_bad_values(self, bad):

@@ -205,6 +205,12 @@ class TestRunErrors:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_number_too_large_for_a_float_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, score_conflict=10**400)
+        assert main(["run", "--config", str(config)]) == 2
+        assert "score_conflict" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unwritable_out_dir_exits_3(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")

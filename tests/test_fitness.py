@@ -72,7 +72,7 @@ class TestScoreTable:
         for value in (-1.0, math.inf, math.nan):
             with pytest.raises(ConfigError):
                 ScoreTable(interruption=value)
-        for value in ("1", True, None):  # weights are real numbers, never bools
+        for value in ("1", True, None, 10**400):  # real numbers that fit a float
             with pytest.raises(ConfigError, match="conflict"):
                 ScoreTable(conflict=value)
 

@@ -28,11 +28,12 @@ from gantrysched import (
     single_point_crossover,
     uniform_quantum_chromosome,
 )
+from gantrysched.classical import _repair_layout, _repair_starts
 from gantrysched.quantum import _amplify_grid
 from gantrysched.rng import substream
 
 from brute_amplify import brute_amplify
-from conftest import quantum_from_schedule
+from conftest import SMALL_SPECS, quantum_chromosomes, quantum_from_schedule
 
 CAP = math.sqrt(0.99)
 
@@ -305,6 +306,32 @@ class TestAmplifyGrid:
                     else:
                         assert np.array_equal(out[g, t], grid[g, t])
 
+    def test_nothing_to_change_returns_the_grid_itself(self):
+        rng = substream(82, 0, 0, 0)
+        grid = random_amplitudes(rng, (3, 7, 5))
+        targets = rng.integers(0, 5, size=(3, 7))
+        assert _amplify_grid(grid, targets, np.zeros((3, 7), dtype=bool)) is grid
+        capped = np.zeros((3, 7, 5))
+        np.put_along_axis(capped, targets[..., None], rng.choice([-1.0, 1.0], (3, 7, 1)), -1)
+        assert _amplify_grid(capped, targets, np.ones((3, 7), dtype=bool)) is capped
+        for g in range(3):
+            for t in range(7):
+                assert np.array_equal(capped[g, t], brute_amplify(capped[g, t], targets[g, t]))
+
+    def test_mixed_capped_and_uncapped_cells_match_reference(self):
+        rng = substream(83, 0, 0, 0)
+        for _ in range(20):
+            grid = random_amplitudes(rng, (3, 7, 5))
+            targets = rng.integers(0, 5, size=(3, 7))
+            capped = rng.random((3, 7)) < 0.5
+            grid[capped] = 0.0  # a target at exactly the cap, the residual beside it
+            grid[capped, targets[capped]] = rng.choice([-CAP, CAP], capped.sum())
+            grid[capped, (targets[capped] + 1) % 5] = 0.1
+            out = _amplify_grid(grid, targets, np.ones((3, 7), dtype=bool))
+            for g in range(3):
+                for t in range(7):
+                    assert np.array_equal(out[g, t], brute_amplify(grid[g, t], targets[g, t]))
+
     @settings(max_examples=50, deadline=None)
     @given(data=st.data(), n_g=st.integers(1, 3), n_t=st.integers(1, 6), size=st.integers(2, 9))
     def test_keeps_unit_norms(self, data, n_g, n_t, size):
@@ -315,6 +342,28 @@ class TestAmplifyGrid:
 
 
 class TestQRepair:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), spec=SMALL_SPECS, first_seed=st.integers(0, 2**32 - 1))
+    def test_start_only_sampling_matches_observe_then_repair(self, data, spec, first_seed):
+        """Sampling only the episode starts draws and repairs as a full observation."""
+        q = data.draw(quantum_chromosomes(spec))
+        starts = _repair_layout(spec.n_g, spec.n_t)[0]
+        for seed in range(first_seed, first_seed + 4):
+            shadow = observe(q, np.random.default_rng(seed))
+            desired = repair_chromosome(shadow, spec)
+            busy = desired.statuses != 0
+            want = QuantumChromosome._adopt(
+                _amplify_grid(q.id_amps, np.where(busy, desired.patients, 0), busy),
+                _amplify_grid(q.status_amps, desired.statuses, np.ones_like(busy)),
+            )
+            assert q_repair(q, spec, np.random.default_rng(seed)) == want
+            # the kernel reads a busy flag and an incumbent per start, idle incumbents ignored
+            at_starts = shadow.statuses[:, starts] != 0
+            ids = st.integers(0, spec.n_p - 1)
+            others = data.draw(arrays(np.int64, at_starts.shape, elements=ids))
+            incumbents = np.where(at_starts, shadow.patients[:, starts], others)
+            assert _repair_starts(at_starts, incumbents, spec) == desired
+
     def test_repaired_basis_state_is_a_fixed_point(self, medium_spec):
         rng = substream(79, 0, 0, 0)
         schedule = repair_chromosome(random_chromosome(medium_spec, rng), medium_spec)
