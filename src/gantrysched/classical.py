@@ -106,10 +106,34 @@ def select(
     n = len(pairs)
     if n == 0:
         raise ValueError("cannot select from an empty population")
-    k = min(n_max, max(2, _floor_count(r_s * n)))
-    k = min(k, n)
+    k = _survivor_count(n, r_s, n_max)
     order = sorted(range(n), key=lambda i: (-pairs[i][1], i))
     return [pairs[i] for i in order[:k]]
+
+
+def _survivor_count(n: int, r_s: float, n_max: int) -> int:
+    return min(n_max, max(2, _floor_count(r_s * n)), n)
+
+
+def _pair_count(n: int, r_c: float) -> int:
+    return _floor_count(r_c * n / 2)
+
+
+def _peak_population(params: GaParams) -> int:
+    """Largest population a run evaluates, by the selection and crossover counts.
+
+    Mutation and repair keep the size.  Each size determines the next by a
+    non-decreasing map, so the sizes only rise or only fall: the peak is
+    where they stop rising.
+    """
+    n = params.n_ini
+    for _ in range(params.g_max):
+        k = _survivor_count(n, params.r_s, params.n_max)
+        grown = k + 2 * _pair_count(k, params.r_c)
+        if grown <= n:
+            break
+        n = grown
+    return n
 
 
 def single_point_crossover(a: G, b: G, point: int) -> tuple[G, G]:
@@ -138,7 +162,7 @@ def single_point_crossover(a: G, b: G, point: int) -> tuple[G, G]:
 def _paired_crossover(pop, r_c, rng):
     """Append children of floor(r_c * N / 2) disjoint random parent pairs."""
     n = len(pop)
-    n_pairs = _floor_count(r_c * n / 2)
+    n_pairs = _pair_count(n, r_c)
     out = list(pop)
     if n_pairs == 0 or pop[0].n_cells < 2:
         return out

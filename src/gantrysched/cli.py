@@ -18,7 +18,7 @@ from pathlib import Path
 from .classical import GaParams, RunResult
 from .fitness import FitnessBreakdown, ScoreTable
 from .model import VACANT, Chromosome, ConfigError, GantryStatus, ProblemSpec, _check_real
-from .quantum import qubit_estimate
+from .quantum import memory_estimate, qubit_estimate
 from .sweep import (
     ALGORITHMS,
     SweepAxis,
@@ -32,6 +32,9 @@ from .sweep import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+
+# A quantum run whose largest population needs more grid bytes than this exits 2.
+MEMORY_BOUND = 2**31
 
 _SPEC_DEFAULTS = {"n_g": 3, "n_p": 12, "n_t": 108}
 _PARAM_DEFAULTS = {
@@ -132,6 +135,15 @@ def _resolve_config(
         "scores": dataclasses.asdict(table),
     }
     return spec, params, table, out_dir, echo
+
+
+def _check_memory(spec: ProblemSpec, params: GaParams, algo: str) -> None:
+    need = memory_estimate(spec, params) if algo == "quantum" else 0
+    if need > MEMORY_BOUND:
+        raise ConfigError(
+            f"a quantum population would need about {need / 2**20:.0f} MiB of grids, "
+            f"above the {MEMORY_BOUND // 2**20} MiB bound"
+        )
 
 
 def _resolve_grid(doc: dict) -> tuple[dict[str, SweepAxis], dict[str, list[float]]]:
@@ -245,6 +257,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     spec, params, table, out_dir, echo = _resolve_config(
         doc, args.algo, args.seed, args.out
     )
+    _check_memory(spec, params, args.algo)
     result = ALGORITHMS[args.algo](spec, params, table)
     summary = {
         "algorithm": args.algo,
@@ -276,6 +289,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     points = build_grid(params, axes)
     if not filter_records(points, exclude)[0]:
         raise ConfigError(f"the grid's exclusions remove all {len(points)} points")
+    for point in points:
+        _check_memory(spec, point, args.algo)
     records = run_sweep(spec, points, table, args.algo, params.seed)
     kept, removed = filter_records(records, exclude)
     succeeded = [r for r in kept if r.error is None]

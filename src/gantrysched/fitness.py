@@ -108,35 +108,35 @@ def _run_bounds(statuses: np.ndarray, patients: np.ndarray):
     """
     n_t = statuses.shape[-1]
     statuses, patients = statuses.reshape(-1), patients.reshape(-1)
-    change = (statuses[1:] != statuses[:-1]) | (patients[1:] != patients[:-1])
-    change[n_t - 1 :: n_t] = True
-    starts = np.concatenate(([0], np.flatnonzero(change) + 1))
-    ends = np.concatenate((starts[1:], [statuses.size]))
-    return starts, ends - starts, statuses[starts], patients[starts], starts % n_t == 0
+    breaks = np.ones(statuses.size + 1, dtype=bool)  # before each run and after the last
+    inner = breaks[1:-1]
+    np.not_equal(statuses[1:], statuses[:-1], out=inner)
+    inner |= patients[1:] != patients[:-1]
+    breaks[n_t::n_t] = True
+    bounds = breaks.nonzero()[0]
+    starts = bounds[:-1]
+    return starts, bounds[1:] - starts, statuses[starts], patients[starts], starts % n_t == 0
 
 
 def _complete_episode_patients(
-    run_stat: np.ndarray, run_pat: np.ndarray, run_len: np.ndarray, opens: np.ndarray
+    run_stat: np.ndarray, run_pat: np.ndarray, nominal: np.ndarray, joined: np.ndarray
 ) -> np.ndarray:
     """Patients of complete episodes, one entry per episode.
 
-    A window of seven consecutive runs of one track forms a complete episode
-    when the statuses are the working cycle in order, every run has its
-    nominal length, the patient never changes, and the window is not
-    embedded in a longer same-patient working segment.
+    ``nominal`` marks the runs of nominal length; ``joined[k]`` says that
+    run k continues run k - 1's patient on the same track (k = 0 .. number
+    of runs, False at both ends).  A complete episode is a READY run of
+    nominal length followed by six linked runs, each the next status of
+    the cycle at its nominal length on the same track with the same patient,
+    and joined to neither neighbor: not embedded in a longer same-patient
+    working segment.
     """
     n_windows = max(run_stat.size - _CYCLE_RUNS.size + 1, 0)
-    first = np.flatnonzero(run_stat[:n_windows] == 1)
-    window = first[:, None] + _CYCLE_RUNS
-    # idle runs hold VACANT, so a patient change also marks every idle neighbor
-    apart = np.concatenate(([True], (run_pat[1:] != run_pat[:-1]) | opens[1:], [True]))
-    fits = (
-        (run_stat[window] == _CYCLE_RUNS + 1)
-        & (run_len[window] == STATUS_DURATIONS[1:])
-        & (run_pat[window] == run_pat[first, None])
-    )
-    fits[:, 1:] &= ~opens[window[:, 1:]]
-    ok = fits.all(axis=1) & apart[first] & apart[first + _CYCLE_RUNS.size]
+    first = ((run_stat[:n_windows] == 1) & nominal[:n_windows]).nonzero()[0]
+    links = np.zeros(run_stat.size, dtype=np.intp)  # links among the runs before each run
+    ((run_stat[1:] == run_stat[:-1] + 1) & joined[1:-1] & nominal[1:]).cumsum(out=links[1:])
+    last = first + _CYCLE_RUNS[-1]
+    ok = (links[last] - links[first] == _CYCLE_RUNS[-1]) & ~(joined[first] | joined[last + 1])
     return run_pat[first[ok]]
 
 
@@ -162,26 +162,28 @@ def _count_events(chrom: Chromosome, table: ScoreTable) -> FitnessBreakdown:
     working = run_stat > 0
     nominal = run_len == STATUS_DURATIONS[run_stat]
     consecutive = int(np.count_nonzero(working & nominal))
-    violations = int(np.count_nonzero(working & ~nominal))
+    violations = int(np.count_nonzero(working)) - consecutive
 
+    # the boundaries between consecutive runs; ``inside`` keeps those within a track
     a, b = run_stat[:-1], run_stat[1:]
-    follows = (b == (a + 1) % N_STATUSES) & ~opens[1:]
-    both_working = (a > 0) & (b > 0)
+    inside = ~opens[1:]
+    joined = np.zeros(run_stat.size + 1, dtype=bool)
     same_patient = run_pat[:-1] == run_pat[1:]
-    transitions = int(np.count_nonzero(follows & (~both_working | same_patient)))
+    np.logical_and(same_patient, inside, out=joined[1:-1])
+    # working runs on either side that switch patients
+    handover = working[:-1] & working[1:] & ~same_patient
+    transitions = int(np.count_nonzero((b == (a + 1) % N_STATUSES) & inside & ~handover))
+    # a patient change between busy slots, except right after a disposal run ends
+    interruptions = int(np.count_nonzero(handover & inside & (a != _DISPOSE)))
 
-    # patient change between busy slots, except right after a disposal run ends
-    sa, sb = statuses[:, :-1], statuses[:, 1:]
-    interrupted = (sa > 0) & (sb > 0) & (patients[:, :-1] != patients[:, 1:]) & (sa != _DISPOSE)
-    interruptions = int(np.count_nonzero(interrupted))
-
-    # busy cells of two gantries sharing a slot and a patient, per unordered pair
+    # busy cells of two gantries sharing a slot and a patient, per unordered pair;
+    # idle cells hold VACANT, so a busy cell's patient matches only busy cells
     busy_cells = statuses > 0
     busy = int(np.count_nonzero(busy_cells))
-    shared = (patients[:, None] == patients[None]) & busy_cells[:, None] & busy_cells[None]
+    shared = (patients[:, None] == patients[None]) & busy_cells[None]
     conflicts = (int(np.count_nonzero(shared)) - busy) // 2
 
-    finished = _complete_episode_patients(run_stat, run_pat, run_len, opens).tolist()
+    finished = _complete_episode_patients(run_stat, run_pat, nominal, joined).tolist()
     completed = len(finished)
     duplicates = completed - len(set(finished))
 

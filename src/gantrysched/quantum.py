@@ -20,6 +20,7 @@ from .classical import (
     RunResult,
     _evolve,
     _paired_crossover,
+    _peak_population,
     _repair_layout,
     _repair_starts,
 )
@@ -52,11 +53,13 @@ class QuantumChromosome(_CellGrids):
     """Grid of per-cell amplitude vectors for patient ids and statuses.
 
     ``id_amps`` has shape (n_g, n_t, n_p) and ``status_amps`` has shape
-    (n_g, n_t, 8).  Every vector is unit norm within 1e-9.  Instances are
+    (n_g, n_t, 8).  Every vector is unit norm within 1e-9.  ``id_cum`` and
+    ``status_cum`` carry the cumulative squared amplitudes along each vector,
+    which observation reads and the operators keep current.  Instances are
     immutable; operations return new objects.
     """
 
-    _GRIDS = ("id_amps", "status_amps")
+    _GRIDS = ("id_amps", "status_amps", "id_cum", "status_cum")
     __slots__ = _GRIDS
 
     def __new__(cls, id_amps, status_amps) -> QuantumChromosome:
@@ -77,12 +80,24 @@ class QuantumChromosome(_CellGrids):
                 raise ValueError(f"{name} amplitudes are not unit norm (drift {drift:.3g})")
         return cls._adopt(id_amps, status_amps)
 
+    @classmethod
+    def _adopt(cls, id_amps, status_amps, id_cum=None, status_cum=None) -> QuantumChromosome:
+        """Wrap owned grids unchecked; cumulative grids not handed in are computed."""
+        if id_cum is None:
+            id_cum, status_cum = _cumulative(id_amps), _cumulative(status_amps)
+        return super()._adopt(id_amps, status_amps, id_cum, status_cum)
+
     @property
     def n_p(self) -> int:
         return int(self.id_amps.shape[2])
 
     def __repr__(self) -> str:
         return f"QuantumChromosome(n_g={self.n_g}, n_t={self.n_t}, n_p={self.n_p})"
+
+
+def _cumulative(amps: np.ndarray) -> np.ndarray:
+    """Cumulative squared amplitudes along the last axis."""
+    return (amps * amps).cumsum(axis=-1)
 
 
 def uniform_quantum_chromosome(spec: ProblemSpec) -> QuantumChromosome:
@@ -92,6 +107,15 @@ def uniform_quantum_chromosome(spec: ProblemSpec) -> QuantumChromosome:
     return QuantumChromosome._adopt(ids, statuses)
 
 
+def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-transform indices from cumulative squares; ``u`` in [0, 1] unchecked."""
+    # cum never decreases, so the first index not below the threshold is the count below it
+    idx = (cum < u[..., None] * cum[..., -1:]).argmin(axis=-1)
+    if not u.all():  # a draw of 0 takes the first nonzero amplitude
+        idx = np.where(u == 0, (cum > 0).argmax(axis=-1), idx)
+    return idx
+
+
 def sample_index(v, u):
     """Sample basis indices from squared amplitudes by inverse transform.
 
@@ -99,22 +123,20 @@ def sample_index(v, u):
     vector may also take a batch of draws).  The result is the smallest index
     whose cumulative squared amplitude reaches ``u`` times the vector's total.
     ``u = 0`` picks the first nonzero amplitude; a scalar ``u`` gives an ``int``.
+    Every ``u`` must lie in [0, 1].
     """
-    v = np.asarray(v, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
-    sq = v * v
-    cum = sq.cumsum(axis=-1)
-    idx = (cum < u[..., None] * cum[..., -1:]).sum(axis=-1)
-    if (u == 0).any():
-        idx = np.where(u == 0, (sq > 0).argmax(axis=-1), idx)
+    if not ((u >= 0.0) & (u <= 1.0)).all():  # NaN fails too
+        raise ValueError("sample_index draws must lie in [0, 1]")
+    idx = _pick(_cumulative(np.asarray(v, dtype=np.float64)), u)
     return int(idx) if idx.ndim == 0 else idx
 
 
 def observe(qchrom: QuantumChromosome, rng: np.random.Generator) -> Chromosome:
     """Project every cell onto a classical slot; the amplitudes are untouched."""
     shape = (qchrom.n_g, qchrom.n_t)
-    statuses = sample_index(qchrom.status_amps, rng.random(shape)).astype(np.int8)
-    patients = sample_index(qchrom.id_amps, rng.random(shape)).astype(np.int32)
+    statuses = _pick(qchrom.status_cum, rng.random(shape)).astype(np.int8)
+    patients = _pick(qchrom.id_cum, rng.random(shape)).astype(np.int32)
     patients[statuses == 0] = VACANT
     return Chromosome._adopt(statuses, patients)
 
@@ -125,16 +147,18 @@ def q_mutate(qchrom: QuantumChromosome, rng: np.random.Generator) -> QuantumChro
     g, t = divmod(flat, qchrom.n_t)
     id_basis = int(rng.integers(0, qchrom.n_p))
     status_basis = int(rng.integers(0, N_STATUSES))
-    ids = qchrom.id_amps.copy()
-    statuses = qchrom.status_amps.copy()
-    ids[g, t] = 0.0
-    ids[g, t, id_basis] = 1.0
-    statuses[g, t] = 0.0
-    statuses[g, t, status_basis] = 1.0
-    return QuantumChromosome._adopt(ids, statuses)
+    ids, statuses, id_cum, status_cum = (grid.copy() for grid in qchrom.grids)
+    for amps, cum, basis in ((ids, id_cum, id_basis), (statuses, status_cum, status_basis)):
+        amps[g, t] = 0.0
+        amps[g, t, basis] = 1.0
+        cum[g, t, :basis] = 0.0
+        cum[g, t, basis:] = 1.0
+    return QuantumChromosome._adopt(ids, statuses, id_cum, status_cum)
 
 
-def _amplify_grid(amps: np.ndarray, targets: np.ndarray, active: np.ndarray) -> np.ndarray:
+def _amplify_grid(
+    amps: np.ndarray, targets: np.ndarray, active: np.ndarray, cum: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Boost each active vector's target amplitude and rescale the rest of it.
 
     The vectors lie along the last axis of ``amps``; ``targets`` (each in
@@ -142,29 +166,36 @@ def _amplify_grid(amps: np.ndarray, targets: np.ndarray, active: np.ndarray) -> 
     magnitude becomes min(max(10 * |a|, 0.5), sqrt(0.99)); the other
     amplitudes shrink in proportion to their previous squared values (or
     share the residual uniformly if they were all zero).  A target at or
-    above the cap leaves the vector unchanged, as does an inactive cell;
-    when no vector changes, ``amps`` itself comes back.  Signs are preserved.
+    above the cap leaves the vector unchanged, as does an inactive cell.
+    Signs are preserved.
+
+    Returns the new grid and its cumulative squares.  ``cum``, the input's
+    cumulative squares, is computed when not given; only the changed
+    vectors are recomputed, and when none changes ``amps`` and ``cum``
+    themselves come back.
     """
+    if cum is None:
+        cum = _cumulative(amps)
     n = amps.shape[-1]
     flat = np.arange(0, targets.size * n, n).reshape(targets.shape) + targets
     tgt = amps.take(flat)
-    a = np.abs(tgt)
-    do = active & (a < _AMP_CAP)
-    if not do.any():
-        return amps
-    boosted = np.clip(10.0 * a, _AMP_FLOOR, _AMP_CAP)
+    rows = (active & (np.abs(tgt) < _AMP_CAP)).ravel().nonzero()[0]
+    if not rows.size:
+        return amps, cum
+    tgt = tgt.ravel()[rows]
+    boosted = np.minimum(np.maximum(10.0 * np.abs(tgt), _AMP_FLOOR), _AMP_CAP)
     residual = 1.0 - boosted * boosted
-    out = np.multiply(amps, amps)  # the squares, then the result in place
-    others = out.sum(axis=-1) - tgt * tgt
+    vectors = amps.reshape(-1, n)[rows]
+    others = (vectors * vectors).sum(axis=-1) - tgt * tgt
     safe = others > 0.0
-    scale = np.sqrt(residual / np.where(safe, others, 1.0))
-    np.multiply(amps, np.where(do & safe, scale, 1.0)[..., None], out=out)
-    uniform = do & ~safe
-    if uniform.any():
-        share = np.sqrt(residual / (n - 1))
-        np.copyto(out, share[..., None], where=uniform[..., None])
-    np.put(out, flat, np.where(do, np.where(tgt < 0, -boosted, boosted), tgt))
-    return out
+    vectors *= np.sqrt(residual / np.where(safe, others, 1.0))[:, None]
+    if not safe.all():
+        vectors[~safe] = np.sqrt(residual[~safe] / (n - 1))[:, None]
+    vectors[np.arange(rows.size), targets.ravel()[rows]] = np.where(tgt < 0, -boosted, boosted)
+    out, out_cum = amps.copy(), cum.copy()
+    out.reshape(-1, n)[rows] = vectors
+    out_cum.reshape(-1, n)[rows] = _cumulative(vectors)
+    return out, out_cum
 
 
 def q_repair(
@@ -184,15 +215,18 @@ def q_repair(
     starts = _repair_layout(spec.n_g, spec.n_t)[0]
     u_status, u_id = rng.random(shape)[:, starts], rng.random(shape)[:, starts]
     desired = _repair_starts(
-        sample_index(qchrom.status_amps[:, starts], u_status),
-        sample_index(qchrom.id_amps[:, starts], u_id),
+        _pick(qchrom.status_cum[:, starts], u_status),
+        _pick(qchrom.id_cum[:, starts], u_id),
         spec,
     )
     busy = desired.statuses != 0
-    return QuantumChromosome._adopt(
-        _amplify_grid(qchrom.id_amps, np.where(busy, desired.patients, 0), busy),
-        _amplify_grid(qchrom.status_amps, desired.statuses, np.ones_like(busy)),
+    ids, id_cum = _amplify_grid(
+        qchrom.id_amps, np.where(busy, desired.patients, 0), busy, qchrom.id_cum
     )
+    statuses, status_cum = _amplify_grid(
+        qchrom.status_amps, desired.statuses, np.ones_like(busy), qchrom.status_cum
+    )
+    return QuantumChromosome._adopt(ids, statuses, id_cum, status_cum)
 
 
 def run_quantum(
@@ -224,6 +258,15 @@ def run_quantum(
         return q_repair(qchrom, spec, substream(seed, gen, PHASE_REPAIR, i))
 
     return _evolve(params, fresh, evaluate, _paired_crossover, mutators, repair)
+
+
+def memory_estimate(spec: ProblemSpec, params: GaParams) -> int:
+    """Bytes that the grids of a run's largest quantum population take.
+
+    A chromosome holds amplitude and cumulative grids of float64 over both
+    registers: n_g * n_t * (n_p + 8) * 16 bytes.
+    """
+    return spec.n_g * spec.n_t * (spec.n_p + N_STATUSES) * 16 * _peak_population(params)
 
 
 def qubit_estimate(n_chromosomes: int, n_t: int, n_g: int, n_p: int, n_s: int) -> int:

@@ -52,8 +52,14 @@ def floor_count(value):
 
 
 def build(kind, grids, spec):
-    """Build a chromosome of either kind through its validating constructor."""
-    return Chromosome(*grids, n_p=spec.n_p) if kind is Chromosome else QuantumChromosome(*grids)
+    """Build a chromosome of either kind through its validating constructor.
+
+    A quantum chromosome is built from its two amplitude grids; the
+    constructor recomputes the cumulative grids that follow them.
+    """
+    if kind is Chromosome:
+        return Chromosome(*grids, n_p=spec.n_p)
+    return QuantumChromosome(*grids[:2])
 
 
 def rebuild(chrom, spec):

@@ -87,6 +87,27 @@ def test_quantum_operator_outputs_pass_public_checks(data, spec, seed):
         assert_valid_quantum(qchrom, spec)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), spec=SMALL_SPECS, seed=SEEDS)
+def test_quantum_outputs_carry_read_only_cumulative_grids(data, spec, seed):
+    """Every quantum value carries the cumulative squares of its amplitudes."""
+    rng = substream(seed, 0, 0, 0)
+    uniform = uniform_quantum_chromosome(spec)
+    a, b = data.draw(quantum_chromosomes(spec)), data.draw(quantum_chromosomes(spec))
+    repaired = q_repair(a, spec, rng)
+    outputs = [uniform, q_mutate(a, rng), repaired, q_repair(repaired, spec, rng)]
+    outputs.append(q_repair(q_mutate(repaired, rng), spec, rng))
+    if spec.n_cells >= 2:
+        point = data.draw(st.integers(1, spec.n_cells - 1))
+        outputs.extend(single_point_crossover(repaired, b, point))
+    for value in list(outputs):
+        outputs += [copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
+    for qchrom in outputs:
+        for amps, cum in ((qchrom.id_amps, qchrom.id_cum), (qchrom.status_amps, qchrom.status_cum)):
+            assert cum.tobytes() == (amps * amps).cumsum(axis=-1).tobytes()
+        assert_read_only(qchrom.id_cum, qchrom.status_cum)
+
+
 @pytest.mark.parametrize(
     "duplicate",
     [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],

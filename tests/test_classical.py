@@ -29,7 +29,7 @@ from gantrysched import (
 )
 from gantrysched import classical, cli, quantum
 from gantrysched import fitness as scoring
-from gantrysched.classical import _paired_crossover
+from gantrysched.classical import _paired_crossover, _peak_population
 from gantrysched.cli import main
 from gantrysched.rng import substream
 
@@ -420,6 +420,28 @@ class TestRunClassical:
     def test_improves_on_medium_problem(self, medium_spec):
         result = run_classical(medium_spec, tiny_params(g_max=10))
         assert result.best_breakdown.total > result.records[0].best_fitness
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spec=SMALL_SPECS.filter(lambda spec: spec.n_cells >= 2),
+        r_s=st.integers(0, 100).map(lambda k: k / 100),
+        r_c=st.integers(0, 100).map(lambda k: k / 100),
+        n_ini=st.integers(2, 12),
+        n_max=st.integers(2, 30),
+        g_max=st.integers(0, 4),
+    )
+    def test_peak_population_matches_runs(self, spec, r_s, r_c, n_ini, n_max, g_max):
+        """The predicted peak is the largest population a run evaluates."""
+        params = tiny_params(r_s=r_s, r_c=r_c, n_ini=n_ini, n_max=n_max, g_max=g_max)
+        result = run_classical(spec, params)
+        assert max(record.population for record in result.records) == _peak_population(params)
+
+    def test_peak_population_of_the_large_configs(self):
+        """Classical large grows from 40 to 342; quantum large stays at 10."""
+        grows = tiny_params(r_c=0.37, n_ini=40, n_max=250, g_max=20)
+        assert _peak_population(grows) == 342
+        assert _peak_population(dataclasses.replace(grows, g_max=0)) == 40
+        assert _peak_population(dataclasses.replace(grows, n_ini=10, n_max=70, g_max=60)) == 10
 
 
 class TestScoreReuse:

@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 from brute_fitness import WEIGHTS, brute_breakdown
-from gantrysched import cli
+from gantrysched import GaParams, ProblemSpec, cli
 from gantrysched.cli import main
+from gantrysched.quantum import memory_estimate
 from gantrysched.fitness import COUNT_NAMES
 from gantrysched.model import GantryStatus
 
@@ -331,6 +332,51 @@ class TestSweepCommand:
         grid = write_grid(tmp_path, {"r_s": {"center": 0.5}})
         assert main(["sweep", "--config", str(config), "--grid", str(grid)]) == 2
         assert "missing" in capsys.readouterr().err
+
+
+class TestMemoryBound:
+    """Quantum runs whose grids would pass the bound exit 2 before any GA runs."""
+
+    @pytest.fixture
+    def no_runs(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a GA ran")
+
+        for algo in ("classical", "quantum"):
+            monkeypatch.setitem(cli.ALGORITHMS, algo, refuse)
+
+    def test_run_over_the_bound_exits_2(self, tmp_path, capsys, no_runs):
+        # 3 * 10**5 cells * (1000 + 8) * 16 bytes per chromosome, 4 chromosomes
+        config = write_config(tmp_path, n_g=3, n_p=1000, n_t=10**5)
+        assert main(["run", "--config", str(config), "--algo", "quantum"]) == 2
+        assert "MiB bound" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_checks_every_point(self, tmp_path, capsys, no_runs):
+        """Only the last point, whose population doubles, passes the bound."""
+        cells = 560_000  # 16 grid values per cell: 143 MB per chromosome
+        config = write_config(
+            tmp_path, n_g=1, n_p=8, n_t=cells, n_ini=10, quantum_n_max=100, r_s=1.0
+        )
+        per_chromosome = cells * 16 * 16
+        assert 14 * per_chromosome <= cli.MEMORY_BOUND < 20 * per_chromosome
+        grid = write_grid(tmp_path, {"r_c": {"center": 0.5, "half_width": 0.5, "step": 0.5}})
+        args = ["sweep", "--config", str(config), "--grid", str(grid), "--algo", "quantum"]
+        assert main(args) == 2
+        assert "MiB bound" in capsys.readouterr().err
+
+    def test_estimate_is_chromosome_size_times_peak_population(self):
+        spec = ProblemSpec(n_g=3, n_p=72, n_t=650)
+        params = GaParams(
+            r_s=0.83, r_c=0.37, r_m=0.37, r_r=0.85, n_ini=40, n_max=250, g_max=20, seed=0
+        )
+        assert memory_estimate(spec, params) == 342 * 3 * 650 * (72 + 8) * 16
+
+    @pytest.mark.parametrize("name", ["medium", "large"])
+    def test_shipped_configs_sit_far_below_the_bound(self, name):
+        doc = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+        spec, params, *_ = cli._resolve_config(doc, "quantum")
+        assert memory_estimate(spec, params) * 50 < cli.MEMORY_BOUND
 
 
 class TestQubitsCommand:

@@ -19,6 +19,8 @@ from gantrysched import (
     ProblemSpec,
     ScoreTable,
     evaluate_breakdown,
+    mutate_patient_ids,
+    mutate_statuses,
     random_chromosome,
     repair_chromosome,
     weighted_total,
@@ -28,7 +30,7 @@ from gantrysched.fitness import COUNT_NAMES
 from gantrysched.rng import substream
 
 from brute_fitness import brute_breakdown
-from conftest import CYCLE_SLOTS, idle_rows, perfect_chromosome, rows_with_cycle
+from conftest import CYCLE_SLOTS, SMALL_SPECS, idle_rows, perfect_chromosome, rows_with_cycle
 
 
 def reference_weighted_total(counts, table: ScoreTable) -> float:
@@ -192,6 +194,16 @@ class TestEventSemantics:
         # leading double-ready run breaks the nominal duration as well
         assert got.duration_violations == 1
 
+    @pytest.mark.parametrize(
+        "before, after", [([7] * 4, []), ([], [3] * 15)], ids=["led", "followed"]
+    )
+    def test_cycle_glued_to_a_same_patient_run_is_not_complete(self, before, after):
+        """Nominal runs of the same patient on either side embed the cycle."""
+        statuses = before + CYCLE_SLOTS + after
+        chrom = Chromosome([statuses], [[0] * len(statuses)])
+        assert evaluate_breakdown(chrom).completed_therapies == 0
+        assert_matches_oracle(chrom)
+
     def test_duplicates_count_repeat_completions(self):
         chrom = perfect_chromosome(n_g=3, n_t=28, start=1, patients=[4, 4, 4])
         got = evaluate_breakdown(chrom)
@@ -243,6 +255,28 @@ def multi_track_schedules(draw) -> Chromosome:
     return Chromosome(
         np.reshape(statuses[:cells], shape), np.reshape(patients[:cells], shape)
     )
+
+
+class TestMutatedRepairOutputs:
+    """Repair outputs a few mutations away score as the oracle does.
+
+    Such schedules are dense in complete, almost complete, embedded and
+    track-crossing episodes, which random schedules rarely contain.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        spec=st.one_of(SMALL_SPECS, st.just(ProblemSpec(n_g=3, n_p=12, n_t=108))),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.lists(
+            st.sampled_from([mutate_statuses, mutate_patient_ids]), min_size=1, max_size=3
+        ),
+    )
+    def test_match_oracle(self, spec, seed, steps):
+        chrom = repair_chromosome(random_chromosome(spec, substream(seed, 0, 0, 0)), spec)
+        for k, step in enumerate(steps, start=1):
+            chrom = step(chrom, spec, substream(seed, k, 0, 0))
+        assert_matches_oracle(chrom)
 
 
 class TestAcrossTracks:

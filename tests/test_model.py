@@ -113,7 +113,10 @@ def complete_episodes(statuses, patients) -> list[int]:
     _, lengths, run_stat, run_pat, opens = _run_bounds(
         np.array(statuses, dtype=np.int8), np.array(patients, dtype=np.int32)
     )
-    return _complete_episode_patients(run_stat, run_pat, lengths, opens).tolist()
+    nominal = lengths == STATUS_DURATIONS[run_stat]
+    joined = np.zeros(run_stat.size + 1, dtype=bool)
+    joined[1:-1] = (run_pat[1:] == run_pat[:-1]) & ~opens[1:]
+    return _complete_episode_patients(run_stat, run_pat, nominal, joined).tolist()
 
 
 class TestParseRuns:

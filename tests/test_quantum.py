@@ -134,6 +134,15 @@ class TestSampleIndex:
         want = [[sample_index(grid[g, t], float(us[g, t])) for t in range(4)] for g in range(3)]
         assert sample_index(grid, us).tolist() == want
 
+    def test_draw_of_one_picks_the_last_nonzero_amplitude(self):
+        assert sample_index(np.array([0.6, 0.8, 0.0]), 1.0) == 1
+        assert sample_index(np.array([0.0, 0.6, 0.0, -0.8, 0.0]), 1.0) == 3
+
+    @pytest.mark.parametrize("u", [-0.0001, 1.0000001, math.nan, math.inf, [0.5, 2.0]])
+    def test_rejects_draws_outside_the_unit_interval(self, u):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            sample_index(np.array([0.6, 0.8]), u)
+
     def test_respects_probabilities(self):
         """Draw frequencies track squared amplitudes."""
         v = np.array([math.sqrt(0.7), 0.0, -math.sqrt(0.3)])
@@ -226,7 +235,7 @@ class TestQMutate:
 
 def amplify_one(v, target: int) -> np.ndarray:
     """Amplify one vector toward one target through the grid kernel."""
-    return _amplify_grid(np.asarray(v, dtype=np.float64), np.asarray(target), np.asarray(True))
+    return _amplify_grid(np.asarray(v, dtype=np.float64), np.asarray(target), np.asarray(True))[0]
 
 
 class TestAmplify:
@@ -297,7 +306,7 @@ class TestAmplifyGrid:
             grid = random_amplitudes(rng, (3, 7, 5))
             targets = rng.integers(0, 5, size=(3, 7))
             active = rng.random((3, 7)) < 0.7
-            out = _amplify_grid(grid, targets, active)
+            out = _amplify_grid(grid, targets, active)[0]
             for g in range(3):
                 for t in range(7):
                     if active[g, t]:
@@ -310,10 +319,12 @@ class TestAmplifyGrid:
         rng = substream(82, 0, 0, 0)
         grid = random_amplitudes(rng, (3, 7, 5))
         targets = rng.integers(0, 5, size=(3, 7))
-        assert _amplify_grid(grid, targets, np.zeros((3, 7), dtype=bool)) is grid
+        cum = (grid * grid).cumsum(axis=-1)
+        out, out_cum = _amplify_grid(grid, targets, np.zeros((3, 7), dtype=bool), cum)
+        assert out is grid and out_cum is cum
         capped = np.zeros((3, 7, 5))
         np.put_along_axis(capped, targets[..., None], rng.choice([-1.0, 1.0], (3, 7, 1)), -1)
-        assert _amplify_grid(capped, targets, np.ones((3, 7), dtype=bool)) is capped
+        assert _amplify_grid(capped, targets, np.ones((3, 7), dtype=bool))[0] is capped
         for g in range(3):
             for t in range(7):
                 assert np.array_equal(capped[g, t], brute_amplify(capped[g, t], targets[g, t]))
@@ -327,7 +338,7 @@ class TestAmplifyGrid:
             grid[capped] = 0.0  # a target at exactly the cap, the residual beside it
             grid[capped, targets[capped]] = rng.choice([-CAP, CAP], capped.sum())
             grid[capped, (targets[capped] + 1) % 5] = 0.1
-            out = _amplify_grid(grid, targets, np.ones((3, 7), dtype=bool))
+            out = _amplify_grid(grid, targets, np.ones((3, 7), dtype=bool))[0]
             for g in range(3):
                 for t in range(7):
                     assert np.array_equal(out[g, t], brute_amplify(grid[g, t], targets[g, t]))
@@ -338,7 +349,36 @@ class TestAmplifyGrid:
         grid = data.draw(unit_grids((n_g, n_t, size)))
         targets = data.draw(arrays(np.int64, (n_g, n_t), elements=st.integers(0, size - 1)))
         active = data.draw(arrays(np.bool_, (n_g, n_t)))
-        assert unit_drift(_amplify_grid(grid, targets, active)) < 1e-9
+        assert unit_drift(_amplify_grid(grid, targets, active)[0]) < 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n_g=st.integers(1, 3), n_t=st.integers(1, 6), size=st.integers(2, 12))
+    def test_changes_exactly_the_active_vectors_below_the_cap(self, data, n_g, n_t, size):
+        """Changed vectors equal the reference bit for bit; the rest stay untouched."""
+        shape = (n_g, n_t)
+        grid = data.draw(unit_grids((*shape, size)))
+        targets = data.draw(arrays(np.int64, shape, elements=st.integers(0, size - 1)))
+        active = data.draw(arrays(np.bool_, shape))
+        # 1: the target alone, at or above the cap; 2: the target alone, any value
+        kinds = data.draw(arrays(np.int8, shape, elements=st.integers(0, 2)))
+        lone = data.draw(arrays(np.float64, shape, elements=st.floats(-1.0, 1.0)))
+        for g, t in zip(*np.nonzero(kinds)):
+            value = lone[g, t]
+            if kinds[g, t] == 1:
+                value = math.copysign(max(CAP, abs(value)), value)
+            grid[g, t] = 0.0
+            grid[g, t, targets[g, t]] = value
+        cum = (grid * grid).cumsum(axis=-1)
+        out, out_cum = _amplify_grid(grid, targets, active, cum)
+        for g, t in np.ndindex(*shape):
+            v, target = grid[g, t], int(targets[g, t])
+            if active[g, t] and abs(v[target]) < CAP:
+                assert out[g, t].tobytes() == brute_amplify(v, target).tobytes()
+            else:
+                assert out[g, t].tobytes() == v.tobytes()
+        assert out_cum.tobytes() == (out * out).cumsum(axis=-1).tobytes()
+        again, again_cum = _amplify_grid(grid, targets, active)
+        assert again.tobytes() == out.tobytes() and again_cum.tobytes() == out_cum.tobytes()
 
 
 class TestQRepair:
@@ -353,8 +393,8 @@ class TestQRepair:
             desired = repair_chromosome(shadow, spec)
             busy = desired.statuses != 0
             want = QuantumChromosome._adopt(
-                _amplify_grid(q.id_amps, np.where(busy, desired.patients, 0), busy),
-                _amplify_grid(q.status_amps, desired.statuses, np.ones_like(busy)),
+                _amplify_grid(q.id_amps, np.where(busy, desired.patients, 0), busy)[0],
+                _amplify_grid(q.status_amps, desired.statuses, np.ones_like(busy))[0],
             )
             assert q_repair(q, spec, np.random.default_rng(seed)) == want
             # the kernel reads a busy flag and an incumbent per start, idle incumbents ignored

@@ -3,9 +3,10 @@
 ``golden/seed_hashes.json`` holds SHA-256 digests of ``curves.csv`` and
 ``best_schedule.json`` for medium seeds 1-9 of both algorithms at
 ``g_max`` 40, for the large classical runs at seeds 0-2 and ``g_max``
-20, whose population grows to 342, and for one large quantum run at seed 1
-and ``g_max`` 5 on the 3x650 grid.  A change that means to alter seeded
-results regenerates the file, and says why:
+20, whose population grows to 342, and for two large quantum runs on the
+3x650 grid: seed 1 at ``g_max`` 5, and seed 2 at ``g_max`` 20, long enough
+for amplification to change only a few cells per call.  A change that means
+to alter seeded results regenerates the file, and says why:
 
     PYTHONPATH=src python tests/test_seed_hashes.py
 """
@@ -27,7 +28,10 @@ OUTPUTS = ("curves.csv", "best_schedule.json")
 
 RUNS = [
     ("medium", algo, seed, 40) for algo in ("classical", "quantum") for seed in range(1, 10)
-] + [("large", "classical", seed, 20) for seed in range(3)] + [("large", "quantum", 1, 5)]
+] + [("large", "classical", seed, 20) for seed in range(3)] + [
+    ("large", "quantum", 1, 5),
+    ("large", "quantum", 2, 20),
+]
 
 
 def run_key(config: str, algo: str, seed: int, g_max: int) -> str:
