@@ -7,8 +7,6 @@ quantum-inspired variant operating on amplitude vectors.  Everything keyed
 off a single seed reproduces bit for bit.
 """
 
-from __future__ import annotations
-
 from .classical import (
     GaParams,
     GenerationRecord,
@@ -40,7 +38,6 @@ from .quantum import (
     q_repair,
     qubit_estimate,
     run_quantum,
-    sample_index,
     uniform_quantum_chromosome,
 )
 from .rng import derive_seed, substream
@@ -90,7 +87,6 @@ __all__ = [
     "run_classical",
     "run_quantum",
     "run_sweep",
-    "sample_index",
     "select",
     "single_point_crossover",
     "status_duration",

@@ -323,6 +323,8 @@ def _evolve(
         if gen == params.g_max:
             break
 
+        # evals and survivors keep the previous generation referenced through mutation
+        # and repair; run_classical's weak repair memo depends on it.
         survivors = select(list(zip(pop, totals)), params.r_s, params.n_max)
         pop = [chrom for chrom, _ in survivors]
         pop = crossover_pop(pop, params.r_c, substream(seed, gen, PHASE_PAIRING, 0))

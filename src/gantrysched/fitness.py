@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import reduce
-from operator import add
 from typing import Callable, Mapping
 
 import numpy as np
@@ -95,7 +93,7 @@ def weighted_total(counts: Mapping[str, int], table: ScoreTable) -> float:
     Each side is summed left to right in :class:`ScoreTable`'s order.
     """
     terms = [getattr(table, weight) * counts[name] for weight, name in _WEIGHTED_COUNTS]
-    return reduce(add, terms[_N_PENALTIES:]) - reduce(add, terms[:_N_PENALTIES])
+    return sum(terms[_N_PENALTIES:]) - sum(terms[:_N_PENALTIES])
 
 
 def _run_bounds(statuses: np.ndarray, patients: np.ndarray):

@@ -42,6 +42,7 @@ from .rng import (
 )
 
 _NORM_TOL = 1e-9
+_TINY = np.nextafter(0.0, 1.0)  # the least positive float
 
 # Amplification bounds: a target amplitude is boosted tenfold but never
 # below sqrt(1/4) nor above sqrt(0.99); at or beyond the cap it is left as is.
@@ -78,14 +79,7 @@ class QuantumChromosome(_CellGrids):
             drift = float(np.max(np.abs(norms - 1.0)))
             if not drift <= _NORM_TOL:  # NaN drift fails too
                 raise ValueError(f"{name} amplitudes are not unit norm (drift {drift:.3g})")
-        return cls._adopt(id_amps, status_amps)
-
-    @classmethod
-    def _adopt(cls, id_amps, status_amps, id_cum=None, status_cum=None) -> QuantumChromosome:
-        """Wrap owned grids unchecked; cumulative grids not handed in are computed."""
-        if id_cum is None:
-            id_cum, status_cum = _cumulative(id_amps), _cumulative(status_amps)
-        return super()._adopt(id_amps, status_amps, id_cum, status_cum)
+        return cls._adopt(id_amps, status_amps, _cumulative(id_amps), _cumulative(status_amps))
 
     @property
     def n_p(self) -> int:
@@ -104,39 +98,21 @@ def uniform_quantum_chromosome(spec: ProblemSpec) -> QuantumChromosome:
     """Every cell starts as the uniform superposition in both registers."""
     ids = np.full((spec.n_g, spec.n_t, spec.n_p), 1.0 / math.sqrt(spec.n_p))
     statuses = np.full((spec.n_g, spec.n_t, N_STATUSES), 1.0 / math.sqrt(N_STATUSES))
-    return QuantumChromosome._adopt(ids, statuses)
+    return QuantumChromosome._adopt(ids, statuses, _cumulative(ids), _cumulative(statuses))
 
 
 def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-transform indices from cumulative squares; ``u`` in [0, 1] unchecked."""
-    # cum never decreases, so the first index not below the threshold is the count below it
-    idx = (cum < u[..., None] * cum[..., -1:]).argmin(axis=-1)
-    if not u.all():  # a draw of 0 takes the first nonzero amplitude
-        idx = np.where(u == 0, (cum > 0).argmax(axis=-1), idx)
-    return idx
-
-
-def sample_index(v, u):
-    """Sample basis indices from squared amplitudes by inverse transform.
-
-    Each vector along the last axis of ``v`` takes its draw from ``u`` (one
-    vector may also take a batch of draws).  The result is the smallest index
-    whose cumulative squared amplitude reaches ``u`` times the vector's total.
-    ``u = 0`` picks the first nonzero amplitude; a scalar ``u`` gives an ``int``.
-    Every ``u`` must lie in [0, 1].
-    """
-    u = np.asarray(u, dtype=np.float64)
-    if not ((u >= 0.0) & (u <= 1.0)).all():  # NaN fails too
-        raise ValueError("sample_index draws must lie in [0, 1]")
-    idx = _pick(_cumulative(np.asarray(v, dtype=np.float64)), u)
-    return int(idx) if idx.ndim == 0 else idx
+    # The first index whose cumulative square reaches u * total, or the first nonzero
+    # amplitude if that is 0: no cumulative square lies strictly between 0 and _TINY.
+    return (cum < np.maximum(u[..., None] * cum[..., -1:], _TINY)).argmin(axis=-1)
 
 
 def observe(qchrom: QuantumChromosome, rng: np.random.Generator) -> Chromosome:
     """Project every cell onto a classical slot; the amplitudes are untouched."""
-    shape = (qchrom.n_g, qchrom.n_t)
-    statuses = _pick(qchrom.status_cum, rng.random(shape)).astype(np.int8)
-    patients = _pick(qchrom.id_cum, rng.random(shape)).astype(np.int32)
+    u_status, u_id = rng.random((2, qchrom.n_g, qchrom.n_t))
+    statuses = _pick(qchrom.status_cum, u_status).astype(np.int8)
+    patients = _pick(qchrom.id_cum, u_id).astype(np.int32)
     patients[statuses == 0] = VACANT
     return Chromosome._adopt(statuses, patients)
 
@@ -211,9 +187,8 @@ def q_repair(
     toward the repaired status, and the id vector toward the repaired
     patient wherever that status is not idle; other id vectors stay as is.
     """
-    shape = (qchrom.n_g, qchrom.n_t)
     starts = _repair_layout(spec.n_g, spec.n_t)[0]
-    u_status, u_id = rng.random(shape)[:, starts], rng.random(shape)[:, starts]
+    u_status, u_id = rng.random((2, qchrom.n_g, qchrom.n_t))[:, :, starts]
     desired = _repair_starts(
         _pick(qchrom.status_cum[:, starts], u_status),
         _pick(qchrom.id_cum[:, starts], u_id),

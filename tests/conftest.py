@@ -15,6 +15,7 @@ from gantrysched import (
     ProblemSpec,
     QuantumChromosome,
 )
+from gantrysched.quantum import _cumulative, _pick
 
 # Small problems, including tracks too short for one treatment (n_t < 26)
 # and fewer patients than gantries.
@@ -63,6 +64,16 @@ def quantum_from_schedule(schedule: Chromosome, n_p: int) -> QuantumChromosome:
     np.put_along_axis(ids, pat[..., None], 1.0, axis=-1)
     np.put_along_axis(statuses, schedule.statuses[..., None].astype(int), 1.0, axis=-1)
     return QuantumChromosome(ids, statuses)
+
+
+def sample_indices(v, u) -> np.ndarray:
+    """Draw basis indices from amplitude vectors as observation does.
+
+    Each vector along the last axis of ``v`` takes its draw from ``u`` in
+    [0, 1]; one vector may also take a batch of draws.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    return _pick(_cumulative(v), np.asarray(u, dtype=np.float64))
 
 
 @st.composite

@@ -31,7 +31,6 @@ from gantrysched import (
     repair_chromosome,
     run_classical,
     run_quantum,
-    sample_index,
     single_point_crossover,
     uniform_quantum_chromosome,
 )
@@ -40,7 +39,7 @@ from gantrysched.classical import _floor_count
 from gantrysched.rng import substream
 
 from brute_fitness import brute_breakdown
-from conftest import idle_rows, perfect_chromosome
+from conftest import idle_rows, perfect_chromosome, sample_indices
 
 MEDIUM = ProblemSpec(n_g=3, n_p=12, n_t=108)
 CLASSICAL_PARAMS = GaParams(
@@ -113,7 +112,7 @@ def test_04_observation_sampling_law():
         v = v / np.sqrt(np.sum(v * v))
         sq = v * v
         counts = np.bincount(
-            sample_index(v, rng.random(draws_per_vector)), minlength=12
+            sample_indices(v, rng.random(draws_per_vector)), minlength=12
         )
         supported = sq > 0
         assert counts[~supported].sum() == 0

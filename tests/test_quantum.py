@@ -24,7 +24,6 @@ from gantrysched import (
     random_chromosome,
     repair_chromosome,
     run_quantum,
-    sample_index,
     single_point_crossover,
     uniform_quantum_chromosome,
 )
@@ -33,7 +32,8 @@ from gantrysched.quantum import _amplify_grid
 from gantrysched.rng import substream
 
 from brute_amplify import brute_amplify
-from conftest import SMALL_SPECS, quantum_chromosomes, quantum_from_schedule
+from brute_sample import brute_sample
+from conftest import SMALL_SPECS, quantum_chromosomes, quantum_from_schedule, sample_indices
 
 CAP = math.sqrt(0.99)
 
@@ -110,44 +110,58 @@ class TestQuantumChromosome:
 class TestSampleIndex:
     def test_inverse_transform_boundaries(self):
         v = np.array([0.5, math.sqrt(0.75)])  # squared: 0.25, 0.75
-        assert sample_index(v, 0.0) == 0
-        assert sample_index(v, 0.25) == 0
-        assert sample_index(v, 0.2500001) == 1
-        assert sample_index(v, 1.0) == 1
+        assert sample_indices(v, 0.0) == 0
+        assert sample_indices(v, 0.25) == 0
+        assert sample_indices(v, 0.2500001) == 1
+        assert sample_indices(v, 1.0) == 1
 
     def test_zero_amplitudes_are_never_drawn(self):
         v = np.array([0.0, 1.0, 0.0])
-        assert sample_index(v, 0.0) == 1
+        assert sample_indices(v, 0.0) == 1
         for u in (0.1, 0.5, 0.9999, 1.0):
-            assert sample_index(v, u) == 1
+            assert sample_indices(v, u) == 1
+        # u * total underflows to 0 here, a threshold that index 0 would meet too
+        assert 1e-10 * (1e-160 * 1e-160) == 0.0
+        assert sample_indices([0.0, 1e-160, 0.0], 1e-10) == 1
 
     def test_array_path_matches_scalar_path(self):
         rng = substream(70, 0, 0, 0)
         for _ in range(20):
             v = random_amplitudes(rng, 12)
             us = rng.random(50)
-            got = sample_index(v, us)
-            assert got.tolist() == [sample_index(v, float(u)) for u in us]
+            got = sample_indices(v, us)
+            assert got.tolist() == [sample_indices(v, float(u)) for u in us]
         grid = random_amplitudes(rng, (3, 4, 12))
         us = rng.random((3, 4))
         us[0, 0] = 0.0
-        want = [[sample_index(grid[g, t], float(us[g, t])) for t in range(4)] for g in range(3)]
-        assert sample_index(grid, us).tolist() == want
+        want = [[sample_indices(grid[g, t], float(us[g, t])) for t in range(4)] for g in range(3)]
+        assert sample_indices(grid, us).tolist() == want
 
     def test_draw_of_one_picks_the_last_nonzero_amplitude(self):
-        assert sample_index(np.array([0.6, 0.8, 0.0]), 1.0) == 1
-        assert sample_index(np.array([0.0, 0.6, 0.0, -0.8, 0.0]), 1.0) == 3
+        assert sample_indices(np.array([0.6, 0.8, 0.0]), 1.0) == 1
+        assert sample_indices(np.array([0.0, 0.6, 0.0, -0.8, 0.0]), 1.0) == 3
 
-    @pytest.mark.parametrize("u", [-0.0001, 1.0000001, math.nan, math.inf, [0.5, 2.0]])
-    def test_rejects_draws_outside_the_unit_interval(self, u):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            sample_index(np.array([0.6, 0.8]), u)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 9)),
+    )
+    def test_matches_per_element_reference(self, data, shape):
+        """Every cell's index equals the scalar reference's, exact zeros and edge draws included."""
+        amps = st.sampled_from([0.0, 1e-160, -1e-300]) | st.floats(-1.0, 1.0)
+        grid = data.draw(arrays(np.float64, shape, elements=amps))
+        grid[..., -1][(grid * grid).sum(axis=-1) == 0.0] = 1.0  # every vector needs mass
+        draws = st.sampled_from([0.0, 1.0, 5e-324, 1e-300, 1e-10]) | st.floats(0.0, 1.0)
+        us = data.draw(arrays(np.float64, shape[:2], elements=draws))
+        got = sample_indices(grid, us)
+        for g, t in np.ndindex(*shape[:2]):
+            assert got[g, t] == brute_sample(grid[g, t].tolist(), us[g, t])
 
     def test_respects_probabilities(self):
         """Draw frequencies track squared amplitudes."""
         v = np.array([math.sqrt(0.7), 0.0, -math.sqrt(0.3)])
         rng = substream(71, 0, 0, 0)
-        draws = sample_index(v, rng.random(20000))
+        draws = sample_indices(v, rng.random(20000))
         freq = np.bincount(draws, minlength=3) / 20000
         assert freq[1] == 0.0
         assert abs(freq[0] - 0.7) < 0.02
@@ -392,7 +406,7 @@ class TestQRepair:
             shadow = observe(q, np.random.default_rng(seed))
             desired = repair_chromosome(shadow, spec)
             busy = desired.statuses != 0
-            want = QuantumChromosome._adopt(
+            want = QuantumChromosome(
                 _amplify_grid(q.id_amps, np.where(busy, desired.patients, 0), busy)[0],
                 _amplify_grid(q.status_amps, desired.statuses, np.ones_like(busy))[0],
             )
