@@ -8,6 +8,7 @@ a unit's draws do not depend on how many draws other units made before it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -41,6 +42,9 @@ from .rng import (
     SEED_MAX,
     substream,
 )
+
+# Cells per stack of schedules counted in one pass (see _score_members).
+_COUNT_CELLS = 2**14
 
 # Ratio-times-count arithmetic uses a tiny slack so that decimal ratios such
 # as 0.29 * 100 floor to the intended integer despite binary rounding.
@@ -294,27 +298,30 @@ def _repair_starts(busy_at_starts, incumbents_at_starts, spec: ProblemSpec) -> C
 def _evolve(
     params: GaParams,
     fresh: Callable[[int], object],
-    evaluate: Callable[[object, int, int], tuple[FitnessBreakdown, Chromosome]],
+    evaluate: Callable[[list, int], list[tuple[FitnessBreakdown, Chromosome]]],
     crossover_pop: Callable,  # always _paired_crossover; benchmark/tracer.py times it here
-    mutators: Sequence[tuple[int, Callable[[object, int, int], object]]],
-    repair: Callable[[object, int, int], object],
+    mutators: Sequence[tuple[int, Callable[[list, int, list[int]], None]]],
+    repair: Callable[[list, int, list[int]], None],
 ) -> RunResult:
     """Generation loop shared by the classical and quantum variants.
 
-    ``evaluate`` returns the breakdown of a chromosome's schedule and that
-    schedule; the loop keeps the first best pair it sees.
+    ``evaluate(pop, gen)`` returns the breakdown of each member's schedule
+    and that schedule; the loop keeps the first best pair it sees.  A
+    mutator or ``repair`` called as ``step(pop, gen, picked)`` replaces the
+    picked members of ``pop`` in place, each as soon as its replacement is
+    built, so that a replaced member can be freed before the next is built.
     """
     started = perf_counter()
     seed = params.seed
     # Mutation and repair alike replace floor(ratio * N) distinct members, so
-    # updating pop in place reads no result of the same step.
+    # one step reads no result of itself.
     steps = [(tag, params.r_m, mutate) for tag, mutate in mutators]
     steps.append((PHASE_REPAIR_PICK, params.r_r, repair))
     pop = [fresh(i) for i in range(params.n_ini)]
     records: list[GenerationRecord] = []
     best: tuple[FitnessBreakdown, Chromosome] | None = None
     for gen in range(params.g_max + 1):
-        evals = [evaluate(chrom, gen, i) for i, chrom in enumerate(pop)]
+        evals = evaluate(pop, gen)
         totals = [breakdown.total for breakdown, _ in evals]
         best_idx = int(np.argmax(totals))
         records.append(GenerationRecord(gen, totals[best_idx], len(pop)))
@@ -335,14 +342,54 @@ def _evolve(
                 picked = substream(seed, gen, pick_phase, 0).choice(
                     len(pop), size=n_picks, replace=False
                 )
-                for i in picked.tolist():
-                    pop[i] = step(pop[i], gen, i)
+                step(pop, gen, picked.tolist())
     return RunResult(
         records=tuple(records),
         best_schedule=best[1],
         best_breakdown=best[0],
         elapsed=perf_counter() - started,
     )
+
+
+def _each_member(seed: int, phase: int, operator: Callable) -> Callable:
+    """A population step applying ``operator(member, rng)`` on each member's substream."""
+
+    def step(pop: list, gen: int, picked: list[int]) -> None:
+        for i in picked:
+            pop[i] = operator(pop[i], substream(seed, gen, phase, i))
+
+    return step
+
+
+def _score_members(
+    schedules: list[Chromosome],
+    table: ScoreTable,
+    held: Callable[[Chromosome], FitnessBreakdown | None] = lambda chrom: None,
+) -> list[FitnessBreakdown]:
+    """Score a generation's schedules, counting all that ``held`` does not answer at once.
+
+    Every schedule still goes through :func:`evaluate_breakdown`, whose
+    ``known`` lookup answers from ``held`` or from that count.  Stacks hold
+    at most ``_COUNT_CELLS`` cells (or one schedule), which bounds the
+    counting kernel's temporaries: a medium generation is one stack, a
+    large one a stack per eight schedules.
+    """
+    answers = [held(chrom) for chrom in schedules]
+    unknown = [chrom for chrom, answer in zip(schedules, answers) if answer is None]
+    per_call = max(1, _COUNT_CELLS // schedules[0].n_cells)
+    counted = itertools.chain.from_iterable(
+        _count_events(
+            np.array([chrom.statuses for chrom in chunk]),
+            np.array([chrom.patients for chrom in chunk]),
+            table,
+        )
+        for chunk in (unknown[k : k + per_call] for k in range(0, len(unknown), per_call))
+    )
+    # evaluate_breakdown asks ``known`` once per schedule, in schedule order
+    return [
+        evaluate_breakdown(chrom, table, lambda _, a=answer: next(counted) if a is None else a)
+        for chrom, answer in zip(schedules, answers)
+    ]
 
 
 def run_classical(
@@ -361,15 +408,11 @@ def run_classical(
     mutators = (
         (
             PHASE_MUTATE_PICK_A,
-            lambda c, gen, i: mutate_patient_ids(
-                c, spec, substream(seed, gen, PHASE_MUTATE_A, i)
-            ),
+            _each_member(seed, PHASE_MUTATE_A, lambda c, rng: mutate_patient_ids(c, spec, rng)),
         ),
         (
             PHASE_MUTATE_PICK_B,
-            lambda c, gen, i: mutate_statuses(
-                c, spec, substream(seed, gen, PHASE_MUTATE_B, i)
-            ),
+            _each_member(seed, PHASE_MUTATE_B, lambda c, rng: mutate_statuses(c, spec, rng)),
         ),
     )
 
@@ -377,23 +420,25 @@ def run_classical(
     # output is its own repair, and all outputs share one score.
     starts = _repair_layout(spec.n_g, spec.n_t)[0]
     repaired = weakref.WeakValueDictionary()
-    layout_score = _count_events(repair_chromosome(fresh(0), spec), table)
+    layout = repair_chromosome(fresh(0), spec)
+    (layout_score,) = _count_events(layout.statuses[None], layout.patients[None], table)
 
     def key(chrom: Chromosome) -> bytes:
         return chrom.patients[:, starts].tobytes()
 
-    def repair(chrom: Chromosome, gen: int, i: int) -> Chromosome:
-        fixed = repaired.get(key(chrom))
-        if fixed is None:
-            fixed = repaired[key(chrom)] = repair_chromosome(chrom, spec)
-            repaired.setdefault(key(fixed), fixed)
-        return fixed
+    def repair(pop: list, gen: int, picked: list[int]) -> None:
+        for i in picked:
+            fixed = repaired.get(key(pop[i]))
+            if fixed is None:
+                fixed = repaired[key(pop[i])] = repair_chromosome(pop[i], spec)
+                repaired.setdefault(key(fixed), fixed)
+            pop[i] = fixed
 
-    def known(chrom: Chromosome) -> FitnessBreakdown | None:  # repair outputs only
+    def held(chrom: Chromosome) -> FitnessBreakdown | None:  # repair outputs only
         fixed = repaired.get(key(chrom))
         return layout_score if fixed is not None and (fixed is chrom or fixed == chrom) else None
 
-    def evaluate(chrom: Chromosome, gen: int, i: int) -> tuple[FitnessBreakdown, Chromosome]:
-        return evaluate_breakdown(chrom, table, known), chrom
+    def evaluate(pop: list, gen: int) -> list[tuple[FitnessBreakdown, Chromosome]]:
+        return list(zip(_score_members(pop, table, held), pop))
 
     return _evolve(params, fresh, evaluate, _paired_crossover, mutators, repair)

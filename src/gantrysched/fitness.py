@@ -116,10 +116,10 @@ def _run_bounds(statuses: np.ndarray, patients: np.ndarray):
     return starts, bounds[1:] - starts, statuses[starts], patients[starts], starts % n_t == 0
 
 
-def _complete_episode_patients(
-    run_stat: np.ndarray, run_pat: np.ndarray, nominal: np.ndarray, joined: np.ndarray
+def _complete_episode_starts(
+    run_stat: np.ndarray, nominal: np.ndarray, joined: np.ndarray
 ) -> np.ndarray:
-    """Patients of complete episodes, one entry per episode.
+    """Indices of the first runs of complete episodes.
 
     ``nominal`` marks the runs of nominal length; ``joined[k]`` says that
     run k continues run k - 1's patient on the same track (k = 0 .. number
@@ -135,7 +135,7 @@ def _complete_episode_patients(
     ((run_stat[1:] == run_stat[:-1] + 1) & joined[1:-1] & nominal[1:]).cumsum(out=links[1:])
     last = first + _CYCLE_RUNS[-1]
     ok = (links[last] - links[first] == _CYCLE_RUNS[-1]) & ~(joined[first] | joined[last + 1])
-    return run_pat[first[ok]]
+    return first[ok]
 
 
 def evaluate_breakdown(
@@ -151,16 +151,18 @@ def evaluate_breakdown(
     breakdown = known(chrom) if known is not None else None
     if breakdown is not None:
         return breakdown
-    return _count_events(chrom, ScoreTable() if table is None else table)
+    table = ScoreTable() if table is None else table
+    return _count_events(chrom.statuses[None], chrom.patients[None], table)[0]
 
 
-def _count_events(chrom: Chromosome, table: ScoreTable) -> FitnessBreakdown:
-    statuses, patients = chrom.statuses, chrom.patients
+def _count_events(
+    statuses: np.ndarray, patients: np.ndarray, table: ScoreTable
+) -> list[FitnessBreakdown]:
+    """Breakdowns of N schedules stacked as (N, n_g, n_t) status and patient grids."""
     _, run_len, run_stat, run_pat, opens = _run_bounds(statuses, patients)
     working = run_stat > 0
     nominal = run_len == STATUS_DURATIONS[run_stat]
-    consecutive = int(np.count_nonzero(working & nominal))
-    violations = int(np.count_nonzero(working)) - consecutive
+    consecutive = working & nominal
 
     # the boundaries between consecutive runs; ``inside`` keeps those within a track
     a, b = run_stat[:-1], run_stat[1:]
@@ -168,24 +170,38 @@ def _count_events(chrom: Chromosome, table: ScoreTable) -> FitnessBreakdown:
     joined = np.zeros(run_stat.size + 1, dtype=bool)
     same_patient = run_pat[:-1] == run_pat[1:]
     np.logical_and(same_patient, inside, out=joined[1:-1])
-    # working runs on either side that switch patients
+    # working runs on either side that switch patients; a boundary's flag sits on
+    # its later run, so that a member's slice of runs holds its boundaries too
     handover = working[:-1] & working[1:] & ~same_patient
-    transitions = int(np.count_nonzero((b == (a + 1) % N_STATUSES) & inside & ~handover))
+    transition = np.zeros_like(working)
+    np.logical_and((b == (a + 1) % N_STATUSES) & inside, ~handover, out=transition[1:])
     # a patient change between busy slots, except right after a disposal run ends
-    interruptions = int(np.count_nonzero(handover & inside & (a != _DISPOSE)))
+    interruption = np.zeros_like(working)
+    np.logical_and(handover & inside, a != _DISPOSE, out=interruption[1:])
+    finished = np.zeros_like(working)
+    finished[_complete_episode_starts(run_stat, nominal, joined)] = True
 
     # busy cells of two gantries sharing a slot and a patient, per unordered pair;
     # idle cells hold VACANT, so a busy cell's patient matches only busy cells
     busy_cells = statuses > 0
-    busy = int(np.count_nonzero(busy_cells))
-    shared = (patients[:, None] == patients[None]) & busy_cells[None]
-    conflicts = (int(np.count_nonzero(shared)) - busy) // 2
+    shared = (patients[:, :, None] == patients[:, None]) & busy_cells[:, None]
 
-    finished = _complete_episode_patients(run_stat, run_pat, nominal, joined).tolist()
-    completed = len(finished)
-    duplicates = completed - len(set(finished))
-
-    penalties = (conflicts, violations, duplicates, interruptions, busy)
-    benefits = (consecutive, transitions, completed)
-    counts = dict(zip(COUNT_NAMES, penalties + benefits))
-    return FitnessBreakdown(**counts, total=weighted_total(counts, table))
+    # runs break at every track start, so each member owns the runs from its first
+    # track's first run to the next member's
+    member_runs = opens.nonzero()[0][:: statuses.shape[1]].tolist() + [run_stat.size]
+    out = []
+    for k, (lo, hi) in enumerate(zip(member_runs, member_runs[1:])):
+        busy = np.count_nonzero(busy_cells[k])
+        finishers = run_pat[lo:hi][finished[lo:hi]].tolist()
+        nominal_runs = np.count_nonzero(consecutive[lo:hi])
+        penalties = (
+            (np.count_nonzero(shared[k]) - busy) // 2,
+            np.count_nonzero(working[lo:hi]) - nominal_runs,
+            len(finishers) - len(set(finishers)),
+            np.count_nonzero(interruption[lo:hi]),
+            busy,
+        )
+        benefits = (nominal_runs, np.count_nonzero(transition[lo:hi]), len(finishers))
+        counts = dict(zip(COUNT_NAMES, map(int, penalties + benefits)))
+        out.append(FitnessBreakdown(**counts, total=weighted_total(counts, table)))
+    return out

@@ -11,6 +11,7 @@ classical one with these operators substituted.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -18,13 +19,15 @@ import numpy as np
 from .classical import (
     GaParams,
     RunResult,
+    _each_member,
     _evolve,
     _paired_crossover,
     _peak_population,
     _repair_layout,
     _repair_starts,
+    _score_members,
 )
-from .fitness import FitnessBreakdown, ScoreTable, evaluate_breakdown
+from .fitness import FitnessBreakdown, ScoreTable
 from .model import (
     N_STATUSES,
     VACANT,
@@ -152,25 +155,68 @@ def _amplify_grid(
     """
     if cum is None:
         cum = _cumulative(amps)
-    n = amps.shape[-1]
-    flat = np.arange(0, targets.size * n, n).reshape(targets.shape) + targets
-    tgt = amps.take(flat)
-    rows = (active & (np.abs(tgt) < _AMP_CAP)).ravel().nonzero()[0]
-    if not rows.size:
-        return amps, cum
-    tgt = tgt.ravel()[rows]
+    targets = np.asarray(targets)[None]
+    rows = _rows_below_cap([amps], targets, np.asarray(active)[None])
+    (change,) = _amplify_rows([amps], targets, rows)
+    return _apply(amps, cum, *change)
+
+
+def _rows_below_cap(
+    grids: list[np.ndarray], targets: np.ndarray, active: np.ndarray
+) -> list[np.ndarray]:
+    """Per grid, the active vectors whose target lies below the cap.
+
+    ``targets`` and ``active`` stack the grids' arguments of
+    :func:`_amplify_grid` along a new first axis; rows number the vectors
+    in the grid's flattening.
+    """
+    n = grids[0].shape[-1]
+    flat = np.arange(0, targets[0].size * n, n) + targets.reshape(len(grids), -1)
+    tgt = np.array([amps.take(idx) for amps, idx in zip(grids, flat)])
+    return [row.nonzero()[0] for row in active.reshape(flat.shape) & (np.abs(tgt) < _AMP_CAP)]
+
+
+def _amplify_rows(
+    grids: list[np.ndarray], targets: np.ndarray, rows: list[np.ndarray]
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Amplify the given rows of several grids in one pass.
+
+    Each grid gets back its rows, their new vectors and their cumulative
+    squares, for :func:`_apply`.
+    """
+    n = grids[0].shape[-1]
+    vectors = np.concatenate([amps.reshape(-1, n)[r] for amps, r in zip(grids, rows)])
+    targets = np.concatenate([t[r] for t, r in zip(targets.reshape(len(grids), -1), rows)])
+    index = np.arange(targets.size)
+    tgt = vectors[index, targets]
+    squares = vectors * vectors  # reused for the cumulative squares of the result
     boosted = np.minimum(np.maximum(10.0 * np.abs(tgt), _AMP_FLOOR), _AMP_CAP)
     residual = 1.0 - boosted * boosted
-    vectors = amps.reshape(-1, n)[rows]
-    others = (vectors * vectors).sum(axis=-1) - tgt * tgt
+    others = squares.sum(axis=-1) - tgt * tgt
     safe = others > 0.0
     vectors *= np.sqrt(residual / np.where(safe, others, 1.0))[:, None]
     if not safe.all():
         vectors[~safe] = np.sqrt(residual[~safe] / (n - 1))[:, None]
-    vectors[np.arange(rows.size), targets.ravel()[rows]] = np.where(tgt < 0, -boosted, boosted)
+    vectors[index, targets] = np.where(tgt < 0, -boosted, boosted)
+    vector_cums = np.multiply(vectors, vectors, out=squares).cumsum(axis=-1, out=squares)
+    bounds = [0, *itertools.accumulate(r.size for r in rows)]
+    return [(r, vectors[lo:hi], vector_cums[lo:hi]) for r, lo, hi in zip(rows, bounds, bounds[1:])]
+
+
+def _apply(
+    amps: np.ndarray,
+    cum: np.ndarray,
+    rows: np.ndarray,
+    vectors: np.ndarray,
+    vector_cums: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of a grid and its cumulative squares with ``rows`` replaced, or both as is."""
+    if not rows.size:
+        return amps, cum
+    n = amps.shape[-1]
     out, out_cum = amps.copy(), cum.copy()
     out.reshape(-1, n)[rows] = vectors
-    out_cum.reshape(-1, n)[rows] = _cumulative(vectors)
+    out_cum.reshape(-1, n)[rows] = vector_cums
     return out, out_cum
 
 
@@ -187,21 +233,57 @@ def q_repair(
     toward the repaired status, and the id vector toward the repaired
     patient wherever that status is not idle; other id vectors stay as is.
     """
+    pop = [qchrom]
+    _q_repair_members(pop, [0], spec, [rng])
+    return pop[0]
+
+
+def _q_repair_members(
+    pop: list[QuantumChromosome],
+    picked: list[int],
+    spec: ProblemSpec,
+    rngs: list[np.random.Generator],
+) -> None:
+    """Replace each picked member by its :func:`q_repair` on its own generator.
+
+    The changed vectors of several members are amplified in one pass per
+    register, in groups of about one grid's worth of vectors so that the
+    temporaries stay as small as a single member's; each member then gets
+    its own copies of the grids.
+    """
     starts = _repair_layout(spec.n_g, spec.n_t)[0]
-    u_status, u_id = rng.random((2, qchrom.n_g, qchrom.n_t))[:, :, starts]
-    desired = _repair_starts(
-        _pick(qchrom.status_cum[:, starts], u_status),
-        _pick(qchrom.id_cum[:, starts], u_id),
-        spec,
+    u = np.array([rng.random((2, spec.n_g, spec.n_t)) for rng in rngs])[..., starts]
+    status_at = _pick(np.array([pop[i].status_cum[:, starts] for i in picked]), u[:, 0])
+    id_at = _pick(np.array([pop[i].id_cum[:, starts] for i in picked]), u[:, 1])
+    desired = [_repair_starts(*at, spec) for at in zip(status_at, id_at)]
+    statuses = np.array([d.statuses for d in desired])
+    busy = statuses != 0
+    id_targets = np.where(busy, np.array([d.patients for d in desired]), 0)
+    id_rows = _rows_below_cap([pop[i].id_amps for i in picked], id_targets, busy)
+    status_rows = _rows_below_cap(
+        [pop[i].status_amps for i in picked], statuses, np.ones_like(busy)
     )
-    busy = desired.statuses != 0
-    ids, id_cum = _amplify_grid(
-        qchrom.id_amps, np.where(busy, desired.patients, 0), busy, qchrom.id_cum
-    )
-    statuses, status_cum = _amplify_grid(
-        qchrom.status_amps, desired.statuses, np.ones_like(busy), qchrom.status_cum
-    )
-    return QuantumChromosome._adopt(ids, statuses, id_cum, status_cum)
+    # a group starts wherever the changed vectors so far pass another grid's worth
+    sizes = [a.size + b.size for a, b in zip(id_rows, status_rows)]
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    cells = spec.n_g * spec.n_t
+    for _, group in itertools.groupby(range(len(picked)), key=lambda k: offsets[k] // cells):
+        group = list(group)
+        id_changes = _amplify_rows(
+            [pop[picked[k]].id_amps for k in group],
+            id_targets[group],
+            [id_rows[k] for k in group],
+        )
+        status_changes = _amplify_rows(
+            [pop[picked[k]].status_amps for k in group],
+            statuses[group],
+            [status_rows[k] for k in group],
+        )
+        for k, id_change, status_change in zip(group, id_changes, status_changes):
+            q = pop[picked[k]]
+            ids, id_cum = _apply(q.id_amps, q.id_cum, *id_change)
+            status_amps, status_cum = _apply(q.status_amps, q.status_cum, *status_change)
+            pop[picked[k]] = QuantumChromosome._adopt(ids, status_amps, id_cum, status_cum)
 
 
 def run_quantum(
@@ -218,19 +300,15 @@ def run_quantum(
     def fresh(i: int) -> QuantumChromosome:
         return uniform
 
-    def evaluate(qchrom, gen: int, i: int) -> tuple[FitnessBreakdown, Chromosome]:
-        shadow = observe(qchrom, substream(seed, gen, PHASE_EVAL, i))
-        return evaluate_breakdown(shadow, table), shadow
+    def evaluate(pop: list, gen: int) -> list[tuple[FitnessBreakdown, Chromosome]]:
+        shadows = [observe(q, substream(seed, gen, PHASE_EVAL, i)) for i, q in enumerate(pop)]
+        return list(zip(_score_members(shadows, table), shadows))
 
-    mutators = (
-        (
-            PHASE_MUTATE_PICK_A,
-            lambda q, gen, i: q_mutate(q, substream(seed, gen, PHASE_MUTATE_A, i)),
-        ),
-    )
+    mutators = ((PHASE_MUTATE_PICK_A, _each_member(seed, PHASE_MUTATE_A, q_mutate)),)
 
-    def repair(qchrom, gen: int, i: int) -> QuantumChromosome:
-        return q_repair(qchrom, spec, substream(seed, gen, PHASE_REPAIR, i))
+    def repair(pop: list, gen: int, picked: list[int]) -> None:
+        rngs = [substream(seed, gen, PHASE_REPAIR, i) for i in picked]
+        _q_repair_members(pop, picked, spec, rngs)
 
     return _evolve(params, fresh, evaluate, _paired_crossover, mutators, repair)
 

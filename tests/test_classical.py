@@ -454,9 +454,10 @@ class TestScoreReuse:
         evolve = classical._evolve
 
         def spy(params, fresh, evaluate, *rest):
-            def recording(chrom, gen, i):
-                returned.append(evaluate(chrom, gen, i))
-                return returned[-1]
+            def recording(pop, gen):
+                evals = evaluate(pop, gen)
+                returned.extend(evals)
+                return evals
 
             return evolve(params, fresh, recording, *rest)
 
@@ -477,6 +478,21 @@ class TestScoreReuse:
             if getattr(module, name, None) is function:
                 monkeypatch.setattr(module, name, counting)
         return calls
+
+    @staticmethod
+    def count_schedules(monkeypatch, *modules) -> list:
+        """The number of schedules in each ``_count_events`` call through ``modules``."""
+        counted = []
+        function = scoring._count_events
+
+        def counting(statuses, patients, table):
+            counted.append(len(statuses))
+            return function(statuses, patients, table)
+
+        for module in modules:
+            if getattr(module, "_count_events", None) is function:
+                monkeypatch.setattr(module, "_count_events", counting)
+        return counted
 
     @settings(max_examples=15, deadline=None)
     @given(spec=SMALL_SPECS, seed=st.integers(0, 2**32 - 1))
@@ -501,26 +517,28 @@ class TestScoreReuse:
 
         monkeypatch.setattr(classical, "_evolve", spy)
         run_classical(medium_spec, tiny_params(g_max=0))
-        fixed = callbacks["repair"](callbacks["fresh"](1), 0, 0)
+        pop = [callbacks["fresh"](1)]
+        callbacks["repair"](pop, 0, [0])
+        (fixed,) = pop
         layout = evaluate_breakdown(fixed)
-        counted = self.count_calls(monkeypatch, "_count_events", scoring)
+        counted = self.count_schedules(monkeypatch, scoring, classical)
         # a content copy of a repair output is known without counting ...
-        assert callbacks["evaluate"](Chromosome(*fixed.grids), 1, 0)[0] == layout
+        assert callbacks["evaluate"]([Chromosome(*fixed.grids)], 1)[0][0] == layout
         assert not counted
         # ... while one that agrees at every episode start but not elsewhere is counted
         statuses, patients = fixed.statuses.copy(), fixed.patients.copy()
         starts = classical._repair_layout(medium_spec.n_g, medium_spec.n_t)[0]
         assert statuses[0, 0] == 0 and 0 not in starts
         statuses[0, 0], patients[0, 0] = GantryStatus.DISPOSE, patients[0, 1]
-        got = callbacks["evaluate"](Chromosome(statuses, patients), 1, 1)[0]
-        assert len(counted) == 1
+        got = callbacks["evaluate"]([Chromosome(statuses, patients)], 1)[0][0]
+        assert counted == [1]
         assert {**got.counts(), "total": got.total} == brute_breakdown(statuses, patients)
         assert got != layout
 
     def test_counts_only_unknown_schedules_on_medium(self, medium_spec, monkeypatch):
         returned = self.record_evaluations(monkeypatch)
         scorer_calls = self.count_calls(monkeypatch, "evaluate_breakdown", classical)
-        counted = self.count_calls(monkeypatch, "_count_events", scoring, classical)
+        counted = self.count_schedules(monkeypatch, scoring, classical)
         run_classical(medium_spec, tiny_params(g_max=200))
         assert len(returned) == 2010
         # every evaluation enters the scorer once ...
@@ -529,14 +547,24 @@ class TestScoreReuse:
         # 228 schedules that the repair memo does not show to be repair
         # outputs; the spy keeps every evaluated schedule alive, so the weak
         # memo answers one more than in a plain run (the CLI test below)
-        assert len(counted) == 229
+        assert sum(counted) == 229
+
+    @pytest.mark.parametrize("runner", [run_classical, quantum.run_quantum])
+    @pytest.mark.parametrize("stack_cells", [1, 3 * 324 - 1])
+    def test_stack_size_leaves_runs_unchanged(self, medium_spec, monkeypatch, runner, stack_cells):
+        """Counting in stacks of one or two schedules gives the run of one stack per generation."""
+        want = runner(medium_spec, tiny_params(g_max=8))
+        monkeypatch.setattr(classical, "_COUNT_CELLS", stack_cells)
+        counted = self.count_schedules(monkeypatch, scoring, classical)
+        assert runner(medium_spec, tiny_params(g_max=8)) == want
+        assert max(counted) == max(1, stack_cells // medium_spec.n_cells)
 
     def test_cli_run_scores_only_evaluations(self, tmp_path, monkeypatch):
         """Writing the outputs reuses the run's breakdown instead of scoring again."""
         scorer_calls = self.count_calls(
             monkeypatch, "evaluate_breakdown", scoring, classical, quantum, cli
         )
-        counted = self.count_calls(monkeypatch, "_count_events", scoring, classical)
+        counted = self.count_schedules(monkeypatch, scoring, classical)
         repairs = self.count_calls(monkeypatch, "repair_chromosome", classical)
         code = main(
             [
@@ -546,7 +574,7 @@ class TestScoreReuse:
         )
         assert code == 0
         assert len(scorer_calls) == 2010
-        assert len(counted) == 230
+        assert sum(counted) == 230
         # one repair scores the layout; of 1600 schedules sent to repair, 229
         # show an episode-start pattern that no live repair output answers
         assert len(repairs) == 1 + 229

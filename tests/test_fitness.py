@@ -8,7 +8,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gantrysched import (
@@ -30,7 +30,14 @@ from gantrysched.fitness import COUNT_NAMES
 from gantrysched.rng import substream
 
 from brute_fitness import brute_breakdown
-from conftest import CYCLE_SLOTS, SMALL_SPECS, idle_rows, perfect_chromosome, rows_with_cycle
+from conftest import (
+    CYCLE_SLOTS,
+    SMALL_SPECS,
+    chromosomes,
+    idle_rows,
+    perfect_chromosome,
+    rows_with_cycle,
+)
 
 
 def reference_weighted_total(counts, table: ScoreTable) -> float:
@@ -319,6 +326,82 @@ class TestAcrossTracks:
         assert got.completed_therapies == 2
         assert got.duplicate_treatments == 1
         assert_matches_oracle(chrom)
+
+
+@st.composite
+def cycle_stream_schedules(draw, spec: ProblemSpec) -> Chromosome:
+    """One spec's grid cut from a stream of whole cycles and loose runs."""
+    cells = spec.n_g * spec.n_t
+    statuses, patients = [], []
+    while len(statuses) < cells:
+        status = draw(st.integers(0, 8))  # 8 stands for a whole cycle
+        patient = -1 if status == 0 else draw(st.integers(0, spec.n_p - 1))
+        block = CYCLE_SLOTS if status == 8 else [status] * draw(st.integers(1, 16))
+        statuses += block
+        patients += [patient] * len(block)
+    shape = (spec.n_g, spec.n_t)
+    return Chromosome(np.reshape(statuses[:cells], shape), np.reshape(patients[:cells], shape))
+
+
+@st.composite
+def schedule_stacks(draw) -> list[Chromosome]:
+    """1 to 6 schedules of one spec: random, cycle streams and mutated repair outputs."""
+    spec = draw(SMALL_SPECS)
+    seed = draw(st.integers(0, 2**32 - 1))
+    repaired = repair_chromosome(random_chromosome(spec, substream(seed, 0, 0, 0)), spec)
+    kinds = st.one_of(
+        chromosomes(spec),
+        cycle_stream_schedules(spec),
+        st.just(repaired),
+        st.integers(0, 2**32 - 1).map(
+            lambda k: mutate_statuses(repaired, spec, substream(k, 1, 0, 0))
+        ),
+    )
+    return draw(st.lists(kinds, min_size=1, max_size=6))
+
+
+def handover_stack() -> list[Chromosome]:
+    """Each member ends as the next begins: a targeting run of patient 2.
+
+    Joined, the first two members would hold one complete cycle and the
+    last two a nominal 15-slot targeting run.
+    """
+    return [
+        Chromosome([[0] * 14 + CYCLE_SLOTS[:12]], [[-1] * 14 + [2] * 12]),
+        Chromosome([CYCLE_SLOTS[12:] + [3] * 12], [[2] * 26]),
+        Chromosome([[3] * 3 + [0] * 23], [[2] * 3 + [-1] * 23]),
+    ]
+
+
+class TestStackedCount:
+    """``_count_events`` scores every member of a stack as the oracle scores it alone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(members=schedule_stacks())
+    @example(members=handover_stack())
+    @example(members=[perfect_chromosome(n_g=2, n_t=28), perfect_chromosome(n_g=2, n_t=28)])
+    @example(members=[Chromosome([[1, 2, 2, 2, 3]], [[0] * 5]), Chromosome([[3] * 5], [[0] * 5])])
+    @example(members=[Chromosome([[7, 7, 7, 7, 1]], [[0, 0, 0, 0, 1]])])
+    def test_each_member_matches_oracle(self, members):
+        statuses = np.stack([m.statuses for m in members])
+        patients = np.stack([m.patients for m in members])
+        got = fitness._count_events(statuses, patients, ScoreTable())
+        assert len(got) == len(members)
+        for member, breakdown in zip(members, got):
+            want = brute_breakdown(member.statuses, member.patients)
+            assert {**breakdown.counts(), "total": breakdown.total} == want
+
+    def test_runs_do_not_join_across_members(self):
+        """Alone, the members of the handover stack finish and violate what they do together."""
+        members = handover_stack()
+        together = fitness._count_events(
+            np.stack([m.statuses for m in members]),
+            np.stack([m.patients for m in members]),
+            ScoreTable(),
+        )
+        assert together == [evaluate_breakdown(m) for m in members]
+        assert [b.completed_therapies for b in together] == [0, 0, 0]
+        assert [b.duration_violations for b in together] == [1, 2, 1]
 
 
 class TestInvariants:

@@ -17,7 +17,7 @@ from gantrysched import (
     random_chromosome,
     status_duration,
 )
-from gantrysched.fitness import _complete_episode_patients, _run_bounds
+from gantrysched.fitness import _complete_episode_starts, _run_bounds
 from gantrysched.rng import substream
 
 from conftest import CYCLE_SLOTS, perfect_chromosome, rows_with_cycle
@@ -116,7 +116,7 @@ def complete_episodes(statuses, patients) -> list[int]:
     nominal = lengths == STATUS_DURATIONS[run_stat]
     joined = np.zeros(run_stat.size + 1, dtype=bool)
     joined[1:-1] = (run_pat[1:] == run_pat[:-1]) & ~opens[1:]
-    return _complete_episode_patients(run_stat, run_pat, nominal, joined).tolist()
+    return run_pat[_complete_episode_starts(run_stat, nominal, joined)].tolist()
 
 
 class TestParseRuns:

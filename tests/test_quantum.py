@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from gantrysched import (
     uniform_quantum_chromosome,
 )
 from gantrysched.classical import _repair_layout, _repair_starts
-from gantrysched.quantum import _amplify_grid
+from gantrysched.quantum import _amplify_grid, _q_repair_members
 from gantrysched.rng import substream
 
 from brute_amplify import brute_amplify
@@ -443,6 +444,59 @@ class TestQRepair:
         for grid in (q.id_amps, q.status_amps):
             drift = np.abs(np.sum(grid * grid, axis=-1) - 1.0)
             assert float(drift.max()) < 1e-9
+
+
+def repair_fixed_point(spec: ProblemSpec, seed: int) -> QuantumChromosome:
+    """The basis encoding of a repair output: every repair target sits at the cap."""
+    schedule = repair_chromosome(random_chromosome(spec, substream(seed, 0, 0, 0)), spec)
+    return quantum_from_schedule(schedule, spec.n_p)
+
+
+class TestRepairMembers:
+    """One batched repair step returns, member by member, what ``q_repair`` returns."""
+
+    @staticmethod
+    def assert_matches_q_repair(members, spec, seeds):
+        got = list(members)
+        _q_repair_members(got, list(range(len(got))), spec, [substream(s, 1, 8, 0) for s in seeds])
+        for q, out, s in zip(members, got, seeds):
+            want = q_repair(q, spec, substream(s, 1, 8, 0))
+            assert [g.tobytes() for g in out.grids] == [g.tobytes() for g in want.grids]
+        # every member owns its grids, so a population's memory stays per member
+        for j, k in itertools.combinations(range(len(got)), 2):
+            for a, b in itertools.product(got[j].grids, got[k].grids):
+                assert not np.shares_memory(a, b)
+        return got
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), spec=SMALL_SPECS, n=st.integers(1, 5))
+    def test_matches_q_repair_member_by_member(self, data, spec, n):
+        members = []
+        for _ in range(n):
+            if data.draw(st.booleans()):
+                members.append(repair_fixed_point(spec, data.draw(st.integers(0, 2**32 - 1))))
+            else:
+                members.append(data.draw(quantum_chromosomes(spec)))
+        seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n))
+        self.assert_matches_q_repair(members, spec, seeds)
+
+    def test_members_at_the_cap_mix_with_members_that_change(self, medium_spec):
+        capped = [repair_fixed_point(medium_spec, s) for s in (1, 2)]
+        rng = substream(3, 0, 0, 0)
+        shape = (medium_spec.n_g, medium_spec.n_t)
+        changing = [
+            uniform_quantum_chromosome(medium_spec),
+            QuantumChromosome(
+                random_amplitudes(rng, (*shape, medium_spec.n_p)),
+                random_amplitudes(rng, (*shape, 8)),
+            ),
+        ]
+        members = [capped[0], changing[0], capped[1], changing[1]]
+        got = self.assert_matches_q_repair(members, medium_spec, [11, 12, 13, 14])
+        # nothing to amplify: the capped members keep their own grids
+        for out, q in ((got[0], capped[0]), (got[2], capped[1])):
+            assert all(a is b for a, b in zip(out.grids, q.grids))
+        assert got[1] != changing[0] and got[3] != changing[1]
 
 
 class TestRunQuantum:
