@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import weakref
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Sequence, TypeVar
@@ -103,9 +102,9 @@ def select(
 ) -> list[tuple]:
     """Keep the top slice of (chromosome, fitness) pairs by fitness.
 
-    The slice size is min(n_max, max(2, floor(r_s * len(pairs)))), ties are
-    broken toward the lower original index, and the survivors come back in
-    descending fitness order.
+    The slice size is min(n_max, max(2, floor(r_s * len(pairs))), len(pairs)),
+    ties are broken toward the lower original index, and the kept pairs come
+    back in descending fitness order.
     """
     n = len(pairs)
     if n == 0:
@@ -305,11 +304,11 @@ def _evolve(
 ) -> RunResult:
     """Generation loop shared by the classical and quantum variants.
 
-    ``evaluate(pop, gen)`` returns the breakdown of each member's schedule
-    and that schedule; the loop keeps the first best pair it sees.  A
-    mutator or ``repair`` called as ``step(pop, gen, picked)`` replaces the
-    picked members of ``pop`` in place, each as soon as its replacement is
-    built, so that a replaced member can be freed before the next is built.
+    ``evaluate(pop, gen)`` returns a (breakdown, schedule) pair per member;
+    the loop keeps the first best pair it sees.  ``step(pop, gen, picked)``,
+    a mutator or ``repair``, replaces each picked member of ``pop`` in place.
+    Through these steps the loop keeps no member of the previous generation,
+    only ``pop`` and the best pair, so a replaced member can be freed.
     """
     started = perf_counter()
     seed = params.seed
@@ -327,13 +326,11 @@ def _evolve(
         records.append(GenerationRecord(gen, totals[best_idx], len(pop)))
         if best is None or totals[best_idx] > best[0].total:
             best = evals[best_idx]
+        del evals
         if gen == params.g_max:
             break
 
-        # evals and survivors keep the previous generation referenced through mutation
-        # and repair; run_classical's weak repair memo depends on it.
-        survivors = select(list(zip(pop, totals)), params.r_s, params.n_max)
-        pop = [chrom for chrom, _ in survivors]
+        pop = [chrom for chrom, _ in select(list(zip(pop, totals)), params.r_s, params.n_max)]
         pop = crossover_pop(pop, params.r_c, substream(seed, gen, PHASE_PAIRING, 0))
 
         for pick_phase, ratio, step in steps:
@@ -419,7 +416,7 @@ def run_classical(
     # Repair reads only the episode starts (busy iff non-vacant), a repair
     # output is its own repair, and all outputs share one score.
     starts = _repair_layout(spec.n_g, spec.n_t)[0]
-    repaired = weakref.WeakValueDictionary()
+    repaired: dict[bytes, Chromosome] = {}
     layout = repair_chromosome(fresh(0), spec)
     (layout_score,) = _count_events(layout.statuses[None], layout.patients[None], table)
 
@@ -439,6 +436,10 @@ def run_classical(
         return layout_score if fixed is not None and (fixed is chrom or fixed == chrom) else None
 
     def evaluate(pop: list, gen: int) -> list[tuple[FitnessBreakdown, Chromosome]]:
-        return list(zip(_score_members(pop, table, held), pop))
+        scores = _score_members(pop, table, held)
+        members = {id(chrom) for chrom in pop}  # exact: live objects never share an id
+        for stale in [k for k, fixed in repaired.items() if id(fixed) not in members]:
+            del repaired[stale]  # its output has left the population
+        return list(zip(scores, pop))
 
     return _evolve(params, fresh, evaluate, _paired_crossover, mutators, repair)

@@ -128,6 +128,9 @@ def _resolve_config(
     if not isinstance(out_name, str):
         raise ConfigError("config field 'out_dir' must be a string")
     out_dir = Path(out_override) if out_override is not None else Path(out_name)
+    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output directory {out_dir}: {existing} is not a directory")
     echo = {
         **spec_values,
         **ga_values,

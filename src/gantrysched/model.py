@@ -138,7 +138,7 @@ class Chromosome(_CellGrids):
     """
 
     _GRIDS = ("statuses", "patients")
-    __slots__ = (*_GRIDS, "__weakref__")
+    __slots__ = _GRIDS
 
     def __new__(cls, statuses, patients, *, n_p: int | None = None) -> Chromosome:
         given = (np.asarray(statuses), np.asarray(patients))

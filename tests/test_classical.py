@@ -544,10 +544,8 @@ class TestScoreReuse:
         # every evaluation enters the scorer once ...
         assert len(scorer_calls) == 2010
         # ... which counts the repair layout once and, of the rest, only the
-        # 228 schedules that the repair memo does not show to be repair
-        # outputs; the spy keeps every evaluated schedule alive, so the weak
-        # memo answers one more than in a plain run (the CLI test below)
-        assert sum(counted) == 229
+        # 229 schedules that the repair memo does not show to be repair outputs
+        assert sum(counted) == 230
 
     @pytest.mark.parametrize("runner", [run_classical, quantum.run_quantum])
     @pytest.mark.parametrize("stack_cells", [1, 3 * 324 - 1])
@@ -576,5 +574,5 @@ class TestScoreReuse:
         assert len(scorer_calls) == 2010
         assert sum(counted) == 230
         # one repair scores the layout; of 1600 schedules sent to repair, 229
-        # show an episode-start pattern that no live repair output answers
+        # show an episode-start pattern that the repair memo does not answer
         assert len(repairs) == 1 + 229

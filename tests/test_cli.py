@@ -47,6 +47,17 @@ def child_env() -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": path}
 
 
+@pytest.fixture
+def no_runs(monkeypatch):
+    """Replace both algorithms by a stub that fails the test if a GA runs."""
+
+    def refuse(*args):
+        raise AssertionError("a GA ran")
+
+    for algo in ("classical", "quantum"):
+        monkeypatch.setitem(cli.ALGORITHMS, algo, refuse)
+
+
 def write_grid(tmp_path, axes, exclude=None):
     doc = {"axes": axes}
     if exclude is not None:
@@ -213,10 +224,25 @@ class TestRunErrors:
         assert not (tmp_path / "out").exists()
 
     def test_unwritable_out_dir_exits_3(self, tmp_path):
+        """A write that fails only after the run, here onto a directory, exits 3."""
+        (tmp_path / "out" / "curves.csv").mkdir(parents=True)
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config)]) == 3
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["curves.csv"]
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_out_dir_at_or_below_a_file_exits_2(self, tmp_path, capsys, no_runs, below, via):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
-        config = write_config(tmp_path, out_dir=str(blocker / "sub"))
-        assert main(["run", "--config", str(config)]) == 3
+        out = blocker / below if below else blocker
+        if via == "flag":
+            args = ["run", "--config", str(write_config(tmp_path)), "--out", str(out)]
+        else:
+            args = ["run", "--config", str(write_config(tmp_path, out_dir=str(out)))]
+        assert main(args) == 2
+        assert f"{blocker} is not a directory" in capsys.readouterr().err
+        assert blocker.read_text() == "a file, not a directory"
 
 
 class TestSweepCommand:
@@ -235,6 +261,15 @@ class TestSweepCommand:
         summary = (tmp_path / "out" / "sweep_summary.csv").read_text().splitlines()
         assert summary[1].startswith("all,3,")
         assert summary[2].startswith("top10,3,")
+
+    def test_out_dir_below_a_file_exits_2(self, tmp_path, capsys, no_runs):
+        blocker = tmp_path / "blocked"
+        blocker.write_text("a file, not a directory")
+        grid = write_grid(tmp_path, {"r_s": {"center": 0.6, "half_width": 0.2, "step": 0.2}})
+        config = write_config(tmp_path)
+        args = ["sweep", "--config", str(config), "--grid", str(grid), "--out", str(blocker / "x")]
+        assert main(args) == 2
+        assert f"{blocker} is not a directory" in capsys.readouterr().err
 
     def test_exclusions_drop_rows(self, tmp_path):
         config = write_config(tmp_path, g_max=2)
@@ -336,14 +371,6 @@ class TestSweepCommand:
 
 class TestMemoryBound:
     """Quantum runs whose grids would pass the bound exit 2 before any GA runs."""
-
-    @pytest.fixture
-    def no_runs(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a GA ran")
-
-        for algo in ("classical", "quantum"):
-            monkeypatch.setitem(cli.ALGORITHMS, algo, refuse)
 
     def test_run_over_the_bound_exits_2(self, tmp_path, capsys, no_runs):
         # 3 * 10**5 cells * (1000 + 8) * 16 bytes per chromosome, 4 chromosomes

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from gantrysched import (
     uniform_quantum_chromosome,
 )
 from gantrysched.classical import _repair_layout, _repair_starts
-from gantrysched.quantum import _amplify_grid, _q_repair_members
+from gantrysched.quantum import _amplify_grid, _q_repair_members, memory_estimate
 from gantrysched.rng import substream
 
 from brute_amplify import brute_amplify
@@ -519,6 +520,24 @@ class TestRunQuantum:
     def test_improves_on_medium_problem(self, medium_spec):
         result = run_quantum(medium_spec, PARAMS)
         assert result.best_breakdown.total > result.records[0].best_fitness
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "spec",
+        [ProblemSpec(n_g=3, n_p=12, n_t=108), ProblemSpec(n_g=3, n_p=24, n_t=200)],
+        ids=["medium", "3x200x24"],
+    )
+    def test_peak_memory_stays_near_the_estimate(self, spec, seed):
+        """A run holds about one population's grids: replaced members are freed."""
+        params = dataclasses.replace(PARAMS, seed=seed)
+        run_quantum(spec, dataclasses.replace(params, g_max=1))  # warm-up: caches and imports
+        tracemalloc.start()
+        try:
+            run_quantum(spec, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * memory_estimate(spec, params)
 
 
 class TestQubitEstimate:
