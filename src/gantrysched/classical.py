@@ -226,31 +226,33 @@ def mutate_statuses(
 
 
 @functools.lru_cache(maxsize=None)
-def _repair_layout(n_g: int, n_t: int):
-    """Episode start slots, status layout and per-cell episode index of a repair.
+def _repair_layout(spec: ProblemSpec):
+    """Filled start cells, the status grid of every repair output, and cell episodes.
 
-    Every track holds the same episodes: one idle separator ahead of each
-    complete working cycle while room allows, the last one flush against
-    the previous cycle if only that fits.  Episodes are numbered in
-    gantry-major order; idle cells hold the episode count.
+    Every track holds the same episode slots: one idle separator ahead of
+    each complete working cycle while room allows, the last one flush
+    against the previous cycle if only that fits.  Repair fills the first
+    min(n_p, episodes) in gantry-major order: their start cells come as
+    flat indices in that order, and the episode grid numbers their cells
+    alike and points all other cells one past the last, at a VACANT slot.
     """
     cycle = cycle_status_pattern()
     span = cycle.size
     starts = []
-    t = 1 if n_t > span else 0
-    while t + span <= n_t:
+    t = 1 if spec.n_t > span else 0
+    while t + span <= spec.n_t:
         starts.append(t)
-        t += span + 1 if t + 2 * span + 1 <= n_t else span
-    n_e = len(starts)
+        t += span + 1 if t + 2 * span + 1 <= spec.n_t else span
     starts = np.array(starts, dtype=np.intp)
-    layout = np.zeros((n_g, n_t), dtype=np.int8)
-    episode = np.full((n_g, n_t), n_g * n_e, dtype=np.int64)
-    for k, start in enumerate(starts):
-        layout[:, start : start + span] = cycle
-        episode[:, start : start + span] = np.arange(k, n_g * n_e, n_e)[:, None]
-    for table in (starts, layout, episode):
+    flat = (np.arange(0, spec.n_cells, spec.n_t)[:, None] + starts).ravel()[: spec.n_p]
+    statuses = np.zeros((spec.n_g, spec.n_t), dtype=np.int8)
+    episode = np.full((spec.n_g, spec.n_t), flat.size, dtype=np.intp)
+    for k, start in enumerate(flat):
+        statuses.flat[start : start + span] = cycle
+        episode.flat[start : start + span] = k
+    for table in (flat, statuses, episode):
         table.setflags(write=False)
-    return starts, layout, episode
+    return flat, statuses, episode
 
 
 def repair_chromosome(chrom: Chromosome, spec: ProblemSpec) -> Chromosome:
@@ -264,34 +266,27 @@ def repair_chromosome(chrom: Chromosome, spec: ProblemSpec) -> Chromosome:
     left the remaining episodes stay idle.  Episodes are filled gantry by
     gantry, so earlier gantries win any contention for patients.  The result
     has no duration violations, conflicts, interruptions, or duplicate
-    treatments.
+    treatments; its statuses are the layout's one grid (:func:`_repair_layout`).
     """
-    starts = _repair_layout(spec.n_g, spec.n_t)[0]
-    return _repair_starts(chrom.statuses[:, starts], chrom.patients[:, starts], spec)
+    flat, statuses, _ = _repair_layout(spec)
+    patients = _repair_patients(chrom.statuses.take(flat), chrom.patients.take(flat), spec)
+    return Chromosome._adopt(statuses, patients)
 
 
-def _repair_starts(busy_at_starts, incumbents_at_starts, spec: ProblemSpec) -> Chromosome:
-    """Repair from the (n_g, episodes) start cells: busy (nonzero) flags and incumbents."""
-    _, layout, episode = _repair_layout(spec.n_g, spec.n_t)
+def _repair_patients(busy, incumbents, spec: ProblemSpec) -> np.ndarray:
+    """Patient grid of a repair from its filled start cells: busy (nonzero) flags and incumbents."""
     treated = set()
-    busy_at = busy_at_starts.ravel().tolist()
-    incumbents = incumbents_at_starts.ravel().tolist()
     picks = []
     lowest = 0
-    for busy, incumbent in zip(busy_at, incumbents):
-        if not busy or incumbent in treated:
-            while lowest in treated:
+    for is_busy, incumbent in zip(busy.tolist(), incumbents.tolist()):
+        if not is_busy or incumbent in treated:
+            while lowest in treated:  # at most n_p starts: someone is left
                 lowest += 1
-            if lowest >= spec.n_p:
-                break
             incumbent = lowest
         treated.add(incumbent)
         picks.append(incumbent)
-    lookup = np.full(len(busy_at) + 1, VACANT, dtype=np.int32)
-    lookup[: len(picks)] = picks
-    patients = lookup[episode]
-    statuses = np.where(patients != VACANT, layout, 0)
-    return Chromosome._adopt(statuses, patients)
+    picks.append(VACANT)
+    return np.array(picks, dtype=np.int32)[_repair_layout(spec)[2]]
 
 
 def _evolve(
@@ -413,33 +408,29 @@ def run_classical(
         ),
     )
 
-    # Repair reads only the episode starts (busy iff non-vacant), a repair
-    # output is its own repair, and all outputs share one score.
-    starts = _repair_layout(spec.n_g, spec.n_t)[0]
-    repaired: dict[bytes, Chromosome] = {}
+    # Every repair output scores as the layout.  The outputs still in the
+    # population are known by identity: an entry keeps its output alive.
     layout = repair_chromosome(fresh(0), spec)
     (layout_score,) = _count_events(layout.statuses[None], layout.patients[None], table)
-
-    def key(chrom: Chromosome) -> bytes:
-        return chrom.patients[:, starts].tobytes()
+    outputs: dict[int, Chromosome] = {}
 
     def repair(pop: list, gen: int, picked: list[int]) -> None:
         for i in picked:
-            fixed = repaired.get(key(pop[i]))
-            if fixed is None:
-                fixed = repaired[key(pop[i])] = repair_chromosome(pop[i], spec)
-                repaired.setdefault(key(fixed), fixed)
-            pop[i] = fixed
+            pop[i] = repair_chromosome(pop[i], spec)
+            outputs[id(pop[i])] = pop[i]
 
     def held(chrom: Chromosome) -> FitnessBreakdown | None:  # repair outputs only
-        fixed = repaired.get(key(chrom))
-        return layout_score if fixed is not None and (fixed is chrom or fixed == chrom) else None
+        return layout_score if id(chrom) in outputs else None
 
     def evaluate(pop: list, gen: int) -> list[tuple[FitnessBreakdown, Chromosome]]:
         scores = _score_members(pop, table, held)
-        members = {id(chrom) for chrom in pop}  # exact: live objects never share an id
-        for stale in [k for k, fixed in repaired.items() if id(fixed) not in members]:
-            del repaired[stale]  # its output has left the population
+        for gone in outputs.keys() - {id(chrom) for chrom in pop}:
+            del outputs[gone]  # its output has left the population
         return list(zip(scores, pop))
 
     return _evolve(params, fresh, evaluate, _paired_crossover, mutators, repair)
+
+
+def memory_estimate(spec: ProblemSpec, params: GaParams) -> int:
+    """Grid bytes of a run's largest classical population: 5 per cell (int8 + int32)."""
+    return spec.n_cells * 5 * _peak_population(params)

@@ -15,10 +15,11 @@ import sys
 import uuid
 from pathlib import Path
 
+from . import classical, quantum
 from .classical import GaParams, RunResult
 from .fitness import FitnessBreakdown, ScoreTable
 from .model import VACANT, Chromosome, ConfigError, GantryStatus, ProblemSpec, _check_real
-from .quantum import memory_estimate, qubit_estimate
+from .quantum import qubit_estimate
 from .sweep import (
     ALGORITHMS,
     SweepAxis,
@@ -33,8 +34,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-# A quantum run whose largest population needs more grid bytes than this exits 2.
+# A run whose largest population needs more grid bytes than this exits 2.
 MEMORY_BOUND = 2**31
+_MEMORY_ESTIMATES = {"classical": classical.memory_estimate, "quantum": quantum.memory_estimate}
 
 _SPEC_DEFAULTS = {"n_g": 3, "n_p": 12, "n_t": 108}
 _PARAM_DEFAULTS = {
@@ -141,10 +143,10 @@ def _resolve_config(
 
 
 def _check_memory(spec: ProblemSpec, params: GaParams, algo: str) -> None:
-    need = memory_estimate(spec, params) if algo == "quantum" else 0
+    need = _MEMORY_ESTIMATES[algo](spec, params)
     if need > MEMORY_BOUND:
         raise ConfigError(
-            f"a quantum population would need about {need / 2**20:.0f} MiB of grids, "
+            f"a {algo} population would need about {need / 2**20:.0f} MiB of grids, "
             f"above the {MEMORY_BOUND // 2**20} MiB bound"
         )
 

@@ -77,6 +77,8 @@ class ProblemSpec:
     def __post_init__(self) -> None:
         for name in ("n_g", "n_p", "n_t"):
             _check_int(name, getattr(self, name), 1)
+        if self.n_p > 2**31:  # patient ids are int32
+            raise ConfigError(f"n_p must be at most 2**31, got {self.n_p!r}")
 
     @property
     def n_cells(self) -> int:

@@ -4,8 +4,8 @@ Every cell of a quantum chromosome holds two real amplitude vectors: one
 over the patient ids and one over the eight gantry statuses.  Observation
 projects each cell onto a classical slot without disturbing the stored
 amplitudes; mutation collapses one cell to random basis states; repair
-amplifies the amplitudes of a classically repaired shadow schedule so that
-later observations concentrate near it.  The generation loop mirrors the
+amplifies the amplitudes of the classical repair of a shadow schedule so
+that later observations concentrate near it.  The generation loop mirrors the
 classical one with these operators substituted.
 """
 
@@ -24,7 +24,7 @@ from .classical import (
     _paired_crossover,
     _peak_population,
     _repair_layout,
-    _repair_starts,
+    _repair_patients,
     _score_members,
 )
 from .fitness import FitnessBreakdown, ScoreTable
@@ -225,13 +225,14 @@ def q_repair(
     spec: ProblemSpec,
     rng: np.random.Generator,
 ) -> QuantumChromosome:
-    """Amplify the amplitudes of a repaired shadow of the chromosome.
+    """Amplify the amplitudes of the classical repair of a shadow of the chromosome.
 
     The shadow is the classical repair of one observation.  Repair reads
-    only the episode starts, so only they are sampled, from uniforms drawn
-    as :func:`observe` draws them.  Every status vector is then amplified
-    toward the repaired status, and the id vector toward the repaired
-    patient wherever that status is not idle; other id vectors stay as is.
+    only the starts of the episodes it fills, so only they are sampled, from
+    uniforms drawn as :func:`observe` draws them.  Every status vector is
+    then amplified toward the repair's status, and the id vector toward the
+    repair's patient wherever that status is not idle; other id vectors
+    stay as is.
     """
     pop = [qchrom]
     _q_repair_members(pop, [0], spec, [rng])
@@ -246,19 +247,22 @@ def _q_repair_members(
 ) -> None:
     """Replace each picked member by its :func:`q_repair` on its own generator.
 
-    The changed vectors of several members are amplified in one pass per
-    register, in groups of about one grid's worth of vectors so that the
-    temporaries stay as small as a single member's; each member then gets
-    its own copies of the grids.
+    Every member's status target is the status grid of all repair outputs,
+    so a member samples only the filled episode starts and picks only their
+    patients.  The changed vectors of several members are amplified in one
+    pass per register, in groups of about one grid's worth of vectors so
+    that the temporaries stay as small as a single member's; each member
+    then gets its own copies of the grids.
     """
-    starts = _repair_layout(spec.n_g, spec.n_t)[0]
-    u = np.array([rng.random((2, spec.n_g, spec.n_t)) for rng in rngs])[..., starts]
-    status_at = _pick(np.array([pop[i].status_cum[:, starts] for i in picked]), u[:, 0])
-    id_at = _pick(np.array([pop[i].id_cum[:, starts] for i in picked]), u[:, 1])
-    desired = [_repair_starts(*at, spec) for at in zip(status_at, id_at)]
-    statuses = np.array([d.statuses for d in desired])
+    flat, statuses, _ = _repair_layout(spec)
+    u = np.array([rng.random((2, spec.n_cells)) for rng in rngs])[..., flat]
+    status_cum = np.array([pop[i].status_cum.reshape(-1, N_STATUSES)[flat] for i in picked])
+    id_cum = np.array([pop[i].id_cum.reshape(-1, spec.n_p)[flat] for i in picked])
+    status_at, id_at = _pick(status_cum, u[:, 0]), _pick(id_cum, u[:, 1])
+    patients = np.array([_repair_patients(*at, spec) for at in zip(status_at, id_at)])
+    statuses = np.broadcast_to(statuses, patients.shape)
     busy = statuses != 0
-    id_targets = np.where(busy, np.array([d.patients for d in desired]), 0)
+    id_targets = np.where(busy, patients, 0)
     id_rows = _rows_below_cap([pop[i].id_amps for i in picked], id_targets, busy)
     status_rows = _rows_below_cap(
         [pop[i].status_amps for i in picked], statuses, np.ones_like(busy)
@@ -266,8 +270,7 @@ def _q_repair_members(
     # a group starts wherever the changed vectors so far pass another grid's worth
     sizes = [a.size + b.size for a, b in zip(id_rows, status_rows)]
     offsets = list(itertools.accumulate(sizes, initial=0))
-    cells = spec.n_g * spec.n_t
-    for _, group in itertools.groupby(range(len(picked)), key=lambda k: offsets[k] // cells):
+    for _, group in itertools.groupby(range(len(picked)), key=lambda k: offsets[k] // spec.n_cells):
         group = list(group)
         id_changes = _amplify_rows(
             [pop[picked[k]].id_amps for k in group],

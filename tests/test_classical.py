@@ -277,6 +277,10 @@ def seeded_case(spec: ProblemSpec) -> tuple[ProblemSpec, Chromosome]:
     return spec, random_chromosome(spec, substream(61, 0, 0, spec.n_t))
 
 
+def seeded_cases(spec: ProblemSpec) -> tuple[ProblemSpec, list[Chromosome]]:
+    return spec, [random_chromosome(spec, substream(61, 0, k, spec.n_t)) for k in range(2)]
+
+
 class TestRepair:
     @settings(max_examples=50, deadline=None)
     @given(data=st.data(), spec=SMALL_SPECS)
@@ -296,10 +300,10 @@ class TestRepair:
 
     @staticmethod
     def assert_one_layout_score(spec: ProblemSpec, a: Chromosome, b: Chromosome) -> None:
-        """Repairs of a and b score alike; b with a's episode starts repairs as a."""
-        starts = classical._repair_layout(spec.n_g, spec.n_t)[0]
+        """Repairs of a and b score alike; b with a's filled episode starts repairs as a."""
+        flat = classical._repair_layout(spec)[0]
         statuses, patients = b.statuses.copy(), b.patients.copy()
-        statuses[:, starts], patients[:, starts] = a.statuses[:, starts], a.patients[:, starts]
+        statuses.flat[flat], patients.flat[flat] = a.statuses.take(flat), a.patients.take(flat)
         fixed = [repair_chromosome(c, spec) for c in (a, b, Chromosome(statuses, patients))]
         assert fixed[2] == fixed[0]
         want = brute_breakdown(fixed[0].statuses, fixed[0].patients)
@@ -347,12 +351,29 @@ class TestRepair:
         for row in fixed.statuses:
             assert np.flatnonzero(row == GantryStatus.READY).tolist() == starts
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        case=SMALL_SPECS.flatmap(
+            lambda spec: st.tuples(st.just(spec), st.lists(chromosomes(spec), min_size=2))
+        )
+    )
+    @example(case=seeded_cases(ProblemSpec(n_g=3, n_p=2, n_t=60)))  # 6 episodes, 2 patients
+    @example(case=seeded_cases(ProblemSpec(n_g=1, n_p=5, n_t=60)))  # 2 episodes, 5 patients
+    def test_outputs_share_one_read_only_status_grid(self, case):
+        """Every repair output of a spec holds the one status grid of the walking reference."""
+        spec, chroms = case
+        fixed = [repair_chromosome(chrom, spec) for chrom in chroms]
+        statuses = fixed[0].statuses
+        assert all(out.statuses is statuses for out in fixed)
+        assert not statuses.flags.writeable
+        assert statuses.tobytes() == brute_repair(chroms[0], spec).statuses.tobytes()
+
     @settings(max_examples=100, deadline=None)
     @given(case=SMALL_SPECS.flatmap(lambda spec: st.tuples(st.just(spec), chromosomes(spec))))
     @example(case=seeded_case(ProblemSpec(n_g=2, n_p=3, n_t=25)))  # no episode fits
     @example(case=seeded_case(ProblemSpec(n_g=3, n_p=2, n_t=60)))  # 6 episodes, 2 patients
     def test_idempotent(self, case):
-        """The repair memo files each output under its own episode starts."""
+        """A repair output is its own repair."""
         spec, chrom = case
         once = repair_chromosome(chrom, spec)
         assert repair_chromosome(once, spec) == once
@@ -522,16 +543,19 @@ class TestScoreReuse:
         (fixed,) = pop
         layout = evaluate_breakdown(fixed)
         counted = self.count_schedules(monkeypatch, scoring, classical)
-        # a content copy of a repair output is known without counting ...
-        assert callbacks["evaluate"]([Chromosome(*fixed.grids)], 1)[0][0] == layout
+        # the output itself is known without counting ...
+        assert callbacks["evaluate"]([fixed], 1)[0][0] == layout
         assert not counted
-        # ... while one that agrees at every episode start but not elsewhere is counted
+        # ... while a content copy is counted, and scores the layout ...
+        assert callbacks["evaluate"]([Chromosome(*fixed.grids)], 1)[0][0] == layout
+        assert counted == [1]
+        # ... and one that agrees at every episode start but not elsewhere differs
         statuses, patients = fixed.statuses.copy(), fixed.patients.copy()
-        starts = classical._repair_layout(medium_spec.n_g, medium_spec.n_t)[0]
-        assert statuses[0, 0] == 0 and 0 not in starts
+        flat = classical._repair_layout(medium_spec)[0]
+        assert statuses[0, 0] == 0 and 0 not in flat
         statuses[0, 0], patients[0, 0] = GantryStatus.DISPOSE, patients[0, 1]
         got = callbacks["evaluate"]([Chromosome(statuses, patients)], 1)[0][0]
-        assert counted == [1]
+        assert counted == [1, 1]
         assert {**got.counts(), "total": got.total} == brute_breakdown(statuses, patients)
         assert got != layout
 
@@ -544,8 +568,8 @@ class TestScoreReuse:
         # every evaluation enters the scorer once ...
         assert len(scorer_calls) == 2010
         # ... which counts the repair layout once and, of the rest, only the
-        # 229 schedules that the repair memo does not show to be repair outputs
-        assert sum(counted) == 230
+        # 256 schedules that are not this generation's repair outputs
+        assert sum(counted) == 257
 
     @pytest.mark.parametrize("runner", [run_classical, quantum.run_quantum])
     @pytest.mark.parametrize("stack_cells", [1, 3 * 324 - 1])
@@ -572,7 +596,6 @@ class TestScoreReuse:
         )
         assert code == 0
         assert len(scorer_calls) == 2010
-        assert sum(counted) == 230
-        # one repair scores the layout; of 1600 schedules sent to repair, 229
-        # show an episode-start pattern that the repair memo does not answer
-        assert len(repairs) == 1 + 229
+        assert sum(counted) == 257
+        # one repair scores the layout, then every schedule sent to repair is repaired
+        assert len(repairs) == 1 + 1600

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from brute_fitness import WEIGHTS, brute_breakdown
-from gantrysched import GaParams, ProblemSpec, cli
+from gantrysched import GaParams, ProblemSpec, classical, cli
 from gantrysched.cli import main
 from gantrysched.quantum import memory_estimate
 from gantrysched.fitness import COUNT_NAMES
@@ -184,6 +184,12 @@ class TestRunErrors:
         config = write_config(tmp_path, **{field: 4.5})
         assert main(["run", "--config", str(config)]) == 2
         assert field in capsys.readouterr().err
+
+    def test_patient_count_beyond_int32_exits_2(self, tmp_path, capsys, no_runs):
+        config = write_config(tmp_path, n_p=3_000_000_000)
+        assert main(["run", "--config", str(config)]) == 2
+        assert "n_p" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_out_of_range_ratio_exits_2(self, tmp_path):
         config = write_config(tmp_path, r_s=1.4)
@@ -370,13 +376,21 @@ class TestSweepCommand:
 
 
 class TestMemoryBound:
-    """Quantum runs whose grids would pass the bound exit 2 before any GA runs."""
+    """Runs whose grids would pass the bound exit 2 before any GA runs."""
 
     def test_run_over_the_bound_exits_2(self, tmp_path, capsys, no_runs):
         # 3 * 10**5 cells * (1000 + 8) * 16 bytes per chromosome, 4 chromosomes
         config = write_config(tmp_path, n_g=3, n_p=1000, n_t=10**5)
         assert main(["run", "--config", str(config), "--algo", "quantum"]) == 2
         assert "MiB bound" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_classical_run_over_the_bound_exits_2(self, tmp_path, capsys, no_runs):
+        # 3 * 10**8 cells * 5 bytes per chromosome, 4 chromosomes
+        config = write_config(tmp_path, n_g=3, n_t=10**8)
+        assert main(["run", "--config", str(config), "--algo", "classical"]) == 2
+        err = capsys.readouterr().err
+        assert "MiB bound" in err and "classical" in err
         assert not (tmp_path / "out").exists()
 
     def test_sweep_checks_every_point(self, tmp_path, capsys, no_runs):
@@ -398,12 +412,15 @@ class TestMemoryBound:
             r_s=0.83, r_c=0.37, r_m=0.37, r_r=0.85, n_ini=40, n_max=250, g_max=20, seed=0
         )
         assert memory_estimate(spec, params) == 342 * 3 * 650 * (72 + 8) * 16
+        assert classical.memory_estimate(spec, params) == 342 * 3 * 650 * 5
 
     @pytest.mark.parametrize("name", ["medium", "large"])
     def test_shipped_configs_sit_far_below_the_bound(self, name):
         doc = json.loads((ROOT / "configs" / f"{name}.json").read_text())
-        spec, params, *_ = cli._resolve_config(doc, "quantum")
-        assert memory_estimate(spec, params) * 50 < cli.MEMORY_BOUND
+        estimates = {"classical": classical.memory_estimate, "quantum": memory_estimate}
+        for algo, estimate in estimates.items():
+            spec, params, *_ = cli._resolve_config(doc, algo)
+            assert estimate(spec, params) * 50 < cli.MEMORY_BOUND
 
 
 class TestQubitsCommand:

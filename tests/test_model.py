@@ -62,6 +62,13 @@ class TestProblemSpec:
         with pytest.raises(ConfigError):
             ProblemSpec(**values)
 
+    def test_patient_ids_fit_int32(self):
+        """Up to 2**31 patients draw int32 ids; one more is a configuration error."""
+        spec = ProblemSpec(n_g=1, n_p=2**31, n_t=4)
+        assert random_chromosome(spec, substream(5, 0, 0, 0)).patients.dtype == np.int32
+        with pytest.raises(ConfigError, match="n_p"):
+            ProblemSpec(n_g=1, n_p=2**31 + 1, n_t=4)
+
 
 class TestChromosome:
     def test_arrays_are_read_only(self):

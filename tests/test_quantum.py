@@ -29,7 +29,7 @@ from gantrysched import (
     single_point_crossover,
     uniform_quantum_chromosome,
 )
-from gantrysched.classical import _repair_layout, _repair_starts
+from gantrysched.classical import _repair_layout, _repair_patients
 from gantrysched.quantum import _amplify_grid, _q_repair_members, memory_estimate
 from gantrysched.rng import substream
 
@@ -403,7 +403,7 @@ class TestQRepair:
     def test_start_only_sampling_matches_observe_then_repair(self, data, spec, first_seed):
         """Sampling only the episode starts draws and repairs as a full observation."""
         q = data.draw(quantum_chromosomes(spec))
-        starts = _repair_layout(spec.n_g, spec.n_t)[0]
+        flat = _repair_layout(spec)[0]
         for seed in range(first_seed, first_seed + 4):
             shadow = observe(q, np.random.default_rng(seed))
             desired = repair_chromosome(shadow, spec)
@@ -413,12 +413,14 @@ class TestQRepair:
                 _amplify_grid(q.status_amps, desired.statuses, np.ones_like(busy))[0],
             )
             assert q_repair(q, spec, np.random.default_rng(seed)) == want
-            # the kernel reads a busy flag and an incumbent per start, idle incumbents ignored
-            at_starts = shadow.statuses[:, starts] != 0
+            # the kernel reads a busy flag and an incumbent per filled start, idle
+            # incumbents ignored
+            at_starts = shadow.statuses.take(flat) != 0
             ids = st.integers(0, spec.n_p - 1)
             others = data.draw(arrays(np.int64, at_starts.shape, elements=ids))
-            incumbents = np.where(at_starts, shadow.patients[:, starts], others)
-            assert _repair_starts(at_starts, incumbents, spec) == desired
+            incumbents = np.where(at_starts, shadow.patients.take(flat), others)
+            patients = _repair_patients(at_starts, incumbents, spec)
+            assert patients.tobytes() == desired.patients.tobytes()
 
     def test_repaired_basis_state_is_a_fixed_point(self, medium_spec):
         rng = substream(79, 0, 0, 0)
