@@ -42,14 +42,19 @@ from .rng import (
     substream,
 )
 
-# Cells per stack of schedules counted in one pass (see _score_members).
-_COUNT_CELLS = 2**14
-
 # Ratio-times-count arithmetic uses a tiny slack so that decimal ratios such
 # as 0.29 * 100 floor to the intended integer despite binary rounding.
 _FLOOR_EPS = 1e-9
 
 G = TypeVar("G", bound=_CellGrids)  # either chromosome kind
+
+# Cells per stack of schedules counted in one pass (see _score_members).
+_COUNT_CELLS = 2**14
+
+
+def _count_buffer_bytes(spec: ProblemSpec) -> int:
+    """Upper bound on the bytes of the two boolean (k, n_g, n_g, n_t) buffers of one count."""
+    return 2 * spec.n_g * max(spec.n_cells, _COUNT_CELLS)
 
 
 def _floor_count(value: float) -> int:
@@ -202,7 +207,7 @@ def mutate_patient_ids(
         right += 1
     patients = chrom.patients.copy()
     patients[g, left : right + 1] = new_id
-    return Chromosome._adopt(chrom.statuses, patients)
+    return Chromosome._adopt(chrom.statuses.copy(), patients)  # repair outputs alone share grids
 
 
 def mutate_statuses(
@@ -227,7 +232,7 @@ def mutate_statuses(
 
 @functools.lru_cache(maxsize=None)
 def _repair_layout(spec: ProblemSpec):
-    """Filled start cells, the status grid of every repair output, and cell episodes.
+    """Filled start cells, the status grid marking repair outputs, and cell episodes.
 
     Every track holds the same episode slots: one idle separator ahead of
     each complete working cycle while room allows, the last one flush
@@ -408,25 +413,19 @@ def run_classical(
         ),
     )
 
-    # Every repair output scores as the layout.  The outputs still in the
-    # population are known by identity: an entry keeps its output alive.
+    # Every repair output scores as the layout, and only repair outputs hold its statuses.
     layout = repair_chromosome(fresh(0), spec)
     (layout_score,) = _count_events(layout.statuses[None], layout.patients[None], table)
-    outputs: dict[int, Chromosome] = {}
 
     def repair(pop: list, gen: int, picked: list[int]) -> None:
         for i in picked:
             pop[i] = repair_chromosome(pop[i], spec)
-            outputs[id(pop[i])] = pop[i]
 
-    def held(chrom: Chromosome) -> FitnessBreakdown | None:  # repair outputs only
-        return layout_score if id(chrom) in outputs else None
+    def held(chrom: Chromosome) -> FitnessBreakdown | None:
+        return layout_score if chrom.statuses is layout.statuses else None
 
     def evaluate(pop: list, gen: int) -> list[tuple[FitnessBreakdown, Chromosome]]:
-        scores = _score_members(pop, table, held)
-        for gone in outputs.keys() - {id(chrom) for chrom in pop}:
-            del outputs[gone]  # its output has left the population
-        return list(zip(scores, pop))
+        return list(zip(_score_members(pop, table, held), pop))
 
     return _evolve(params, fresh, evaluate, _paired_crossover, mutators, repair)
 

@@ -34,7 +34,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-# A run whose largest population needs more grid bytes than this exits 2.
+# A run whose largest population and scoring buffers need more bytes than this exits 2.
 MEMORY_BOUND = 2**31
 _MEMORY_ESTIMATES = {"classical": classical.memory_estimate, "quantum": quantum.memory_estimate}
 
@@ -143,11 +143,11 @@ def _resolve_config(
 
 
 def _check_memory(spec: ProblemSpec, params: GaParams, algo: str) -> None:
-    need = _MEMORY_ESTIMATES[algo](spec, params)
+    need = _MEMORY_ESTIMATES[algo](spec, params) + classical._count_buffer_bytes(spec)
     if need > MEMORY_BOUND:
         raise ConfigError(
-            f"a {algo} population would need about {need / 2**20:.0f} MiB of grids, "
-            f"above the {MEMORY_BOUND // 2**20} MiB bound"
+            f"a {algo} run would need about {need / 2**20:.0f} MiB of grids and scoring "
+            f"buffers, above the {MEMORY_BOUND // 2**20} MiB bound"
         )
 
 

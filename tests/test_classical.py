@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -360,13 +361,23 @@ class TestRepair:
     @example(case=seeded_cases(ProblemSpec(n_g=3, n_p=2, n_t=60)))  # 6 episodes, 2 patients
     @example(case=seeded_cases(ProblemSpec(n_g=1, n_p=5, n_t=60)))  # 2 episodes, 5 patients
     def test_outputs_share_one_read_only_status_grid(self, case):
-        """Every repair output of a spec holds the one status grid of the walking reference."""
+        """Every repair output of a spec holds the one status grid of the walking reference.
+
+        No other operator hands that grid on: an output that holds it is its
+        input, returned unchanged.
+        """
         spec, chroms = case
         fixed = [repair_chromosome(chrom, spec) for chrom in chroms]
         statuses = fixed[0].statuses
         assert all(out.statuses is statuses for out in fixed)
         assert not statuses.flags.writeable
         assert statuses.tobytes() == brute_repair(chroms[0], spec).statuses.tobytes()
+        rng = substream(64, 0, 0, len(chroms))
+        changed = [mutate_patient_ids(fixed[0], spec, rng), mutate_statuses(fixed[0], spec, rng)]
+        if spec.n_cells > 1:
+            point = int(rng.integers(1, spec.n_cells))
+            changed += single_point_crossover(fixed[0], fixed[1], point)
+        assert all(out.statuses is not statuses for out in changed if out is not fixed[0])
 
     @settings(max_examples=100, deadline=None)
     @given(case=SMALL_SPECS.flatmap(lambda spec: st.tuples(st.just(spec), chromosomes(spec))))
@@ -441,6 +452,20 @@ class TestRunClassical:
     def test_improves_on_medium_problem(self, medium_spec):
         result = run_classical(medium_spec, tiny_params(g_max=10))
         assert result.best_breakdown.total > result.records[0].best_fitness
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_peak_memory_stays_near_the_estimate(self, seed):
+        """A run holds about one population's grids: replaced members are freed."""
+        spec = ProblemSpec(n_g=3, n_p=72, n_t=650)
+        params = tiny_params(r_c=0.37, n_ini=40, n_max=250, g_max=20, seed=seed)
+        run_classical(spec, dataclasses.replace(params, g_max=1))  # warm-up: caches and imports
+        tracemalloc.start()
+        try:
+            run_classical(spec, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * classical.memory_estimate(spec, params)
 
     @settings(max_examples=40, deadline=None)
     @given(

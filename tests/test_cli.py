@@ -393,6 +393,16 @@ class TestMemoryBound:
         assert "MiB bound" in err and "classical" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("algo", ["classical", "quantum"])
+    def test_scoring_buffers_count_toward_the_bound(self, tmp_path, capsys, algo, no_runs):
+        """Grids far below the bound, but counting one schedule needs about 3.6 GiB."""
+        config = write_config(tmp_path, n_g=8000, n_t=30)
+        spec, params, *_ = cli._resolve_config(json.loads(config.read_text()), algo)
+        assert cli._MEMORY_ESTIMATES[algo](spec, params) < cli.MEMORY_BOUND // 2
+        assert main(["run", "--config", str(config), "--algo", algo]) == 2
+        assert "MiB bound" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_checks_every_point(self, tmp_path, capsys, no_runs):
         """Only the last point, whose population doubles, passes the bound."""
         cells = 560_000  # 16 grid values per cell: 143 MB per chromosome
