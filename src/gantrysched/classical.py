@@ -40,6 +40,7 @@ from .rng import (
     PHASE_REPAIR_PICK,
     SEED_MAX,
     substream,
+    substreams,
 )
 
 # Ratio-times-count arithmetic uses a tiny slack so that decimal ratios such
@@ -280,16 +281,16 @@ def repair_chromosome(chrom: Chromosome, spec: ProblemSpec) -> Chromosome:
 
 def _repair_patients(busy, incumbents, spec: ProblemSpec) -> np.ndarray:
     """Patient grid of a repair from its filled start cells: busy (nonzero) flags and incumbents."""
-    treated = set()
-    picks = []
-    lowest = 0
-    for is_busy, incumbent in zip(busy.tolist(), incumbents.tolist()):
-        if not is_busy or incumbent in treated:
-            while lowest in treated:  # at most n_p starts: someone is left
-                lowest += 1
-            incumbent = lowest
-        treated.add(incumbent)
-        picks.append(incumbent)
+    picks = incumbents.tolist()
+    if not busy.all() or len(set(picks)) < len(picks):  # else the loop keeps every incumbent
+        treated = set()
+        lowest = 0
+        for k, is_busy in enumerate(busy.tolist()):
+            if not is_busy or picks[k] in treated:
+                while lowest in treated:  # at most n_p starts: someone is left
+                    lowest += 1
+                picks[k] = lowest
+            treated.add(picks[k])
     picks.append(VACANT)
     return np.array(picks, dtype=np.int32)[_repair_layout(spec)[2]]
 
@@ -352,8 +353,8 @@ def _each_member(seed: int, phase: int, operator: Callable) -> Callable:
     """A population step applying ``operator(member, rng)`` on each member's substream."""
 
     def step(pop: list, gen: int, picked: list[int]) -> None:
-        for i in picked:
-            pop[i] = operator(pop[i], substream(seed, gen, phase, i))
+        for i, rng in zip(picked, substreams(seed, gen, phase, picked)):
+            pop[i] = operator(pop[i], rng)
 
     return step
 
@@ -419,7 +420,8 @@ def run_classical(
 
     def repair(pop: list, gen: int, picked: list[int]) -> None:
         for i in picked:
-            pop[i] = repair_chromosome(pop[i], spec)
+            if pop[i].statuses is not layout.statuses:  # repair outputs repair to themselves
+                pop[i] = repair_chromosome(pop[i], spec)
 
     def held(chrom: Chromosome) -> FitnessBreakdown | None:
         return layout_score if chrom.statuses is layout.statuses else None

@@ -184,21 +184,34 @@ def _resolve_grid(doc: dict) -> tuple[dict[str, SweepAxis], dict[str, list[float
     return axes, exclude
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write through a temporary file of a unique name in the target directory."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+def _write_atomic(out_dir: Path, outputs: dict[str, str | dict]) -> None:
+    """Write a command's output files into ``out_dir`` through temporary files.
+
+    Each file is written in full to a temporary file of a unique name in
+    ``out_dir`` first: text as it is, a JSON document as it is serialized
+    (indented, and refusing NaN and infinities, which JSON lacks).  Only
+    when all are written do they replace their targets, in order, so a
+    failed write leaves no output.  On a failure the temporary files not
+    yet renamed are removed.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    tmps = []
     try:
-        with open(tmp, "x") as fh:
-            fh.write(text)
-        tmp.replace(path)
+        for name, content in outputs.items():
+            tmp = out_dir / f".{name}.{uuid.uuid4().hex}.tmp"
+            tmps.append(tmp)
+            with open(tmp, "x") as fh:
+                if isinstance(content, str):
+                    fh.write(content)
+                else:
+                    json.dump(content, fh, indent=2, allow_nan=False)
+                    fh.write("\n")
+        for tmp, name in zip(tmps, outputs):
+            tmp.replace(out_dir / name)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
         raise
-
-
-def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def schedule_document(
@@ -273,13 +286,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     }
     outputs = {
         "curves.csv": _curves_csv(result),
-        "best_schedule.json": _json_text(
-            schedule_document(spec, table, result.best_schedule, result.best_breakdown)
+        "best_schedule.json": schedule_document(
+            spec, table, result.best_schedule, result.best_breakdown
         ),
-        "summary.json": _json_text(summary),
+        "summary.json": summary,
     }
-    for name, text in outputs.items():
-        _write_atomic(out_dir / name, text)
+    _write_atomic(out_dir, outputs)
     print(
         f"{args.algo} run (seed {params.seed}): best fitness "
         f"{result.best_breakdown.total!r} over {len(result.records)} records -> {out_dir}"
@@ -300,9 +312,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     kept, removed = filter_records(records, exclude)
     succeeded = [r for r in kept if r.error is None]
     failed = len(kept) - len(succeeded)
-    _write_atomic(out_dir / "sweep.csv", _sweep_csv(kept))
+    outputs = {"sweep.csv": _sweep_csv(kept)}
     if succeeded:
-        _write_atomic(out_dir / "sweep_summary.csv", _summary_csv(summarize(succeeded)))
+        outputs["sweep_summary.csv"] = _summary_csv(summarize(succeeded))
+    _write_atomic(out_dir, outputs)
     print(
         f"swept {len(points)} {args.algo} points: {len(succeeded)} ok, "
         f"{failed} failed, {removed} excluded -> {out_dir}"

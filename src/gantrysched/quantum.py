@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import Iterable
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .rng import (
     PHASE_MUTATE_A,
     PHASE_MUTATE_PICK_A,
     PHASE_REPAIR,
-    substream,
+    substreams,
 )
 
 _NORM_TOL = 1e-9
@@ -243,7 +244,7 @@ def _q_repair_members(
     pop: list[QuantumChromosome],
     picked: list[int],
     spec: ProblemSpec,
-    rngs: list[np.random.Generator],
+    rngs: Iterable[np.random.Generator],
 ) -> None:
     """Replace each picked member by its :func:`q_repair` on its own generator.
 
@@ -304,14 +305,14 @@ def run_quantum(
         return uniform
 
     def evaluate(pop: list, gen: int) -> list[tuple[FitnessBreakdown, Chromosome]]:
-        shadows = [observe(q, substream(seed, gen, PHASE_EVAL, i)) for i, q in enumerate(pop)]
+        rngs = substreams(seed, gen, PHASE_EVAL, range(len(pop)))
+        shadows = [observe(q, rng) for q, rng in zip(pop, rngs)]
         return list(zip(_score_members(shadows, table), shadows))
 
     mutators = ((PHASE_MUTATE_PICK_A, _each_member(seed, PHASE_MUTATE_A, q_mutate)),)
 
     def repair(pop: list, gen: int, picked: list[int]) -> None:
-        rngs = [substream(seed, gen, PHASE_REPAIR, i) for i in picked]
-        _q_repair_members(pop, picked, spec, rngs)
+        _q_repair_members(pop, picked, spec, substreams(seed, gen, PHASE_REPAIR, picked))
 
     return _evolve(params, fresh, evaluate, _paired_crossover, mutators, repair)
 

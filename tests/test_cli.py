@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import resource
 import subprocess
@@ -466,6 +467,17 @@ class TestAtomicWrites:
         assert main(["run", "--config", str(config)]) == 0
         leftovers = [p for p in (tmp_path / "out").iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
+
+    def test_unserializable_schedule_leaves_no_output(self, tmp_path, monkeypatch):
+        """A schedule found unserializable only while it is written leaves no output file."""
+        document = cli.schedule_document
+        monkeypatch.setattr(
+            cli, "schedule_document", lambda *args: {**document(*args), "bad": math.nan}
+        )
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config)]) == 3
+        out = tmp_path / "out"
+        assert (list(out.iterdir()) if out.exists() else []) == []
 
     def test_stale_tmp_directory_is_ignored(self, tmp_path):
         """A leftover at the old fixed temporary name does not block a run."""

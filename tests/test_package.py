@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -10,11 +13,8 @@ import pytest
 
 import gantrysched
 
-MODULES = sorted(
-    path
-    for path in (Path(__file__).resolve().parent.parent / "src" / "gantrysched").glob("*.py")
-    if path.name != "__init__.py"
-)
+SRC = Path(__file__).resolve().parent.parent / "src"
+MODULES = sorted(path for path in (SRC / "gantrysched").glob("*.py") if path.name != "__init__.py")
 
 
 def test_all_lists_exactly_the_public_names():
@@ -39,3 +39,17 @@ def test_module_uses_every_name_it_imports(path):
             imported.update(alias.asname or alias.name for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    """Importing the CLI, as every command's start-up does, stays clear of ``numpy.random``."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, gantrysched.cli; print('numpy.random' in sys.modules)",
+        ],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
