@@ -304,15 +304,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     spec, params, table, out_dir, _ = _resolve_config(doc, args.algo, args.seed, args.out)
     axes, exclude = _resolve_grid(_load_json(args.grid, "grid"))
     points = build_grid(params, axes)
-    if not filter_records(points, exclude)[0]:
+    kept, removed = filter_records(points, exclude)
+    if not kept:
         raise ConfigError(f"the grid's exclusions remove all {len(points)} points")
-    for point in points:
+    for point in kept:
         _check_memory(spec, point, args.algo)
-    records = run_sweep(spec, points, table, args.algo, params.seed)
-    kept, removed = filter_records(records, exclude)
-    succeeded = [r for r in kept if r.error is None]
-    failed = len(kept) - len(succeeded)
-    outputs = {"sweep.csv": _sweep_csv(kept)}
+    records = run_sweep(spec, kept, table, args.algo)
+    succeeded = [r for r in records if r.error is None]
+    failed = len(records) - len(succeeded)
+    outputs = {"sweep.csv": _sweep_csv(records)}
     if succeeded:
         outputs["sweep_summary.csv"] = _summary_csv(summarize(succeeded))
     _write_atomic(out_dir, outputs)

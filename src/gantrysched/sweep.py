@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -96,9 +97,10 @@ def build_grid(base: GaParams, axes: Mapping[str, SweepAxis]) -> list[GaParams]:
 
     The points form the Cartesian product of the axes, which may vary any of
     r_s, r_c, r_m, r_r.  They vary in that fixed order with the last axis
-    fastest, so point indices are stable for a given grid.  A grid without
-    axes, or of more than 101**2 points, is rejected before any point is
-    built.
+    fastest, and point ``i`` runs on ``derive_seed(base.seed, i)``, so a
+    point keeps its seed when others are dropped before the sweep runs.  A
+    grid without axes, or of more than 101**2 points, is rejected before any
+    point is built.
     """
     unknown = set(axes) - set(SWEEP_PARAMS)
     if unknown:
@@ -110,14 +112,10 @@ def build_grid(base: GaParams, axes: Mapping[str, SweepAxis]) -> list[GaParams]:
     size = math.prod(len(values) for values in value_lists)
     if size > _MAX_GRID_POINTS:
         raise ConfigError(f"sweep grid has {size} points, more than {_MAX_GRID_POINTS}")
-    points = [base]
-    for name, values in zip(names, value_lists):
-        points = [
-            dataclasses.replace(point, **{name: value})
-            for point in points
-            for value in values
-        ]
-    return points
+    return [
+        dataclasses.replace(base, seed=derive_seed(base.seed, index), **dict(zip(names, values)))
+        for index, values in enumerate(itertools.product(*value_lists))
+    ]
 
 
 def run_sweep(
@@ -125,13 +123,12 @@ def run_sweep(
     points: Sequence[GaParams],
     table: ScoreTable | None,
     algorithm: str,
-    master_seed: int,
 ) -> list[SweepRecord]:
-    """Run every grid point with a seed derived from the master seed.
+    """Run every point on its own seed, one after another.
 
-    Points run one after another; fitness results are reproducible for a
-    given master seed while wall times are not.  A failing point becomes a
-    record with its ``error`` set; the sweep goes on.
+    Fitness results are reproducible for given points while wall times are
+    not.  A failing point becomes a record with its ``error`` set; the sweep
+    goes on.
     """
     if not points:
         raise ConfigError("no sweep points to run")
@@ -139,12 +136,10 @@ def run_sweep(
         raise ConfigError(f"unknown algorithm {algorithm!r}")
     runner = ALGORITHMS[algorithm]
 
-    def run_point(index: int, point: GaParams) -> SweepRecord:
-        seed = derive_seed(master_seed, index)
-        point = dataclasses.replace(point, seed=seed)
+    def run_point(point: GaParams) -> SweepRecord:
         fields = dict(
             r_s=point.r_s, r_c=point.r_c, r_m=point.r_m, r_r=point.r_r,
-            algorithm=algorithm, seed=seed,
+            algorithm=algorithm, seed=point.seed,
         )
         try:
             result = runner(spec, point, table)
@@ -158,7 +153,7 @@ def run_sweep(
             run_seconds=result.elapsed,
         )
 
-    return [run_point(index, point) for index, point in enumerate(points)]
+    return [run_point(point) for point in points]
 
 
 def filter_records(

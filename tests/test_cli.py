@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from brute_fitness import WEIGHTS, brute_breakdown
-from gantrysched import GaParams, ProblemSpec, classical, cli
+from gantrysched import GaParams, ProblemSpec, classical, cli, derive_seed
 from gantrysched.cli import main
 from gantrysched.quantum import memory_estimate
 from gantrysched.fitness import COUNT_NAMES
@@ -289,6 +289,9 @@ class TestSweepCommand:
         rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
         assert len(rows) == 3
         assert not any(row.startswith("0.40,") for row in rows[1:])
+        # kept points keep the seeds of their positions in the full grid
+        seeds = [int(row.split(",")[5]) for row in rows[1:]]
+        assert seeds == [derive_seed(TINY_CONFIG["seed"], 1), derive_seed(TINY_CONFIG["seed"], 2)]
 
     def test_grid_excluding_every_point_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -416,6 +419,37 @@ class TestMemoryBound:
         args = ["sweep", "--config", str(config), "--grid", str(grid), "--algo", "quantum"]
         assert main(args) == 2
         assert "MiB bound" in capsys.readouterr().err
+
+    def test_sweep_runs_and_checks_only_kept_points(self, tmp_path, capsys, monkeypatch, no_runs):
+        """Excluding the one over-bound point lets the sweep run the other two."""
+        # r_c 0.0, 0.5, 1.0 need about 0.5, 1.4 and 3.8 GiB
+        config = write_config(
+            tmp_path, n_g=1, n_p=8, n_t=200_000, n_ini=10, quantum_n_max=100, r_s=1.0
+        )
+
+        def sweep(exclude=None):
+            axes = {"r_c": {"center": 0.5, "half_width": 0.5, "step": 0.5}}
+            grid = write_grid(tmp_path, axes, exclude)
+            return main(
+                ["sweep", "--config", str(config), "--grid", str(grid), "--algo", "quantum"]
+            )
+
+        assert sweep() == 2
+        assert "MiB bound" in capsys.readouterr().err
+
+        calls = []
+        refuse = cli.ALGORITHMS["quantum"]
+
+        def counted(spec, params, table):
+            calls.append(params.r_c)
+            return refuse(spec, params, table)
+
+        monkeypatch.setitem(cli.ALGORITHMS, "quantum", counted)
+        assert sweep(exclude={"r_c": [1.0]}) == 3  # every kept point records "a GA ran"
+        assert calls == [0.0, 0.5]
+        assert "MiB bound" not in capsys.readouterr().err
+        rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.rsplit(",", 1)[1] for row in rows] == ["a GA ran"] * 2
 
     def test_estimate_is_chromosome_size_times_peak_population(self):
         spec = ProblemSpec(n_g=3, n_p=72, n_t=650)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -91,6 +92,12 @@ class TestBuildGrid:
         ]
         assert all(p.r_m == BASE.r_m and p.n_ini == BASE.n_ini for p in points)
 
+    def test_point_seeds_derive_from_base_seed_in_grid_order(self):
+        base = dataclasses.replace(BASE, seed=5)
+        axes = {"r_s": SweepAxis(0.5, 0.1, 0.1), "r_m": SweepAxis(0.3, 0.1, 0.1)}
+        points = build_grid(base, axes)
+        assert [p.seed for p in points] == [derive_seed(5, i) for i in range(9)]
+
     def test_point_count_is_bounded(self):
         full = SweepAxis(center=0.5, half_width=0.5, step=0.01)  # 101 values
         assert len(build_grid(BASE, {"r_s": full, "r_c": full})) == 101**2
@@ -108,27 +115,28 @@ class TestBuildGrid:
 
 
 class TestRunSweep:
-    def test_point_seeds_derive_from_master(self):
-        axis = {"r_m": SweepAxis(center=0.3, half_width=0.1, step=0.1)}
-        points = build_grid(BASE, axis)
-        records = run_sweep(TINY, points, None, "classical", master_seed=5)
-        assert [r.seed for r in records] == [derive_seed(5, i) for i in range(3)]
+    def test_records_carry_each_points_seed(self):
+        points = build_grid(BASE, {"r_m": SweepAxis(center=0.3, half_width=0.1, step=0.1)})
+        kept = [points[2], points[0]]
+        records = run_sweep(TINY, kept, None, "classical")
+        assert [r.seed for r in records] == [p.seed for p in kept]
+        assert [r.r_m for r in records] == [p.r_m for p in kept]
         assert all(r.error is None for r in records)
         assert all(math.isfinite(r.best_fitness) for r in records)
 
     def test_reproducible_fitness(self):
         points = build_grid(BASE, {"r_s": SweepAxis(0.6, 0.2, 0.2)})
-        first = run_sweep(TINY, points, None, "classical", master_seed=9)
-        second = run_sweep(TINY, points, None, "classical", master_seed=9)
+        first = run_sweep(TINY, points, None, "classical")
+        second = run_sweep(TINY, points, None, "classical")
         assert [r.best_fitness for r in first] == [r.best_fitness for r in second]
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigError):
-            run_sweep(TINY, [BASE], None, "annealing", master_seed=0)
+            run_sweep(TINY, [BASE], None, "annealing")
 
     def test_empty_points_rejected(self):
         with pytest.raises(ConfigError):
-            run_sweep(TINY, [], None, "classical", master_seed=0)
+            run_sweep(TINY, [], None, "classical")
 
     def test_collect_errors_keeps_going(self, monkeypatch):
         calls = []
@@ -142,7 +150,7 @@ class TestRunSweep:
 
         monkeypatch.setitem(sweep_mod.ALGORITHMS, "classical", flaky)
         points = build_grid(BASE, {"r_s": SweepAxis(0.6, 0.2, 0.2)})
-        records = run_sweep(TINY, points, None, "classical", master_seed=3)
+        records = run_sweep(TINY, points, None, "classical")
         assert [r.error for r in records] == [None, "boom", None]
         assert math.isnan(records[1].best_fitness)
 
