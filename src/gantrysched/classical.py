@@ -8,7 +8,6 @@ a unit's draws do not depend on how many draws other units made before it.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -16,7 +15,7 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .fitness import FitnessBreakdown, ScoreTable, _count_events, evaluate_breakdown
+from .fitness import FitnessBreakdown, ScoreTable, _count_stacks, evaluate_breakdown
 from .model import (
     N_STATUSES,
     VACANT,
@@ -48,14 +47,6 @@ from .rng import (
 _FLOOR_EPS = 1e-9
 
 G = TypeVar("G", bound=_CellGrids)  # either chromosome kind
-
-# Cells per stack of schedules counted in one pass (see _score_members).
-_COUNT_CELLS = 2**14
-
-
-def _count_buffer_bytes(spec: ProblemSpec) -> int:
-    """Upper bound on the bytes of the two boolean (k, n_g, n_g, n_t) buffers of one count."""
-    return 2 * spec.n_g * max(spec.n_cells, _COUNT_CELLS)
 
 
 def _floor_count(value: float) -> int:
@@ -364,25 +355,14 @@ def _score_members(
     table: ScoreTable,
     held: Callable[[Chromosome], FitnessBreakdown | None] = lambda chrom: None,
 ) -> list[FitnessBreakdown]:
-    """Score a generation's schedules, counting all that ``held`` does not answer at once.
+    """Score a generation's schedules, counting all that ``held`` does not answer in stacks.
 
     Every schedule still goes through :func:`evaluate_breakdown`, whose
-    ``known`` lookup answers from ``held`` or from that count.  Stacks hold
-    at most ``_COUNT_CELLS`` cells (or one schedule), which bounds the
-    counting kernel's temporaries: a medium generation is one stack, a
-    large one a stack per eight schedules.
+    ``known`` lookup answers from ``held`` or from the stacks of
+    :func:`_count_stacks`.
     """
     answers = [held(chrom) for chrom in schedules]
-    unknown = [chrom for chrom, answer in zip(schedules, answers) if answer is None]
-    per_call = max(1, _COUNT_CELLS // schedules[0].n_cells)
-    counted = itertools.chain.from_iterable(
-        _count_events(
-            np.array([chrom.statuses for chrom in chunk]),
-            np.array([chrom.patients for chrom in chunk]),
-            table,
-        )
-        for chunk in (unknown[k : k + per_call] for k in range(0, len(unknown), per_call))
-    )
+    counted = _count_stacks([c for c, answer in zip(schedules, answers) if answer is None], table)
     # evaluate_breakdown asks ``known`` once per schedule, in schedule order
     return [
         evaluate_breakdown(chrom, table, lambda _, a=answer: next(counted) if a is None else a)
@@ -393,11 +373,9 @@ def _score_members(
 def run_classical(
     spec: ProblemSpec,
     params: GaParams,
-    table: ScoreTable | None = None,
+    table: ScoreTable = ScoreTable(),
 ) -> RunResult:
     """Run the classical genetic algorithm; bit-reproducible per seed."""
-    if table is None:
-        table = ScoreTable()
     seed = params.seed
 
     def fresh(i: int) -> Chromosome:
@@ -416,7 +394,7 @@ def run_classical(
 
     # Every repair output scores as the layout, and only repair outputs hold its statuses.
     layout = repair_chromosome(fresh(0), spec)
-    (layout_score,) = _count_events(layout.statuses[None], layout.patients[None], table)
+    (layout_score,) = _count_stacks([layout], table)
 
     def repair(pop: list, gen: int, picked: list[int]) -> None:
         for i in picked:

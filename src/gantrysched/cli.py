@@ -15,7 +15,7 @@ import sys
 import uuid
 from pathlib import Path
 
-from . import classical, quantum
+from . import classical, fitness, quantum
 from .classical import GaParams, RunResult
 from .fitness import FitnessBreakdown, ScoreTable
 from .model import VACANT, Chromosome, ConfigError, GantryStatus, ProblemSpec, _check_real
@@ -143,7 +143,7 @@ def _resolve_config(
 
 
 def _check_memory(spec: ProblemSpec, params: GaParams, algo: str) -> None:
-    need = _MEMORY_ESTIMATES[algo](spec, params) + classical._count_buffer_bytes(spec)
+    need = _MEMORY_ESTIMATES[algo](spec, params) + fitness._count_buffer_bytes(spec)
     if need > MEMORY_BOUND:
         raise ConfigError(
             f"a {algo} run would need about {need / 2**20:.0f} MiB of grids and scoring "

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -34,12 +34,15 @@ from .model import (
     N_STATUSES,
     Chromosome,
     GantryStatus,
+    ProblemSpec,
     _check_real,
 )
 
 _DISPOSE = int(GantryStatus.DISPOSE)
 # Offsets of the seven working runs of one episode from its first run.
 _CYCLE_RUNS = np.arange(N_STATUSES - 1)
+# Cells per stack of schedules counted in one pass (see _count_stacks).
+_COUNT_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -140,7 +143,7 @@ def _complete_episode_starts(
 
 def evaluate_breakdown(
     chrom: Chromosome,
-    table: ScoreTable | None = None,
+    table: ScoreTable = ScoreTable(),
     known: Callable[[Chromosome], FitnessBreakdown | None] | None = None,
 ) -> FitnessBreakdown:
     """Deterministically count all scored events of a schedule in one pass.
@@ -149,10 +152,31 @@ def evaluate_breakdown(
     ``None`` from it means count.
     """
     breakdown = known(chrom) if known is not None else None
-    if breakdown is not None:
-        return breakdown
-    table = ScoreTable() if table is None else table
-    return _count_events(chrom.statuses[None], chrom.patients[None], table)[0]
+    return next(_count_stacks([chrom], table)) if breakdown is None else breakdown
+
+
+def _count_buffer_bytes(spec: ProblemSpec) -> int:
+    """Upper bound on the bytes of the two boolean (k, n_g, n_g, n_t) conflict buffers of a stack.
+
+    It bounds these buffers only, not the whole count: the stacked grids and
+    run arrays add about 40 bytes per stacked cell, so with fewer than about
+    200 gantries a stack's peak can pass the bound.
+    """
+    return 2 * spec.n_g * max(spec.n_cells, _COUNT_CELLS)
+
+
+def _count_stacks(schedules: Sequence[Chromosome], table: ScoreTable) -> Iterator[FitnessBreakdown]:
+    """Breakdowns of the schedules in order, counted a stack at a time.
+
+    A stack holds at most ``_COUNT_CELLS`` cells (or one schedule), which
+    bounds the counting kernel's temporaries: a medium generation is one
+    stack, a large one a stack per eight schedules.
+    """
+    per_stack = max(1, _COUNT_CELLS // schedules[0].n_cells) if schedules else 1
+    for k in range(0, len(schedules), per_stack):
+        stack = schedules[k : k + per_stack]
+        statuses = np.array([chrom.statuses for chrom in stack])
+        yield from _count_events(statuses, np.array([chrom.patients for chrom in stack]), table)
 
 
 def _count_events(

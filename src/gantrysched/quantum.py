@@ -137,7 +137,7 @@ def q_mutate(qchrom: QuantumChromosome, rng: np.random.Generator) -> QuantumChro
 
 
 def _amplify_grid(
-    amps: np.ndarray, targets: np.ndarray, active: np.ndarray, cum: np.ndarray | None = None
+    amps: np.ndarray, targets: np.ndarray, active: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Boost each active vector's target amplitude and rescale the rest of it.
 
@@ -149,17 +149,14 @@ def _amplify_grid(
     above the cap leaves the vector unchanged, as does an inactive cell.
     Signs are preserved.
 
-    Returns the new grid and its cumulative squares.  ``cum``, the input's
-    cumulative squares, is computed when not given; only the changed
-    vectors are recomputed, and when none changes ``amps`` and ``cum``
-    themselves come back.
+    Returns the new grid and its cumulative squares.  Only the changed
+    vectors are recomputed over the input's cumulative squares, and when
+    none changes ``amps`` itself comes back.
     """
-    if cum is None:
-        cum = _cumulative(amps)
     targets = np.asarray(targets)[None]
     rows = _rows_below_cap([amps], targets, np.asarray(active)[None])
     (change,) = _amplify_rows([amps], targets, rows)
-    return _apply(amps, cum, *change)
+    return _apply(amps, _cumulative(amps), *change)
 
 
 def _rows_below_cap(
@@ -293,11 +290,9 @@ def _q_repair_members(
 def run_quantum(
     spec: ProblemSpec,
     params: GaParams,
-    table: ScoreTable | None = None,
+    table: ScoreTable = ScoreTable(),
 ) -> RunResult:
     """Run the quantum-inspired genetic algorithm; bit-reproducible per seed."""
-    if table is None:
-        table = ScoreTable()
     seed = params.seed
     uniform = uniform_quantum_chromosome(spec)
 

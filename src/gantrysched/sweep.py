@@ -121,7 +121,7 @@ def build_grid(base: GaParams, axes: Mapping[str, SweepAxis]) -> list[GaParams]:
 def run_sweep(
     spec: ProblemSpec,
     points: Sequence[GaParams],
-    table: ScoreTable | None,
+    table: ScoreTable,
     algorithm: str,
 ) -> list[SweepRecord]:
     """Run every point on its own seed, one after another.

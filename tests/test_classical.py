@@ -601,7 +601,7 @@ class TestScoreReuse:
     def test_stack_size_leaves_runs_unchanged(self, medium_spec, monkeypatch, runner, stack_cells):
         """Counting in stacks of one or two schedules gives the run of one stack per generation."""
         want = runner(medium_spec, tiny_params(g_max=8))
-        monkeypatch.setattr(classical, "_COUNT_CELLS", stack_cells)
+        monkeypatch.setattr(scoring, "_COUNT_CELLS", stack_cells)
         counted = self.count_schedules(monkeypatch, scoring, classical)
         assert runner(medium_spec, tiny_params(g_max=8)) == want
         assert max(counted) == max(1, stack_cells // medium_spec.n_cells)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from brute_fitness import WEIGHTS, brute_breakdown
-from gantrysched import GaParams, ProblemSpec, classical, cli, derive_seed
+from gantrysched import GaParams, ProblemSpec, build_grid, classical, cli, derive_seed, fitness
 from gantrysched.cli import main
 from gantrysched.quantum import memory_estimate
 from gantrysched.fitness import COUNT_NAMES
@@ -408,14 +408,22 @@ class TestMemoryBound:
         assert not (tmp_path / "out").exists()
 
     def test_sweep_checks_every_point(self, tmp_path, capsys, no_runs):
-        """Only the last point, whose population doubles, passes the bound."""
-        cells = 560_000  # 16 grid values per cell: 143 MB per chromosome
+        """Only the last point, whose population grows fastest, passes the bound."""
+        cells = 200_000  # 16 grid values per cell: 51 MB per chromosome
         config = write_config(
             tmp_path, n_g=1, n_p=8, n_t=cells, n_ini=10, quantum_n_max=100, r_s=1.0
         )
+        # r_c 0.0, 0.5 and 1.0 peak at 10, 30 and 80 chromosomes: 489, 1465 and 3907 MiB
         per_chromosome = cells * 16 * 16
-        assert 14 * per_chromosome <= cli.MEMORY_BOUND < 20 * per_chromosome
-        grid = write_grid(tmp_path, {"r_c": {"center": 0.5, "half_width": 0.5, "step": 0.5}})
+        assert 30 * per_chromosome <= cli.MEMORY_BOUND < 80 * per_chromosome
+        axes = {"r_c": {"center": 0.5, "half_width": 0.5, "step": 0.5}}
+        spec, base, *_ = cli._resolve_config(json.loads(config.read_text()), "quantum")
+        needs = [
+            cli._MEMORY_ESTIMATES["quantum"](spec, point) + fitness._count_buffer_bytes(spec)
+            for point in build_grid(base, cli._resolve_grid({"axes": axes})[0])
+        ]
+        assert [need > cli.MEMORY_BOUND for need in needs] == [False, False, True]
+        grid = write_grid(tmp_path, axes)
         args = ["sweep", "--config", str(config), "--grid", str(grid), "--algo", "quantum"]
         assert main(args) == 2
         assert "MiB bound" in capsys.readouterr().err

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,12 +62,9 @@ def reference_weighted_total(counts, table: ScoreTable) -> float:
     return benefit - penalty
 
 
-def assert_matches_oracle(chrom: Chromosome, table: ScoreTable | None = None):
-    got = evaluate_breakdown(chrom, table)
-    want = brute_breakdown(chrom.statuses, chrom.patients)
-    assert got.counts() == {k: v for k, v in want.items() if k != "total"}
-    if table is None:
-        assert got.total == want["total"]
+def assert_matches_oracle(chrom: Chromosome):
+    got = evaluate_breakdown(chrom)
+    assert {**got.counts(), "total": got.total} == brute_breakdown(chrom.statuses, chrom.patients)
 
 
 class TestScoreTable:
@@ -404,6 +402,48 @@ class TestStackedCount:
         assert [b.duration_violations for b in together] == [1, 2, 1]
 
 
+class TestCountStacks:
+    """``_count_stacks`` yields every schedule's breakdown in order, one bounded stack at a time."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), spec=SMALL_SPECS)
+    def test_yields_each_breakdown_in_order_in_bounded_stacks(self, data, spec):
+        bound = data.draw(st.integers(1, 4 * spec.n_cells), label="_COUNT_CELLS")
+        schedules = data.draw(st.lists(chromosomes(spec), max_size=12), label="schedules")
+        sizes = []
+        count = fitness._count_events
+
+        def counting(statuses, patients, table):
+            sizes.append(len(statuses))
+            return count(statuses, patients, table)
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(fitness, "_COUNT_CELLS", bound)
+            monkeypatch.setattr(fitness, "_count_events", counting)
+            got = list(fitness._count_stacks(schedules, ScoreTable()))
+        want = [brute_breakdown(chrom.statuses, chrom.patients) for chrom in schedules]
+        assert [{**b.counts(), "total": b.total} for b in got] == want
+        assert sum(sizes) == len(schedules)
+        assert max(sizes, default=0) <= max(1, bound // spec.n_cells)
+
+    def test_no_schedules_yield_nothing(self):
+        assert list(fitness._count_stacks([], ScoreTable())) == []
+
+    @pytest.mark.parametrize("n_g", [200, 400, 800])
+    def test_full_stack_peak_stays_within_the_buffer_bound(self, n_g):
+        """From 200 gantries on, the two conflict buffers are nearly all of a stack's memory."""
+        spec = ProblemSpec(n_g=n_g, n_p=8, n_t=30)
+        size = max(1, fitness._COUNT_CELLS // spec.n_cells)
+        stack = [random_chromosome(spec, substream(9, 0, 0, i)) for i in range(size)]
+        tracemalloc.start()
+        try:
+            list(fitness._count_stacks(stack, ScoreTable()))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 2 * n_g * size * spec.n_cells <= peak <= 1.1 * fitness._count_buffer_bytes(spec)
+
+
 class TestInvariants:
     def test_gantry_order_is_irrelevant(self, small_spec):
         rng = substream(5, 0, 0, 0)
@@ -459,9 +499,10 @@ class TestKnownBreakdown:
         counted, asked = [], []
         count = fitness._count_events
         monkeypatch.setattr(fitness, "_count_events", lambda *a: counted.append(a) or count(*a))
-        assert evaluate_breakdown(chrom, None, lambda c: asked.append(c) or held) is held
+        table = ScoreTable()
+        assert evaluate_breakdown(chrom, table, lambda c: asked.append(c) or held) is held
         assert asked == [chrom] and not counted
-        assert evaluate_breakdown(chrom, None, lambda c: asked.append(c)) == want
+        assert evaluate_breakdown(chrom, table, lambda c: asked.append(c)) == want
         assert asked == [chrom, chrom] and len(counted) == 1
 
 

@@ -13,6 +13,7 @@ from gantrysched import (
     ConfigError,
     GaParams,
     ProblemSpec,
+    ScoreTable,
     SweepAxis,
     SweepRecord,
     build_grid,
@@ -118,7 +119,7 @@ class TestRunSweep:
     def test_records_carry_each_points_seed(self):
         points = build_grid(BASE, {"r_m": SweepAxis(center=0.3, half_width=0.1, step=0.1)})
         kept = [points[2], points[0]]
-        records = run_sweep(TINY, kept, None, "classical")
+        records = run_sweep(TINY, kept, ScoreTable(), "classical")
         assert [r.seed for r in records] == [p.seed for p in kept]
         assert [r.r_m for r in records] == [p.r_m for p in kept]
         assert all(r.error is None for r in records)
@@ -126,17 +127,17 @@ class TestRunSweep:
 
     def test_reproducible_fitness(self):
         points = build_grid(BASE, {"r_s": SweepAxis(0.6, 0.2, 0.2)})
-        first = run_sweep(TINY, points, None, "classical")
-        second = run_sweep(TINY, points, None, "classical")
+        first = run_sweep(TINY, points, ScoreTable(), "classical")
+        second = run_sweep(TINY, points, ScoreTable(), "classical")
         assert [r.best_fitness for r in first] == [r.best_fitness for r in second]
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigError):
-            run_sweep(TINY, [BASE], None, "annealing")
+            run_sweep(TINY, [BASE], ScoreTable(), "annealing")
 
     def test_empty_points_rejected(self):
         with pytest.raises(ConfigError):
-            run_sweep(TINY, [], None, "classical")
+            run_sweep(TINY, [], ScoreTable(), "classical")
 
     def test_collect_errors_keeps_going(self, monkeypatch):
         calls = []
@@ -150,7 +151,7 @@ class TestRunSweep:
 
         monkeypatch.setitem(sweep_mod.ALGORITHMS, "classical", flaky)
         points = build_grid(BASE, {"r_s": SweepAxis(0.6, 0.2, 0.2)})
-        records = run_sweep(TINY, points, None, "classical")
+        records = run_sweep(TINY, points, ScoreTable(), "classical")
         assert [r.error for r in records] == [None, "boom", None]
         assert math.isnan(records[1].best_fitness)
 
