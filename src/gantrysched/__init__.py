@@ -7,6 +7,22 @@ quantum-inspired variant operating on amplitude vectors.  Everything keyed
 off a single seed reproduces bit for bit.
 """
 
+import os
+import sys
+
+# The package makes no BLAS call, yet OpenBLAS starts a worker thread per
+# extra core as numpy loads, and each spins until it times out.  OpenBLAS
+# reads its thread count once, at load, so one thread is asked for during the
+# import alone; a caller who set a count, or loaded numpy first, keeps theirs.
+if "numpy" not in sys.modules and not any(
+    name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .classical import (
     GaParams,
     GenerationRecord,

@@ -265,6 +265,11 @@ def repair_chromosome(chrom: Chromosome, spec: ProblemSpec) -> Chromosome:
     has no duration violations, conflicts, interruptions, or duplicate
     treatments; its statuses are the layout's one grid (:func:`_repair_layout`).
     """
+    if chrom.statuses.shape != (spec.n_g, spec.n_t):
+        raise ValueError(
+            f"schedule shape {chrom.statuses.shape} does not match the spec's (n_g, n_t) "
+            f"{(spec.n_g, spec.n_t)}"
+        )
     flat, statuses, _ = _repair_layout(spec)
     patients = _repair_patients(chrom.statuses.take(flat), chrom.patients.take(flat), spec)
     return Chromosome._adopt(statuses, patients)

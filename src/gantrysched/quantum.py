@@ -232,6 +232,11 @@ def q_repair(
     repair's patient wherever that status is not idle; other id vectors
     stay as is.
     """
+    if qchrom.id_amps.shape != (spec.n_g, spec.n_t, spec.n_p):
+        raise ValueError(
+            f"chromosome shape {qchrom.id_amps.shape} does not match the spec's (n_g, n_t, n_p) "
+            f"{(spec.n_g, spec.n_t, spec.n_p)}"
+        )
     pop = [qchrom]
     _q_repair_members(pop, [0], spec, [rng])
     return pop[0]

@@ -12,7 +12,7 @@ import numpy as np
 
 from .classical import GaParams, run_classical
 from .fitness import ScoreTable
-from .model import ConfigError, ProblemSpec, _check_real
+from .model import ConfigError, ProblemSpec, _check_int, _check_real
 from .quantum import run_quantum
 from .rng import derive_seed
 
@@ -195,6 +195,7 @@ def summarize(records: Sequence[SweepRecord], k: int = 10) -> SweepSummary:
     The result depends only on the multiset of records, not their order:
     ties at the top-k boundary are broken by comparing record contents.
     """
+    _check_int("k", k, 1)
     if not records:
         raise ConfigError("cannot summarize an empty record set")
     if any(record.error is not None for record in records):

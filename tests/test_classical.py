@@ -420,6 +420,14 @@ class TestRepair:
         fixed = repair_chromosome(chrom, spec)
         assert_single_treatment(fixed, patient=4, start=1)
 
+    @pytest.mark.parametrize("n_g, n_t", [(3, 200), (2, 60), (3, 107)])
+    def test_rejects_a_schedule_of_another_shape(self, n_g, n_t):
+        """A schedule that does not fit the spec is refused, not rebuilt from the wrong cells."""
+        spec = ProblemSpec(3, 12, 108)
+        chrom = random_chromosome(ProblemSpec(n_g, 12, n_t), substream(62, 0, 0, 0))
+        with pytest.raises(ValueError, match=rf"\({n_g}, {n_t}\) does not match .* \(3, 108\)"):
+            repair_chromosome(chrom, spec)
+
 
 class TestRunClassical:
     def test_record_count_and_population_start(self, small_spec):

@@ -444,6 +444,14 @@ class TestQRepair:
             drift = np.abs(np.sum(grid * grid, axis=-1) - 1.0)
             assert float(drift.max()) < 1e-9
 
+    @pytest.mark.parametrize("shape", [(3, 200, 12), (2, 60, 12), (3, 108, 13)])
+    def test_rejects_a_chromosome_of_another_shape(self, medium_spec, shape):
+        """A chromosome that does not fit the spec is refused, not amplified at the wrong vectors."""
+        q = uniform_quantum_chromosome(ProblemSpec(n_g=shape[0], n_p=shape[2], n_t=shape[1]))
+        pattern = r"\({}, {}, {}\) does not match .* \(3, 108, 12\)".format(*shape)
+        with pytest.raises(ValueError, match=pattern):
+            q_repair(q, medium_spec, substream(82, 0, 8, 0))
+
 
 def repair_fixed_point(spec: ProblemSpec, seed: int) -> QuantumChromosome:
     """The basis encoding of a repair output: every repair target sits at the cap."""

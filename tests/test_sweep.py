@@ -219,3 +219,6 @@ class TestSummarize:
             summarize([])
         with pytest.raises(ConfigError):
             summarize([make_record(error="boom")])
+        for k in (0, -1, True, 2.5):
+            with pytest.raises(ConfigError, match="k must be an integer"):
+                summarize([make_record()], k=k)
