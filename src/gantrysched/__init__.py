@@ -62,7 +62,6 @@ from .sweep import (
     SweepRecord,
     SweepSummary,
     build_grid,
-    filter_records,
     run_sweep,
     summarize,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "cycle_status_pattern",
     "derive_seed",
     "evaluate_breakdown",
-    "filter_records",
     "mutate_patient_ids",
     "mutate_statuses",
     "observe",

@@ -8,7 +8,9 @@ atomically, so a failed command never leaves partial files behind.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -21,11 +23,12 @@ from .fitness import FitnessBreakdown, ScoreTable
 from .model import VACANT, Chromosome, ConfigError, GantryStatus, ProblemSpec, _check_real
 from .quantum import qubit_estimate
 from .sweep import (
+    _MAX_GRID_POINTS,
     ALGORITHMS,
+    SWEEP_PARAMS,
     SweepAxis,
     SweepRecord,
     build_grid,
-    filter_records,
     run_sweep,
     summarize,
 )
@@ -125,11 +128,20 @@ def _resolve_config(
         for f in dataclasses.fields(ScoreTable)
     }
     table = ScoreTable(**score_values)
+    # No event count passes n_g * n_cells, so no total passes `bound` in size, and a
+    # sweep's std sums at most _MAX_GRID_POINTS squares of differences below 2 * bound.
+    bound = sum(score_values.values()) * spec.n_g * spec.n_cells
+    if 2 * bound * math.sqrt(_MAX_GRID_POINTS) > math.sqrt(sys.float_info.max):
+        raise ConfigError(
+            f"score weights this large can overflow a fitness total on {spec.n_g}x{spec.n_t} slots"
+        )
 
     out_name = doc.get("out_dir", "out")
     if not isinstance(out_name, str):
         raise ConfigError("config field 'out_dir' must be a string")
     out_dir = Path(out_override) if out_override is not None else Path(out_name)
+    if "\0" in str(out_dir):
+        raise ConfigError(f"output directory {str(out_dir)!r} contains a NUL character")
     existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
     if not existing.is_dir():
         raise ConfigError(f"output directory {out_dir}: {existing} is not a directory")
@@ -235,22 +247,33 @@ def schedule_document(
     }
 
 
+def _csv(header: str, rows) -> str:
+    """CSV text with "\n" line ends and fields quoted only where they must be.
+
+    Ending lines in "\n" alone, the csv module leaves a bare "\r" unquoted,
+    which readers take for a line end, so a row holding one is quoted whole.
+    """
+    out = io.StringIO()
+    minimal = csv.writer(out, lineterminator="\n")
+    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    minimal.writerow(header.split(","))
+    for row in rows:
+        (quoted if any("\r" in str(field) for field in row) else minimal).writerow(row)
+    return out.getvalue()
+
+
 def _curves_csv(result: RunResult) -> str:
-    lines = ["generation,best_fitness,population"]
-    for record in result.records:
-        lines.append(f"{record.generation},{record.best_fitness!r},{record.population}")
-    return "\n".join(lines) + "\n"
+    rows = [(r.generation, r.best_fitness, r.population) for r in result.records]
+    return _csv("generation,best_fitness,population", rows)
 
 
 def _sweep_csv(records: list[SweepRecord]) -> str:
-    lines = ["r_s,r_c,r_m,r_r,algorithm,seed,best_fitness,run_seconds,error"]
-    for r in records:
-        error = "" if r.error is None else r.error.replace("\n", " ").replace(",", ";")
-        lines.append(
-            f"{r.r_s:.2f},{r.r_c:.2f},{r.r_m:.2f},{r.r_r:.2f},"
-            f"{r.algorithm},{r.seed},{r.best_fitness!r},{r.run_seconds!r},{error}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = [
+        [*(f"{getattr(r.point, name):.2f}" for name in SWEEP_PARAMS), r.algorithm,
+         r.point.seed, r.best_fitness, r.run_seconds, r.error]
+        for r in records
+    ]
+    return _csv("r_s,r_c,r_m,r_r,algorithm,seed,best_fitness,run_seconds,error", rows)
 
 
 def _summary_csv(summary) -> str:
@@ -258,16 +281,14 @@ def _summary_csv(summary) -> str:
         "label,count,fitness_mean,fitness_max,fitness_min,fitness_std,"
         "time_mean,time_max,time_min,time_std"
     )
-    rows = [header]
-    for label, fit, tim in (
-        ("all", summary.fitness, summary.run_time),
-        (f"top{summary.k}", summary.top_fitness, summary.top_run_time),
-    ):
-        rows.append(
-            f"{label},{fit.count},{fit.mean!r},{fit.maximum!r},{fit.minimum!r},{fit.std!r},"
-            f"{tim.mean!r},{tim.maximum!r},{tim.minimum!r},{tim.std!r}"
+    rows = [  # a Stats is (count, mean, maximum, minimum, std); the count is shared
+        [label, *dataclasses.astuple(fit), *dataclasses.astuple(tim)[1:]]
+        for label, fit, tim in (
+            ("all", summary.fitness, summary.run_time),
+            (f"top{summary.k}", summary.top_fitness, summary.top_run_time),
         )
-    return "\n".join(rows) + "\n"
+    ]
+    return _csv(header, rows)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -303,10 +324,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     doc = _load_json(args.config, "config")
     spec, params, table, out_dir, _ = _resolve_config(doc, args.algo, args.seed, args.out)
     axes, exclude = _resolve_grid(_load_json(args.grid, "grid"))
-    points = build_grid(params, axes)
-    kept, removed = filter_records(points, exclude)
+    kept, excluded = build_grid(params, axes, exclude)
     if not kept:
-        raise ConfigError(f"the grid's exclusions remove all {len(points)} points")
+        raise ConfigError(f"the grid's exclusions remove all {excluded} points")
     for point in kept:
         _check_memory(spec, point, args.algo)
     records = run_sweep(spec, kept, table, args.algo)
@@ -317,8 +337,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         outputs["sweep_summary.csv"] = _summary_csv(summarize(succeeded))
     _write_atomic(out_dir, outputs)
     print(
-        f"swept {len(points)} {args.algo} points: {len(succeeded)} ok, "
-        f"{failed} failed, {removed} excluded -> {out_dir}"
+        f"swept {len(kept) + excluded} {args.algo} points: {len(succeeded)} ok, "
+        f"{failed} failed, {excluded} excluded -> {out_dir}"
     )
     return EXIT_OK if succeeded else EXIT_RUNTIME
 

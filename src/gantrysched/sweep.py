@@ -57,14 +57,10 @@ class SweepAxis:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One grid point's parameters and run outcome."""
+    """One grid point and the outcome of its run."""
 
-    r_s: float
-    r_c: float
-    r_m: float
-    r_r: float
+    point: GaParams
     algorithm: str
-    seed: int
     best_fitness: float
     run_seconds: float
     error: str | None = None
@@ -92,17 +88,21 @@ class SweepSummary:
     k: int
 
 
-def build_grid(base: GaParams, axes: Mapping[str, SweepAxis]) -> list[GaParams]:
-    """Expand base parameters and axes into one GaParams per grid point.
+def build_grid(
+    base: GaParams, axes: Mapping[str, SweepAxis], exclude: Mapping[str, Sequence[float]]
+) -> tuple[list[GaParams], int]:
+    """Expand base parameters and axes into the grid points that a sweep runs.
 
-    The points form the Cartesian product of the axes, which may vary any of
-    r_s, r_c, r_m, r_r.  They vary in that fixed order with the last axis
-    fastest, and point ``i`` runs on ``derive_seed(base.seed, i)``, so a
-    point keeps its seed when others are dropped before the sweep runs.  A
-    grid without axes, or of more than 101**2 points, is rejected before any
-    point is built.
+    The full grid is the Cartesian product of the axes, which may vary any
+    of r_s, r_c, r_m, r_r.  They vary in that fixed order with the last axis
+    fastest, and point ``i`` of the full grid runs on
+    ``derive_seed(base.seed, i)``.  A point whose ratio lies within 1e-9 of
+    a value that ``exclude`` lists for that ratio is dropped; the others
+    keep their seeds.  Returns the kept points in grid order and the number
+    dropped.  A grid without axes, or of more than 101**2 points, is
+    rejected before any point is built.
     """
-    unknown = set(axes) - set(SWEEP_PARAMS)
+    unknown = (set(axes) | set(exclude)) - set(SWEEP_PARAMS)
     if unknown:
         raise ConfigError(f"unknown sweep parameters: {sorted(unknown)}")
     if not axes:
@@ -112,10 +112,20 @@ def build_grid(base: GaParams, axes: Mapping[str, SweepAxis]) -> list[GaParams]:
     size = math.prod(len(values) for values in value_lists)
     if size > _MAX_GRID_POINTS:
         raise ConfigError(f"sweep grid has {size} points, more than {_MAX_GRID_POINTS}")
-    return [
+
+    def excluded(point: GaParams) -> bool:
+        return any(
+            abs(getattr(point, name) - value) <= _VALUE_TOL
+            for name, values in exclude.items()
+            for value in values
+        )
+
+    points = (
         dataclasses.replace(base, seed=derive_seed(base.seed, index), **dict(zip(names, values)))
         for index, values in enumerate(itertools.product(*value_lists))
-    ]
+    )
+    kept = [point for point in points if not excluded(point)]
+    return kept, size - len(kept)
 
 
 def run_sweep(
@@ -137,45 +147,13 @@ def run_sweep(
     runner = ALGORITHMS[algorithm]
 
     def run_point(point: GaParams) -> SweepRecord:
-        fields = dict(
-            r_s=point.r_s, r_c=point.r_c, r_m=point.r_m, r_r=point.r_r,
-            algorithm=algorithm, seed=point.seed,
-        )
         try:
             result = runner(spec, point, table)
         except Exception as err:  # noqa: BLE001 - point outcome is reported
-            return SweepRecord(
-                **fields, best_fitness=math.nan, run_seconds=math.nan, error=str(err)
-            )
-        return SweepRecord(
-            **fields,
-            best_fitness=result.best_breakdown.total,
-            run_seconds=result.elapsed,
-        )
+            return SweepRecord(point, algorithm, math.nan, math.nan, error=str(err))
+        return SweepRecord(point, algorithm, result.best_breakdown.total, result.elapsed)
 
     return [run_point(point) for point in points]
-
-
-def filter_records(
-    records: Sequence[SweepRecord | GaParams], exclude: Mapping[str, Sequence[float]]
-) -> tuple[list, int]:
-    """Drop records (or grid points) whose ratios match any excluded value.
-
-    Returns the surviving records and the number removed.
-    """
-    unknown = set(exclude) - set(SWEEP_PARAMS)
-    if unknown:
-        raise ConfigError(f"unknown exclusion parameters: {sorted(unknown)}")
-
-    def excluded(record: SweepRecord) -> bool:
-        for name, values in exclude.items():
-            actual = getattr(record, name)
-            if any(abs(actual - value) <= _VALUE_TOL for value in values):
-                return True
-        return False
-
-    kept = [record for record in records if not excluded(record)]
-    return kept, len(records) - len(kept)
 
 
 def _stats(values: Sequence[float]) -> Stats:
@@ -193,21 +171,19 @@ def summarize(records: Sequence[SweepRecord], k: int = 10) -> SweepSummary:
     """Fitness and run-time statistics overall and over the k best points.
 
     The result depends only on the multiset of records, not their order:
-    ties at the top-k boundary are broken by comparing record contents.
+    every statistic is taken over the records ranked by fitness, best
+    first, then by run time, and records tied on both hold equal values.
     """
     _check_int("k", k, 1)
     if not records:
         raise ConfigError("cannot summarize an empty record set")
     if any(record.error is not None for record in records):
         raise ConfigError("cannot summarize failed runs; filter them out first")
-    ranked = sorted(
-        records,
-        key=lambda r: (-r.best_fitness, r.run_seconds, r.r_s, r.r_c, r.r_m, r.r_r, r.seed),
-    )
-    top = ranked[: min(k, len(ranked))]
+    ranked = sorted(records, key=lambda r: (-r.best_fitness, r.run_seconds))
+    top = ranked[:k]
     return SweepSummary(
-        fitness=_stats([r.best_fitness for r in records]),
-        run_time=_stats([r.run_seconds for r in records]),
+        fitness=_stats([r.best_fitness for r in ranked]),
+        run_time=_stats([r.run_seconds for r in ranked]),
         top_fitness=_stats([r.best_fitness for r in top]),
         top_run_time=_stats([r.run_seconds for r in top]),
         k=k,

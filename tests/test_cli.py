@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -230,6 +231,21 @@ class TestRunErrors:
         assert "score_conflict" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_weights_that_can_overflow_exit_2(self, tmp_path, capsys, no_runs, command):
+        """Two weights of 1e308 would sum to an infinite total after the whole GA ran."""
+        config = write_config(tmp_path, score_conflict=1e308, score_completed_therapy=1e308)
+        grid = write_grid(tmp_path, {"r_s": {"center": 0.6, "half_width": 0.2, "step": 0.2}})
+        args = [command, "--config", str(config)]
+        assert main(args + ["--grid", str(grid)] if command == "sweep" else args) == 2
+        assert "score weights" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_out_dir_with_a_nul_exits_2(self, tmp_path, capsys, no_runs):
+        config = write_config(tmp_path, out_dir="a\u0000b")
+        assert main(["run", "--config", str(config)]) == 2
+        assert "NUL" in capsys.readouterr().err
+
     def test_unwritable_out_dir_exits_3(self, tmp_path):
         """A write that fails only after the run, here onto a directory, exits 3."""
         (tmp_path / "out" / "curves.csv").mkdir(parents=True)
@@ -292,6 +308,25 @@ class TestSweepCommand:
         # kept points keep the seeds of their positions in the full grid
         seeds = [int(row.split(",")[5]) for row in rows[1:]]
         assert seeds == [derive_seed(TINY_CONFIG["seed"], 1), derive_seed(TINY_CONFIG["seed"], 2)]
+
+    @pytest.mark.parametrize(
+        "message",
+        ["disk\rfull", '"quoted" then more', "one, two\nthree"],
+        ids=["return", "quotes", "comma-newline"],
+    )
+    def test_error_text_round_trips(self, tmp_path, monkeypatch, message):
+        def fail(spec, params, table):
+            raise RuntimeError(message)
+
+        monkeypatch.setitem(cli.ALGORITHMS, "classical", fail)
+        config = write_config(tmp_path)
+        grid = write_grid(tmp_path, {"r_s": {"center": 0.6, "half_width": 0.2, "step": 0.2}})
+        assert main(["sweep", "--config", str(config), "--grid", str(grid)]) == 3
+        with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["r_s"], row["error"]) for row in rows] == [
+            ("0.40", message), ("0.60", message), ("0.80", message)
+        ]
 
     def test_grid_excluding_every_point_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -420,7 +455,7 @@ class TestMemoryBound:
         spec, base, *_ = cli._resolve_config(json.loads(config.read_text()), "quantum")
         needs = [
             cli._MEMORY_ESTIMATES["quantum"](spec, point) + fitness._count_buffer_bytes(spec)
-            for point in build_grid(base, cli._resolve_grid({"axes": axes})[0])
+            for point in build_grid(base, cli._resolve_grid({"axes": axes})[0], {})[0]
         ]
         assert [need > cli.MEMORY_BOUND for need in needs] == [False, False, True]
         grid = write_grid(tmp_path, axes)

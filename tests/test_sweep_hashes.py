@@ -12,7 +12,9 @@ to alter seeded sweep results regenerates the file, and says why:
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -34,9 +36,11 @@ def run_key(algo: str) -> str:
 
 
 def drop_column(text: str, name: str) -> str:
-    rows = [line.split(",") for line in text.splitlines()]
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     index = rows[0].index(name)
-    return "\n".join(",".join(row[:index] + row[index + 1 :]) for row in rows) + "\n"
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(row[:index] + row[index + 1 :] for row in rows)
+    return out.getvalue()
 
 
 def sweep_outputs(tmp_dir: Path, algo: str) -> dict:
