@@ -119,8 +119,12 @@ def _pair_count(n: int, r_c: float) -> int:
     return _floor_count(r_c * n / 2)
 
 
-def _peak_population(params: GaParams) -> int:
-    """Largest population a run evaluates, by the selection and crossover counts.
+# A run whose largest population and scoring buffers need more bytes than this exits 2.
+MEMORY_BOUND = 2**31
+
+
+def _peak_population(params: GaParams, most: int) -> int:
+    """Largest population a run evaluates, or the first size past ``most``.
 
     Mutation and repair keep the size.  Each size determines the next by a
     non-decreasing map, so the sizes only rise or only fall: the peak is
@@ -130,7 +134,7 @@ def _peak_population(params: GaParams) -> int:
     for _ in range(params.g_max):
         k = _survivor_count(n, params.r_s, params.n_max)
         grown = k + 2 * _pair_count(k, params.r_c)
-        if grown <= n:
+        if grown <= n or n > most:
             break
         n = grown
     return n
@@ -413,5 +417,9 @@ def run_classical(
 
 
 def memory_estimate(spec: ProblemSpec, params: GaParams) -> int:
-    """Grid bytes of a run's largest classical population: 5 per cell (int8 + int32)."""
-    return spec.n_cells * 5 * _peak_population(params)
+    """Grid bytes of a run's largest classical population: 5 per cell (int8 + int32).
+
+    Past the bound the estimate stops at the first population beyond it.
+    """
+    member_bytes = spec.n_cells * 5
+    return member_bytes * _peak_population(params, MEMORY_BOUND // member_bytes)

@@ -18,7 +18,7 @@ import uuid
 from pathlib import Path
 
 from . import classical, fitness, quantum
-from .classical import GaParams, RunResult
+from .classical import MEMORY_BOUND, GaParams, RunResult
 from .fitness import FitnessBreakdown, ScoreTable
 from .model import VACANT, Chromosome, ConfigError, GantryStatus, ProblemSpec, _check_real
 from .quantum import qubit_estimate
@@ -37,8 +37,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-# A run whose largest population and scoring buffers need more bytes than this exits 2.
-MEMORY_BOUND = 2**31
 _MEMORY_ESTIMATES = {"classical": classical.memory_estimate, "quantum": quantum.memory_estimate}
 
 _SPEC_DEFAULTS = {"n_g": 3, "n_p": 12, "n_t": 108}
@@ -150,7 +148,7 @@ def _resolve_config(
 
 
 def _check_memory(spec: ProblemSpec, params: GaParams, algo: str) -> None:
-    need = _MEMORY_ESTIMATES[algo](spec, params) + fitness._count_buffer_bytes(spec)
+    need = _MEMORY_ESTIMATES[algo](spec, params) + fitness._count_bytes(spec)
     if need > MEMORY_BOUND:
         raise ConfigError(
             f"a {algo} run would need about {need / 2**20:.0f} MiB of grids and scoring "

@@ -43,6 +43,9 @@ _DISPOSE = int(GantryStatus.DISPOSE)
 _CYCLE_RUNS = np.arange(N_STATUSES - 1)
 # Cells per stack of schedules counted in one pass (see _count_stacks).
 _COUNT_CELLS = 2**14
+# Bytes per stacked cell that counting holds at most: about 85 when every cell
+# is its own nominal READY run, which maximizes the run arrays.
+_COUNT_CELL_BYTES = 96
 
 
 @dataclass(frozen=True)
@@ -155,14 +158,9 @@ def evaluate_breakdown(
     return next(_count_stacks([chrom], table)) if breakdown is None else breakdown
 
 
-def _count_buffer_bytes(spec: ProblemSpec) -> int:
-    """Upper bound on the bytes of the two boolean (k, n_g, n_g, n_t) conflict buffers of a stack.
-
-    It bounds these buffers only, not the whole count: the stacked grids and
-    run arrays add about 40 bytes per stacked cell, so with fewer than about
-    200 gantries a stack's peak can pass the bound.
-    """
-    return 2 * spec.n_g * max(spec.n_cells, _COUNT_CELLS)
+def _count_bytes(spec: ProblemSpec) -> int:
+    """Upper bound on the bytes that counting one stack of the spec's schedules holds."""
+    return _COUNT_CELL_BYTES * max(spec.n_cells, _COUNT_CELLS)
 
 
 def _count_stacks(schedules: Sequence[Chromosome], table: ScoreTable) -> Iterator[FitnessBreakdown]:
@@ -205,10 +203,13 @@ def _count_events(
     finished = np.zeros_like(working)
     finished[_complete_episode_starts(run_stat, nominal, joined)] = True
 
-    # busy cells of two gantries sharing a slot and a patient, per unordered pair;
+    # busy cells of two gantries sharing a slot and a patient, per gantry offset d;
     # idle cells hold VACANT, so a busy cell's patient matches only busy cells
     busy_cells = statuses > 0
-    shared = (patients[:, :, None] == patients[:, None]) & busy_cells[:, None]
+    conflicts = np.zeros(len(statuses), dtype=np.intp)
+    for d in range(1, statuses.shape[1]):
+        shared = (patients[:, d:] == patients[:, :-d]) & busy_cells[:, d:]
+        conflicts += np.count_nonzero(shared, axis=(1, 2))
 
     # runs break at every track start, so each member owns the runs from its first
     # track's first run to the next member's
@@ -219,7 +220,7 @@ def _count_events(
         finishers = run_pat[lo:hi][finished[lo:hi]].tolist()
         nominal_runs = np.count_nonzero(consecutive[lo:hi])
         penalties = (
-            (np.count_nonzero(shared[k]) - busy) // 2,
+            conflicts[k],
             np.count_nonzero(working[lo:hi]) - nominal_runs,
             len(finishers) - len(set(finishers)),
             np.count_nonzero(interruption[lo:hi]),

@@ -11,13 +11,13 @@ classical one with these operators substituted.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterable
 
 import numpy as np
 
 from .classical import (
+    MEMORY_BOUND,
     GaParams,
     RunResult,
     _each_member,
@@ -137,7 +137,7 @@ def q_mutate(qchrom: QuantumChromosome, rng: np.random.Generator) -> QuantumChro
 
 
 def _amplify_grid(
-    amps: np.ndarray, targets: np.ndarray, active: np.ndarray
+    amps: np.ndarray, targets: np.ndarray, active: np.ndarray, cum: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Boost each active vector's target amplitude and rescale the rest of it.
 
@@ -149,44 +149,20 @@ def _amplify_grid(
     above the cap leaves the vector unchanged, as does an inactive cell.
     Signs are preserved.
 
-    Returns the new grid and its cumulative squares.  Only the changed
-    vectors are recomputed over the input's cumulative squares, and when
-    none changes ``amps`` itself comes back.
+    Returns the new grid and its cumulative squares.  ``cum`` holds the
+    input's cumulative squares (``None`` computes them); only the changed
+    vectors are recomputed over it, and when none changes ``amps`` and
+    ``cum`` themselves come back.
     """
-    targets = np.asarray(targets)[None]
-    rows = _rows_below_cap([amps], targets, np.asarray(active)[None])
-    (change,) = _amplify_rows([amps], targets, rows)
-    return _apply(amps, _cumulative(amps), *change)
-
-
-def _rows_below_cap(
-    grids: list[np.ndarray], targets: np.ndarray, active: np.ndarray
-) -> list[np.ndarray]:
-    """Per grid, the active vectors whose target lies below the cap.
-
-    ``targets`` and ``active`` stack the grids' arguments of
-    :func:`_amplify_grid` along a new first axis; rows number the vectors
-    in the grid's flattening.
-    """
-    n = grids[0].shape[-1]
-    flat = np.arange(0, targets[0].size * n, n) + targets.reshape(len(grids), -1)
-    tgt = np.array([amps.take(idx) for amps, idx in zip(grids, flat)])
-    return [row.nonzero()[0] for row in active.reshape(flat.shape) & (np.abs(tgt) < _AMP_CAP)]
-
-
-def _amplify_rows(
-    grids: list[np.ndarray], targets: np.ndarray, rows: list[np.ndarray]
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Amplify the given rows of several grids in one pass.
-
-    Each grid gets back its rows, their new vectors and their cumulative
-    squares, for :func:`_apply`.
-    """
-    n = grids[0].shape[-1]
-    vectors = np.concatenate([amps.reshape(-1, n)[r] for amps, r in zip(grids, rows)])
-    targets = np.concatenate([t[r] for t, r in zip(targets.reshape(len(grids), -1), rows)])
-    index = np.arange(targets.size)
-    tgt = vectors[index, targets]
+    n = amps.shape[-1]
+    cum = _cumulative(amps) if cum is None else cum
+    flat, targets = amps.reshape(-1, n), np.asarray(targets).reshape(-1)
+    tgt = flat[np.arange(targets.size), targets]
+    rows = (np.asarray(active).reshape(-1) & (np.abs(tgt) < _AMP_CAP)).nonzero()[0]
+    if not rows.size:
+        return amps, cum
+    vectors, targets, tgt = flat[rows], targets[rows], tgt[rows]
+    index = np.arange(rows.size)
     squares = vectors * vectors  # reused for the cumulative squares of the result
     boosted = np.minimum(np.maximum(10.0 * np.abs(tgt), _AMP_FLOOR), _AMP_CAP)
     residual = 1.0 - boosted * boosted
@@ -196,25 +172,10 @@ def _amplify_rows(
     if not safe.all():
         vectors[~safe] = np.sqrt(residual[~safe] / (n - 1))[:, None]
     vectors[index, targets] = np.where(tgt < 0, -boosted, boosted)
-    vector_cums = np.multiply(vectors, vectors, out=squares).cumsum(axis=-1, out=squares)
-    bounds = [0, *itertools.accumulate(r.size for r in rows)]
-    return [(r, vectors[lo:hi], vector_cums[lo:hi]) for r, lo, hi in zip(rows, bounds, bounds[1:])]
-
-
-def _apply(
-    amps: np.ndarray,
-    cum: np.ndarray,
-    rows: np.ndarray,
-    vectors: np.ndarray,
-    vector_cums: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Copies of a grid and its cumulative squares with ``rows`` replaced, or both as is."""
-    if not rows.size:
-        return amps, cum
-    n = amps.shape[-1]
+    np.multiply(vectors, vectors, out=squares).cumsum(axis=-1, out=squares)
     out, out_cum = amps.copy(), cum.copy()
     out.reshape(-1, n)[rows] = vectors
-    out_cum.reshape(-1, n)[rows] = vector_cums
+    out_cum.reshape(-1, n)[rows] = squares
     return out, out_cum
 
 
@@ -252,44 +213,22 @@ def _q_repair_members(
 
     Every member's status target is the status grid of all repair outputs,
     so a member samples only the filled episode starts and picks only their
-    patients.  The changed vectors of several members are amplified in one
-    pass per register, in groups of about one grid's worth of vectors so
-    that the temporaries stay as small as a single member's; each member
-    then gets its own copies of the grids.
+    patients; the picks of all members are drawn in one pass per register.
+    Each member's registers are then amplified by :func:`_amplify_grid`
+    over the cumulative grids it carries.
     """
     flat, statuses, _ = _repair_layout(spec)
     u = np.array([rng.random((2, spec.n_cells)) for rng in rngs])[..., flat]
-    status_cum = np.array([pop[i].status_cum.reshape(-1, N_STATUSES)[flat] for i in picked])
-    id_cum = np.array([pop[i].id_cum.reshape(-1, spec.n_p)[flat] for i in picked])
-    status_at, id_at = _pick(status_cum, u[:, 0]), _pick(id_cum, u[:, 1])
-    patients = np.array([_repair_patients(*at, spec) for at in zip(status_at, id_at)])
-    statuses = np.broadcast_to(statuses, patients.shape)
+    status_cums = np.array([pop[i].status_cum.reshape(-1, N_STATUSES)[flat] for i in picked])
+    id_cums = np.array([pop[i].id_cum.reshape(-1, spec.n_p)[flat] for i in picked])
     busy = statuses != 0
-    id_targets = np.where(busy, patients, 0)
-    id_rows = _rows_below_cap([pop[i].id_amps for i in picked], id_targets, busy)
-    status_rows = _rows_below_cap(
-        [pop[i].status_amps for i in picked], statuses, np.ones_like(busy)
-    )
-    # a group starts wherever the changed vectors so far pass another grid's worth
-    sizes = [a.size + b.size for a, b in zip(id_rows, status_rows)]
-    offsets = list(itertools.accumulate(sizes, initial=0))
-    for _, group in itertools.groupby(range(len(picked)), key=lambda k: offsets[k] // spec.n_cells):
-        group = list(group)
-        id_changes = _amplify_rows(
-            [pop[picked[k]].id_amps for k in group],
-            id_targets[group],
-            [id_rows[k] for k in group],
-        )
-        status_changes = _amplify_rows(
-            [pop[picked[k]].status_amps for k in group],
-            statuses[group],
-            [status_rows[k] for k in group],
-        )
-        for k, id_change, status_change in zip(group, id_changes, status_changes):
-            q = pop[picked[k]]
-            ids, id_cum = _apply(q.id_amps, q.id_cum, *id_change)
-            status_amps, status_cum = _apply(q.status_amps, q.status_cum, *status_change)
-            pop[picked[k]] = QuantumChromosome._adopt(ids, status_amps, id_cum, status_cum)
+    every = np.ones_like(busy)
+    for i, *at in zip(picked, _pick(status_cums, u[:, 0]), _pick(id_cums, u[:, 1])):
+        q = pop[i]
+        id_targets = np.where(busy, _repair_patients(*at, spec), 0)
+        ids, id_cum = _amplify_grid(q.id_amps, id_targets, busy, q.id_cum)
+        status_amps, status_cum = _amplify_grid(q.status_amps, statuses, every, q.status_cum)
+        pop[i] = QuantumChromosome._adopt(ids, status_amps, id_cum, status_cum)
 
 
 def run_quantum(
@@ -321,9 +260,11 @@ def memory_estimate(spec: ProblemSpec, params: GaParams) -> int:
     """Bytes that the grids of a run's largest quantum population take.
 
     A chromosome holds amplitude and cumulative grids of float64 over both
-    registers: n_g * n_t * (n_p + 8) * 16 bytes.
+    registers: n_g * n_t * (n_p + 8) * 16 bytes.  Past the bound the
+    estimate stops at the first population beyond it.
     """
-    return spec.n_g * spec.n_t * (spec.n_p + N_STATUSES) * 16 * _peak_population(params)
+    member_bytes = spec.n_cells * (spec.n_p + N_STATUSES) * 16
+    return member_bytes * _peak_population(params, MEMORY_BOUND // member_bytes)
 
 
 def qubit_estimate(n_chromosomes: int, n_t: int, n_g: int, n_p: int, n_s: int) -> int:

@@ -498,14 +498,20 @@ class TestRunClassical:
         """The predicted peak is the largest population a run evaluates."""
         params = tiny_params(r_s=r_s, r_c=r_c, n_ini=n_ini, n_max=n_max, g_max=g_max)
         result = run_classical(spec, params)
-        assert max(record.population for record in result.records) == _peak_population(params)
+        peak = _peak_population(params, 2**31)
+        assert max(record.population for record in result.records) == peak
 
     def test_peak_population_of_the_large_configs(self):
         """Classical large grows from 40 to 342; quantum large stays at 10."""
         grows = tiny_params(r_c=0.37, n_ini=40, n_max=250, g_max=20)
-        assert _peak_population(grows) == 342
-        assert _peak_population(dataclasses.replace(grows, g_max=0)) == 40
-        assert _peak_population(dataclasses.replace(grows, n_ini=10, n_max=70, g_max=60)) == 10
+        assert _peak_population(grows, 2**31) == 342
+        assert _peak_population(dataclasses.replace(grows, g_max=0), 2**31) == 40
+        stays = dataclasses.replace(grows, n_ini=10, n_max=70, g_max=60)
+        assert _peak_population(stays, 2**31) == 10
+        # the search stops at the first size past ``most``: 40, 45, 49, ..., 67, 75, ..., 342
+        assert [_peak_population(grows, most) for most in (39, 40, 44, 45, 73, 341, 342)] == [
+            40, 45, 45, 49, 75, 342, 342
+        ]
 
 
 class TestScoreReuse:

@@ -10,6 +10,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -458,11 +459,32 @@ class TestMemoryBound:
 
     @pytest.mark.parametrize("algo", ["classical", "quantum"])
     def test_scoring_buffers_count_toward_the_bound(self, tmp_path, capsys, algo, no_runs):
-        """Grids far below the bound, but counting one schedule needs about 3.6 GiB."""
-        config = write_config(tmp_path, n_g=8000, n_t=30)
+        """Counting needs a bounded number of bytes per cell, however many gantries share a slot."""
+        wide = write_config(tmp_path, n_g=8000, n_t=30)  # 240 000 cells: about 22 MiB to count
+        spec, params, *_ = cli._resolve_config(json.loads(wide.read_text()), algo)
+        cli._check_memory(spec, params, algo)
+        # one track of 2**25 cells and 10 members: counting one schedule needs 3 GiB
+        config = write_config(tmp_path, n_g=1, n_t=2**25, n_ini=10)
         spec, params, *_ = cli._resolve_config(json.loads(config.read_text()), algo)
-        assert cli._MEMORY_ESTIMATES[algo](spec, params) < cli.MEMORY_BOUND // 2
+        grids, count = classical.memory_estimate(spec, params), fitness._count_bytes(spec)
+        assert grids < cli.MEMORY_BOUND < count
         assert main(["run", "--config", str(config), "--algo", algo]) == 2
+        assert "MiB bound" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_slow_growth_past_the_bound_exits_2_at_once(self, tmp_path, capsys, no_runs, command):
+        """The peak search stops past the bound, not after 2**29 generations of growth by 2."""
+        # from 2**30 chromosomes of 5 bytes, one crossover pair per generation
+        config = write_config(
+            tmp_path, n_g=1, n_p=1, n_t=1, n_ini=2**30, classical_n_max=2**31,
+            r_s=1, r_c=3 / 2**30, g_max=10**9,
+        )
+        grid = write_grid(tmp_path, {"r_m": {"center": 0.37, "half_width": 0.0, "step": 0.1}})
+        args = [command, "--config", str(config)]
+        started = time.process_time()
+        assert main(args + ["--grid", str(grid)] if command == "sweep" else args) == 2
+        assert time.process_time() - started < 1
         assert "MiB bound" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -478,7 +500,7 @@ class TestMemoryBound:
         axes = {"r_c": {"center": 0.5, "half_width": 0.5, "step": 0.5}}
         spec, base, *_ = cli._resolve_config(json.loads(config.read_text()), "quantum")
         needs = [
-            cli._MEMORY_ESTIMATES["quantum"](spec, point) + fitness._count_buffer_bytes(spec)
+            cli._MEMORY_ESTIMATES["quantum"](spec, point) + fitness._count_bytes(spec)
             for point in build_grid(base, cli._resolve_grid({"axes": axes})[0], {})[0]
         ]
         assert [need > cli.MEMORY_BOUND for need in needs] == [False, False, True]

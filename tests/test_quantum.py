@@ -29,6 +29,7 @@ from gantrysched import (
     single_point_crossover,
     uniform_quantum_chromosome,
 )
+from gantrysched import quantum
 from gantrysched.classical import _repair_layout, _repair_patients
 from gantrysched.quantum import _amplify_grid, _q_repair_members, memory_estimate
 from gantrysched.rng import substream
@@ -384,6 +385,9 @@ class TestAmplifyGrid:
             grid[g, t] = 0.0
             grid[g, t, targets[g, t]] = value
         out, out_cum = _amplify_grid(grid, targets, active)
+        # the carried cumulative grid gives the computed one's outputs
+        given = _amplify_grid(grid, targets, active, (grid * grid).cumsum(axis=-1))
+        assert [a.tobytes() for a in given] == [out.tobytes(), out_cum.tobytes()]
         for g, t in np.ndindex(*shape):
             v, target = grid[g, t], int(targets[g, t])
             if active[g, t] and abs(v[target]) < CAP:
@@ -526,6 +530,19 @@ class TestRunQuantum:
     def test_improves_on_medium_problem(self, medium_spec):
         result = run_quantum(medium_spec, PARAMS)
         assert result.best_breakdown.total > result.records[0].best_fitness
+
+    def test_repair_amplifies_through_the_kernel(self, medium_spec, monkeypatch):
+        """Runs amplify each member in ``_amplify_grid``, over the member's carried grids."""
+        calls = []
+        amplify = quantum._amplify_grid
+
+        def traced(amps, targets, active, cum=None):
+            calls.append(cum is not None)
+            return amplify(amps, targets, active, cum)
+
+        monkeypatch.setattr(quantum, "_amplify_grid", traced)
+        run_quantum(medium_spec, dataclasses.replace(PARAMS, g_max=3))
+        assert calls and all(calls)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize(
