@@ -1,8 +1,8 @@
 """Classical genetic algorithm: selection, crossover, mutation, repair, loop.
 
 The generation loop is deterministic for a given seed.  Every randomized
-unit of work draws from its own substream (see :mod:`gantrysched.rng`), so
-a unit's draws do not depend on how many draws other units made before it.
+population step draws from its own substream (see :mod:`gantrysched.rng`),
+so a step's draws do not depend on how many draws other steps made.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .rng import (
     PHASE_REPAIR_PICK,
     SEED_MAX,
     substream,
-    substreams,
 )
 
 # Ratio-times-count arithmetic uses a tiny slack so that decimal ratios such
@@ -121,6 +120,8 @@ def _pair_count(n: int, r_c: float) -> int:
 
 # A run whose largest population and scoring buffers need more bytes than this exits 2.
 MEMORY_BOUND = 2**31
+# Generations of growth the peak search follows before it answers with a bound.
+_PEAK_STEPS = 10**5
 
 
 def _peak_population(params: GaParams, most: int) -> int:
@@ -128,14 +129,18 @@ def _peak_population(params: GaParams, most: int) -> int:
 
     Mutation and repair keep the size.  Each size determines the next by a
     non-decreasing map, so the sizes only rise or only fall: the peak is
-    where they stop rising.
+    where they stop rising.  At most ``n_max`` members survive, so no size
+    after the first exceeds n_max + 2 * pairs(n_max); sizes still rising
+    after ``_PEAK_STEPS`` generations give that bound instead of the peak.
     """
     n = params.n_ini
-    for _ in range(params.g_max):
+    for step in range(params.g_max):
         k = _survivor_count(n, params.r_s, params.n_max)
         grown = k + 2 * _pair_count(k, params.r_c)
         if grown <= n or n > most:
             break
+        if step == _PEAK_STEPS:  # the bound is at least grown, so above n
+            return params.n_max + 2 * _pair_count(params.n_max, params.r_c)
         n = grown
     return n
 
@@ -350,10 +355,11 @@ def _evolve(
 
 
 def _each_member(seed: int, phase: int, operator: Callable) -> Callable:
-    """A population step applying ``operator(member, rng)`` on each member's substream."""
+    """A population step applying ``operator(member, rng)`` to each pick in turn, on one rng."""
 
     def step(pop: list, gen: int, picked: list[int]) -> None:
-        for i, rng in zip(picked, substreams(seed, gen, phase, picked)):
+        rng = substream(seed, gen, phase, 0)
+        for i in picked:
             pop[i] = operator(pop[i], rng)
 
     return step

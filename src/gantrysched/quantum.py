@@ -12,7 +12,6 @@ classical one with these operators substituted.
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from .rng import (
     PHASE_MUTATE_A,
     PHASE_MUTATE_PICK_A,
     PHASE_REPAIR,
-    substreams,
+    substream,
 )
 
 _NORM_TOL = 1e-9
@@ -199,7 +198,7 @@ def q_repair(
             f"{(spec.n_g, spec.n_t, spec.n_p)}"
         )
     pop = [qchrom]
-    _q_repair_members(pop, [0], spec, [rng])
+    _q_repair_members(pop, [0], spec, rng)
     return pop[0]
 
 
@@ -207,18 +206,19 @@ def _q_repair_members(
     pop: list[QuantumChromosome],
     picked: list[int],
     spec: ProblemSpec,
-    rngs: Iterable[np.random.Generator],
+    rng: np.random.Generator,
 ) -> None:
-    """Replace each picked member by its :func:`q_repair` on its own generator.
+    """Replace each picked member, in turn, by its :func:`q_repair` on ``rng``.
 
     Every member's status target is the status grid of all repair outputs,
     so a member samples only the filled episode starts and picks only their
-    patients; the picks of all members are drawn in one pass per register.
-    Each member's registers are then amplified by :func:`_amplify_grid`
-    over the cumulative grids it carries.
+    patients.  One draw holds the uniforms of one observation per member,
+    and the picks of all members come in one pass per register.  Each
+    member's registers are then amplified by :func:`_amplify_grid` over the
+    cumulative grids it carries.
     """
     flat, statuses, _ = _repair_layout(spec)
-    u = np.array([rng.random((2, spec.n_cells)) for rng in rngs])[..., flat]
+    u = rng.random((len(picked), 2, spec.n_cells))[..., flat]
     status_cums = np.array([pop[i].status_cum.reshape(-1, N_STATUSES)[flat] for i in picked])
     id_cums = np.array([pop[i].id_cum.reshape(-1, spec.n_p)[flat] for i in picked])
     busy = statuses != 0
@@ -244,14 +244,14 @@ def run_quantum(
         return uniform
 
     def evaluate(pop: list, gen: int) -> list[tuple[FitnessBreakdown, Chromosome]]:
-        rngs = substreams(seed, gen, PHASE_EVAL, range(len(pop)))
-        shadows = [observe(q, rng) for q, rng in zip(pop, rngs)]
+        rng = substream(seed, gen, PHASE_EVAL, 0)
+        shadows = [observe(q, rng) for q in pop]
         return list(zip(_score_members(shadows, table), shadows))
 
     mutators = ((PHASE_MUTATE_PICK_A, _each_member(seed, PHASE_MUTATE_A, q_mutate)),)
 
     def repair(pop: list, gen: int, picked: list[int]) -> None:
-        _q_repair_members(pop, picked, spec, substreams(seed, gen, PHASE_REPAIR, picked))
+        _q_repair_members(pop, picked, spec, substream(seed, gen, PHASE_REPAIR, 0))
 
     return _evolve(params, fresh, evaluate, _paired_crossover, mutators, repair)
 

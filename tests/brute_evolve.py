@@ -3,12 +3,13 @@
 This is the generation loop written out once per algorithm, step by step:
 no memo, no shared callbacks, every schedule and quantum chromosome built
 through its validating constructor, schedules scored by the brute-force
-evaluator and repaired by the slot-by-slot reference repair.  It draws
-from the same substream coordinates as the package's loop, so a seeded run
-of either runner must match it exactly.  The single-chromosome operators
-(random schedules, mutations, observation) come from the package; the
-selection, pairing, crossover, pick-and-replace and amplification steps
-are written again here.
+evaluator and repaired by the slot-by-slot reference repair.  It derives
+its own generator for each population step, from the same substream
+coordinates as the package's loop, and the step's members draw from it in
+pick order, so a seeded run of either runner must match it exactly.  The
+single-chromosome operators (random schedules, mutations, observation)
+come from the package; the selection, pairing, crossover, pick-and-replace
+and amplification steps are written again here.
 """
 
 from __future__ import annotations
@@ -120,12 +121,10 @@ def brute_evolve(spec, params, algorithm):
             np.full((spec.n_g, spec.n_t, N_STATUSES), 1.0 / math.sqrt(N_STATUSES)),
         )
         pop = [uniform] * params.n_ini
-        mutators = [
-            (PHASE_MUTATE_PICK_A, lambda q, gen, i: q_mutate(q, draw(gen, PHASE_MUTATE_A, i))),
-        ]
+        mutators = [(PHASE_MUTATE_PICK_A, PHASE_MUTATE_A, q_mutate)]
 
-        def repair(q, gen, i):
-            return quantum_repair(q, spec, draw(gen, PHASE_REPAIR, i))
+        def repair(q, rng):
+            return quantum_repair(q, spec, rng)
 
     else:
         pop = [
@@ -133,25 +132,20 @@ def brute_evolve(spec, params, algorithm):
             for i in range(params.n_ini)
         ]
         mutators = [
-            (
-                PHASE_MUTATE_PICK_A,
-                lambda c, gen, i: mutate_patient_ids(c, spec, draw(gen, PHASE_MUTATE_A, i)),
-            ),
-            (
-                PHASE_MUTATE_PICK_B,
-                lambda c, gen, i: mutate_statuses(c, spec, draw(gen, PHASE_MUTATE_B, i)),
-            ),
+            (PHASE_MUTATE_PICK_A, PHASE_MUTATE_A, lambda c, rng: mutate_patient_ids(c, spec, rng)),
+            (PHASE_MUTATE_PICK_B, PHASE_MUTATE_B, lambda c, rng: mutate_statuses(c, spec, rng)),
         ]
 
-        def repair(c, gen, i):
+        def repair(c, rng):
             return brute_repair(c, spec)
 
     records = []
     best = None
     for gen in range(params.g_max + 1):
         scored = []
-        for i, chrom in enumerate(pop):
-            schedule = rebuild(observe(chrom, draw(gen, PHASE_EVAL, i)), spec) if quantum else chrom
+        rng = draw(gen, PHASE_EVAL, 0)
+        for chrom in pop:
+            schedule = rebuild(observe(chrom, rng), spec) if quantum else chrom
             scored.append((brute_breakdown(schedule.statuses, schedule.patients), schedule))
         totals = [breakdown["total"] for breakdown, _ in scored]
         top = max(totals)
@@ -167,15 +161,17 @@ def brute_evolve(spec, params, algorithm):
         pop = [pop[i] for i in order[:keep]]
         pop = crossover(pop, params.r_c, draw(gen, PHASE_PAIRING, 0), spec)
 
-        for pick_phase, mutate in mutators:
+        for pick_phase, phase, mutate in mutators:
             n_mut = floor_count(params.r_m * len(pop))
             if n_mut:
                 picked = draw(gen, pick_phase, 0).choice(len(pop), size=n_mut, replace=False)
+                rng = draw(gen, phase, 0)
                 for i in picked.tolist():
-                    pop[i] = rebuild(mutate(pop[i], gen, i), spec)
+                    pop[i] = rebuild(mutate(pop[i], rng), spec)
         n_rep = floor_count(params.r_r * len(pop))
         if n_rep:
             picked = draw(gen, PHASE_REPAIR_PICK, 0).choice(len(pop), size=n_rep, replace=False)
+            rng = draw(gen, PHASE_REPAIR, 0)
             for i in picked.tolist():
-                pop[i] = repair(pop[i], gen, i)
+                pop[i] = repair(pop[i], rng)
     return records, best[1], best[0]

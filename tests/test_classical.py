@@ -6,6 +6,7 @@ import dataclasses
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from gantrysched import (
 )
 from gantrysched import classical, cli, quantum
 from gantrysched import fitness as scoring
-from gantrysched.classical import _paired_crossover, _peak_population
+from gantrysched.classical import _pair_count, _paired_crossover, _peak_population
 from gantrysched.cli import main
 from gantrysched.rng import SEED_MAX, substream
 
@@ -495,11 +496,19 @@ class TestRunClassical:
         g_max=st.integers(0, 4),
     )
     def test_peak_population_matches_runs(self, spec, r_s, r_c, n_ini, n_max, g_max):
-        """The predicted peak is the largest population a run evaluates."""
+        """The predicted peak is the largest population a run evaluates.
+
+        No population after the first exceeds n_max + 2 * pairs(n_max), the
+        bound the search gives for sizes still rising after its budget.
+        """
         params = tiny_params(r_s=r_s, r_c=r_c, n_ini=n_ini, n_max=n_max, g_max=g_max)
         result = run_classical(spec, params)
         peak = _peak_population(params, 2**31)
         assert max(record.population for record in result.records) == peak
+        bound = n_max + 2 * _pair_count(n_max, r_c)
+        assert all(record.population <= bound for record in result.records[1:])
+        with mock.patch.object(classical, "_PEAK_STEPS", 1):
+            assert _peak_population(params, 2**31) in (peak, bound)
 
     def test_peak_population_of_the_large_configs(self):
         """Classical large grows from 40 to 342; quantum large stays at 10."""
@@ -617,8 +626,8 @@ class TestScoreReuse:
         # every evaluation enters the scorer once ...
         assert len(scorer_calls) == 2010
         # ... which counts the repair layout once and, of the rest, only the
-        # 256 schedules that are not this generation's repair outputs
-        assert sum(counted) == 257
+        # 257 schedules that are not this generation's repair outputs
+        assert sum(counted) == 258
 
     @pytest.mark.parametrize("runner", [run_classical, quantum.run_quantum])
     @pytest.mark.parametrize("stack_cells", [1, 3 * 324 - 1])
@@ -645,7 +654,7 @@ class TestScoreReuse:
         )
         assert code == 0
         assert len(scorer_calls) == 2010
-        assert sum(counted) == 257
+        assert sum(counted) == 258
         # one repair scores the layout; of the 1600 schedules sent to repair, the
-        # 604 that already are repair outputs are kept as they are
-        assert len(repairs) == 1 + 996
+        # 605 that already are repair outputs are kept as they are
+        assert len(repairs) == 1 + 995

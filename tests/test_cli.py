@@ -474,19 +474,22 @@ class TestMemoryBound:
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_slow_growth_past_the_bound_exits_2_at_once(self, tmp_path, capsys, no_runs, command):
-        """The peak search stops past the bound, not after 2**29 generations of growth by 2."""
-        # from 2**30 chromosomes of 5 bytes, one crossover pair per generation
-        config = write_config(
-            tmp_path, n_g=1, n_p=1, n_t=1, n_ini=2**30, classical_n_max=2**31,
-            r_s=1, r_c=3 / 2**30, g_max=10**9,
-        )
+        """The peak search ends early, not after some 10**7 generations of slow growth."""
+        # chromosomes of 5 bytes: from 2**30 by one crossover pair a generation, from
+        # 2**28 by one pair a generation, and from 2**28 by about 2**-26 of the population
+        slow = [(2**30, 1, 3 / 2**30), (2**28, 1, 2 / 2**28), (2**28, 0.8 + 2**-26, 0.25)]
         grid = write_grid(tmp_path, {"r_m": {"center": 0.37, "half_width": 0.0, "step": 0.1}})
-        args = [command, "--config", str(config)]
-        started = time.process_time()
-        assert main(args + ["--grid", str(grid)] if command == "sweep" else args) == 2
-        assert time.process_time() - started < 1
-        assert "MiB bound" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        for n_ini, r_s, r_c in slow:
+            config = write_config(
+                tmp_path, n_g=1, n_p=1, n_t=1, n_ini=n_ini, classical_n_max=2**31,
+                r_s=r_s, r_c=r_c, g_max=10**9,
+            )
+            args = [command, "--config", str(config)]
+            started = time.process_time()
+            assert main(args + ["--grid", str(grid)] if command == "sweep" else args) == 2
+            assert time.process_time() - started < 1
+            assert "MiB bound" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_sweep_checks_every_point(self, tmp_path, capsys, no_runs):
         """Only the last point, whose population grows fastest, passes the bound."""

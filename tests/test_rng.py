@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gantrysched.rng import SEED_MAX, derive_seed, substream, substreams
+from gantrysched.rng import SEED_MAX, derive_seed, substream
 
 SEEDS = st.integers(0, SEED_MAX - 1) | st.sampled_from([0, 2**32 - 1, 2**32, SEED_MAX - 1])
 # Coordinates of one, two and three 32-bit words, zero among them.
 COORDINATES = st.integers(0, 2**96 - 1) | st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64])
-# Indices are single 32-bit words; lists may repeat them and come in any order.
-INDICES = st.lists(st.integers(0, 2**32 - 1) | st.sampled_from([0, 1, 2**32 - 1]), max_size=8)
 
 
 @settings(max_examples=200, deadline=None)
@@ -24,18 +22,6 @@ def test_substream_is_numpys_spawned_sequence(seed, generation, phase, index):
     got = substream(seed, generation, phase, index)
     assert got.bit_generator.state == want.bit_generator.state
     assert np.array_equal(got.random(8), want.random(8))
-
-
-@settings(max_examples=200, deadline=None)
-@given(seed=SEEDS, generation=COORDINATES, phase=COORDINATES, indices=INDICES)
-def test_substreams_are_numpys_spawned_sequences(seed, generation, phase, indices):
-    got = list(substreams(seed, generation, phase, indices))
-    assert len(got) == len(indices)
-    for index, rng in zip(indices, got):
-        key = np.random.SeedSequence(entropy=seed, spawn_key=(generation, phase, index))
-        want = np.random.default_rng(key)
-        assert rng.bit_generator.state == want.bit_generator.state
-        assert np.array_equal(rng.random(8), want.random(8))
 
 
 @settings(max_examples=200, deadline=None)
@@ -51,8 +37,6 @@ def test_seed_outside_64_bits_is_rejected(seed):
         substream(seed, 0, 0, 0)
     with pytest.raises(ValueError, match="seed must be in"):
         derive_seed(seed, 0)
-    with pytest.raises(ValueError, match="seed must be in"):
-        list(substreams(seed, 0, 0, [0]))
 
 
 def test_negative_coordinate_is_rejected():
@@ -60,11 +44,3 @@ def test_negative_coordinate_is_rejected():
         substream(0, 0, -1, 0)
     with pytest.raises(ValueError, match="non-negative"):
         derive_seed(0, -2)
-    with pytest.raises(ValueError, match="non-negative"):
-        list(substreams(0, -1, 0, [0]))
-
-
-@pytest.mark.parametrize("index", [-1, 2**32])
-def test_index_outside_one_word_is_rejected(index):
-    with pytest.raises(ValueError, match="indices must lie in"):
-        list(substreams(0, 0, 0, [0, index]))
