@@ -168,19 +168,24 @@ def single_point_crossover(a: G, b: G, point: int) -> tuple[G, G]:
     )
 
 
-def _paired_crossover(pop, r_c, rng):
-    """Append children of floor(r_c * N / 2) disjoint random parent pairs."""
-    n = len(pop)
+def _crossover_pairs(n: int, r_c: float, n_cells: int, rng: np.random.Generator) -> list:
+    """(first, second, cut point) of floor(r_c * n / 2) disjoint random pairs of n members.
+
+    Members of fewer than two cells cannot be cut and make no pairs.
+    """
     n_pairs = _pair_count(n, r_c)
+    if n_pairs == 0 or n_cells < 2:
+        return []
+    chosen = rng.permutation(n)[: 2 * n_pairs].tolist()
+    points = rng.integers(1, n_cells, size=n_pairs).tolist()
+    return list(zip(chosen[::2], chosen[1::2], points))
+
+
+def _paired_crossover(pop, r_c, rng):
+    """Append the two children of each pair that :func:`_crossover_pairs` draws."""
     out = list(pop)
-    if n_pairs == 0 or pop[0].n_cells < 2:
-        return out
-    chosen = rng.permutation(n)[: 2 * n_pairs]
-    points = rng.integers(1, pop[0].n_cells, size=n_pairs)
-    for k in range(n_pairs):
-        a = pop[int(chosen[2 * k])]
-        b = pop[int(chosen[2 * k + 1])]
-        out.extend(single_point_crossover(a, b, int(points[k])))
+    for a, b, point in _crossover_pairs(len(pop), r_c, pop[0].n_cells, rng):
+        out.extend(single_point_crossover(pop[a], pop[b], point))
     return out
 
 
@@ -304,17 +309,21 @@ def _evolve(
     params: GaParams,
     fresh: Callable[[int], object],
     evaluate: Callable[[list, int], list[tuple[FitnessBreakdown, Chromosome]]],
-    crossover_pop: Callable,  # always _paired_crossover; benchmark/tracer.py times it here
+    crossover_pop: Callable,  # each variant's own; benchmark/tracer.py times it here
     mutators: Sequence[tuple[int, Callable[[list, int, list[int]], None]]],
     repair: Callable[[list, int, list[int]], None],
 ) -> RunResult:
     """Generation loop shared by the classical and quantum variants.
 
+    A member is what ``fresh`` and ``crossover_pop`` return: a chromosome,
+    or the index of its row in an arena that the steps share.
     ``evaluate(pop, gen)`` returns a (breakdown, schedule) pair per member;
-    the loop keeps the first best pair it sees.  ``step(pop, gen, picked)``,
-    a mutator or ``repair``, replaces each picked member of ``pop`` in place.
-    Through these steps the loop keeps no member of the previous generation,
-    only ``pop`` and the best pair, so a replaced member can be freed.
+    the loop keeps the first best pair it sees.  ``crossover_pop(pop, r_c,
+    rng)`` returns the survivors followed by their children.  ``step(pop,
+    gen, picked)``, a mutator or ``repair``, replaces each picked member of
+    ``pop`` in place.  Through these steps the loop keeps no member of the
+    previous generation, only ``pop`` and the best pair, so a replaced
+    member can be freed.
     """
     started = perf_counter()
     seed = params.seed

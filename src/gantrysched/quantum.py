@@ -6,7 +6,9 @@ projects each cell onto a classical slot without disturbing the stored
 amplitudes; mutation collapses one cell to random basis states; repair
 amplifies the amplitudes of the classical repair of a shadow schedule so
 that later observations concentrate near it.  The generation loop mirrors the
-classical one with these operators substituted.
+classical one with these operators substituted.  A run holds its population
+as the rows of one arena of stacked grids, and each step works on the rows
+it picks in place; the public operators are one-row calls into those kernels.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from .classical import (
     MEMORY_BOUND,
     GaParams,
     RunResult,
-    _each_member,
+    _crossover_pairs,
     _evolve,
-    _paired_crossover,
     _peak_population,
     _repair_layout,
     _repair_patients,
@@ -111,28 +112,99 @@ def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cum < np.maximum(u[..., None] * cum[..., -1:], _TINY)).argmin(axis=-1)
 
 
+# A population arena: the four grids of QuantumChromosome._GRIDS, each with a
+# leading row axis and its cells flattened, (rows, n_cells, vector length), one
+# member per row.  Its kernels rewrite the rows they are handed in place and
+# read no other row.
+_Arena = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _one_row(qchrom: QuantumChromosome) -> _Arena:
+    """A writable copy of a chromosome's grids as a population of one row."""
+    return tuple(grid.reshape(1, qchrom.n_cells, -1).copy() for grid in qchrom.grids)
+
+
+def _from_row(grids: _Arena, shape: tuple[int, int]) -> QuantumChromosome:
+    """The chromosome that a population of one row holds, over its grids."""
+    return QuantumChromosome._adopt(*(grid.reshape(*shape, -1) for grid in grids))
+
+
+def _observe(grids: _Arena, rows: list[int], u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Status and patient grids that uniforms ``u`` (row, register, cell) pick in ``rows``.
+
+    The status register reads ``u[:, 0]`` and the id register ``u[:, 1]``;
+    the cells may take any shape.  Every row is read in place: gathering
+    the rows would copy the cumulative grids of the whole population.
+    """
+    _, _, id_cum, status_cum = grids
+    statuses = np.empty((len(u), *u.shape[2:]), dtype=np.int8)
+    patients = np.empty(statuses.shape, dtype=np.int32)
+    for i, row in enumerate(rows):
+        statuses[i] = _pick(status_cum[row], u[i, 0])
+        patients[i] = _pick(id_cum[row], u[i, 1])
+    patients[statuses == 0] = VACANT
+    return statuses, patients
+
+
 def observe(qchrom: QuantumChromosome, rng: np.random.Generator) -> Chromosome:
     """Project every cell onto a classical slot; the amplitudes are untouched."""
-    u_status, u_id = rng.random((2, qchrom.n_g, qchrom.n_t))
-    statuses = _pick(qchrom.status_cum, u_status).astype(np.int8)
-    patients = _pick(qchrom.id_cum, u_id).astype(np.int32)
-    patients[statuses == 0] = VACANT
-    return Chromosome._adopt(statuses, patients)
+    grids = tuple(grid[None] for grid in qchrom.grids)
+    statuses, patients = _observe(grids, [0], rng.random((1, 2, *qchrom.id_amps.shape[:2])))
+    return Chromosome._adopt(statuses[0], patients[0])
+
+
+def _collapse(grids: _Arena, rows: list[int], rng: np.random.Generator) -> None:
+    """Collapse one random cell of each row, in turn, to random basis states in both registers."""
+    n_cells, n_p = grids[0].shape[1:]
+    draws = [
+        (rng.integers(0, n_cells), rng.integers(0, n_p), rng.integers(0, N_STATUSES))
+        for _ in rows
+    ]
+    cells, *bases = np.array(draws, dtype=np.intp).reshape(-1, 3).T
+    for amps, cum, basis in zip(grids[:2], grids[2:], bases):
+        amps[rows, cells] = 0.0
+        amps[rows, cells, basis] = 1.0
+        cum[rows, cells] = np.arange(amps.shape[-1]) >= basis[:, None]
 
 
 def q_mutate(qchrom: QuantumChromosome, rng: np.random.Generator) -> QuantumChromosome:
     """Collapse one random cell to random basis states in both registers."""
-    flat = int(rng.integers(0, qchrom.n_cells))
-    g, t = divmod(flat, qchrom.n_t)
-    id_basis = int(rng.integers(0, qchrom.n_p))
-    status_basis = int(rng.integers(0, N_STATUSES))
-    ids, statuses, id_cum, status_cum = (grid.copy() for grid in qchrom.grids)
-    for amps, cum, basis in ((ids, id_cum, id_basis), (statuses, status_cum, status_basis)):
-        amps[g, t] = 0.0
-        amps[g, t, basis] = 1.0
-        cum[g, t, :basis] = 0.0
-        cum[g, t, basis:] = 1.0
-    return QuantumChromosome._adopt(ids, statuses, id_cum, status_cum)
+    grids = _one_row(qchrom)
+    _collapse(grids, [0], rng)
+    return _from_row(grids, (qchrom.n_g, qchrom.n_t))
+
+
+def _amplify_rows(
+    amps: np.ndarray, cum: np.ndarray, rows: np.ndarray, targets: np.ndarray, per_pass: int
+) -> int:
+    """Amplify the listed rows of ``amps`` toward their targets in place, ``per_pass`` at a time.
+
+    ``amps`` holds one vector per row and ``cum`` its cumulative squares.
+    The listed rows of both are rewritten as :func:`_amplify_grid`
+    describes, and no other row is read.  A pass's temporaries hold
+    ``per_pass`` vectors.  Returns how many rows changed.
+    """
+    below = np.abs(amps[rows, targets]) < _AMP_CAP
+    rows, targets = rows[below], targets[below]
+    n = amps.shape[-1]
+    for start in range(0, rows.size, per_pass):
+        part, at = rows[start : start + per_pass], targets[start : start + per_pass]
+        index = np.arange(part.size)
+        vectors = amps[part]
+        tgt = vectors[index, at]
+        squares = vectors * vectors  # reused for the cumulative squares of the result
+        boosted = np.minimum(np.maximum(10.0 * np.abs(tgt), _AMP_FLOOR), _AMP_CAP)
+        residual = 1.0 - boosted * boosted
+        others = squares.sum(axis=-1) - tgt * tgt
+        safe = others > 0.0
+        vectors *= np.sqrt(residual / np.where(safe, others, 1.0))[:, None]
+        if not safe.all():
+            vectors[~safe] = np.sqrt(residual[~safe] / (n - 1))[:, None]
+        vectors[index, at] = np.where(tgt < 0, -boosted, boosted)
+        np.multiply(vectors, vectors, out=squares).cumsum(axis=-1, out=squares)
+        amps[part] = vectors
+        cum[part] = squares
+    return rows.size
 
 
 def _amplify_grid(
@@ -155,27 +227,44 @@ def _amplify_grid(
     """
     n = amps.shape[-1]
     cum = _cumulative(amps) if cum is None else cum
-    flat, targets = amps.reshape(-1, n), np.asarray(targets).reshape(-1)
-    tgt = flat[np.arange(targets.size), targets]
-    rows = (np.asarray(active).reshape(-1) & (np.abs(tgt) < _AMP_CAP)).nonzero()[0]
-    if not rows.size:
-        return amps, cum
-    vectors, targets, tgt = flat[rows], targets[rows], tgt[rows]
-    index = np.arange(rows.size)
-    squares = vectors * vectors  # reused for the cumulative squares of the result
-    boosted = np.minimum(np.maximum(10.0 * np.abs(tgt), _AMP_FLOOR), _AMP_CAP)
-    residual = 1.0 - boosted * boosted
-    others = squares.sum(axis=-1) - tgt * tgt
-    safe = others > 0.0
-    vectors *= np.sqrt(residual / np.where(safe, others, 1.0))[:, None]
-    if not safe.all():
-        vectors[~safe] = np.sqrt(residual[~safe] / (n - 1))[:, None]
-    vectors[index, targets] = np.where(tgt < 0, -boosted, boosted)
-    np.multiply(vectors, vectors, out=squares).cumsum(axis=-1, out=squares)
     out, out_cum = amps.copy(), cum.copy()
-    out.reshape(-1, n)[rows] = vectors
-    out_cum.reshape(-1, n)[rows] = squares
-    return out, out_cum
+    rows = np.asarray(active).reshape(-1).nonzero()[0]
+    targets = np.asarray(targets).reshape(-1)[rows]
+    if _amplify_rows(out.reshape(-1, n), out_cum.reshape(-1, n), rows, targets, out.size // n):
+        return out, out_cum
+    return amps, cum
+
+
+def _repair_rows(
+    grids: _Arena, rows: list[int], spec: ProblemSpec, rng: np.random.Generator
+) -> None:
+    """Replace each of ``rows``, in turn, by its :func:`q_repair` on ``rng``, in place.
+
+    Every row's status target is the status grid of all repair outputs, so
+    a row samples only the filled episode starts and picks only their
+    patients.  One draw holds the uniforms of one observation per row, and
+    the picks of all rows come in one pass per register.  The vectors below
+    the cap of all rows are then amplified together, one member's grid of
+    vectors per pass, over the cumulative grids the rows carry.
+    """
+    ids, statuses, id_cum, status_cum = grids
+    n_cells = spec.n_cells
+    flat, layout, _ = _repair_layout(spec)
+    rows = np.array(rows, dtype=np.intp)[:, None]
+    u = rng.random((rows.size, 2, n_cells))[..., flat]
+    at_starts = zip(_pick(status_cum[rows, flat], u[:, 0]), _pick(id_cum[rows, flat], u[:, 1]))
+    patients = np.array([_repair_patients(*at, spec).reshape(-1) for at in at_starts])
+    layout = layout.reshape(-1)
+    busy = layout.nonzero()[0]
+    everywhere = np.arange(n_cells)
+    for amps, cum, cells, targets in (
+        (ids, id_cum, busy, patients[:, busy]),
+        (statuses, status_cum, everywhere, np.broadcast_to(layout, patients.shape)),
+    ):
+        n = amps.shape[-1]
+        vectors = (rows * n_cells + cells).reshape(-1)
+        targets = targets.reshape(-1).astype(np.intp)
+        _amplify_rows(amps.reshape(-1, n), cum.reshape(-1, n), vectors, targets, n_cells)
 
 
 def q_repair(
@@ -197,38 +286,9 @@ def q_repair(
             f"chromosome shape {qchrom.id_amps.shape} does not match the spec's (n_g, n_t, n_p) "
             f"{(spec.n_g, spec.n_t, spec.n_p)}"
         )
-    pop = [qchrom]
-    _q_repair_members(pop, [0], spec, rng)
-    return pop[0]
-
-
-def _q_repair_members(
-    pop: list[QuantumChromosome],
-    picked: list[int],
-    spec: ProblemSpec,
-    rng: np.random.Generator,
-) -> None:
-    """Replace each picked member, in turn, by its :func:`q_repair` on ``rng``.
-
-    Every member's status target is the status grid of all repair outputs,
-    so a member samples only the filled episode starts and picks only their
-    patients.  One draw holds the uniforms of one observation per member,
-    and the picks of all members come in one pass per register.  Each
-    member's registers are then amplified by :func:`_amplify_grid` over the
-    cumulative grids it carries.
-    """
-    flat, statuses, _ = _repair_layout(spec)
-    u = rng.random((len(picked), 2, spec.n_cells))[..., flat]
-    status_cums = np.array([pop[i].status_cum.reshape(-1, N_STATUSES)[flat] for i in picked])
-    id_cums = np.array([pop[i].id_cum.reshape(-1, spec.n_p)[flat] for i in picked])
-    busy = statuses != 0
-    every = np.ones_like(busy)
-    for i, *at in zip(picked, _pick(status_cums, u[:, 0]), _pick(id_cums, u[:, 1])):
-        q = pop[i]
-        id_targets = np.where(busy, _repair_patients(*at, spec), 0)
-        ids, id_cum = _amplify_grid(q.id_amps, id_targets, busy, q.id_cum)
-        status_amps, status_cum = _amplify_grid(q.status_amps, statuses, every, q.status_cum)
-        pop[i] = QuantumChromosome._adopt(ids, status_amps, id_cum, status_cum)
+    grids = _one_row(qchrom)
+    _repair_rows(grids, [0], spec, rng)
+    return _from_row(grids, (spec.n_g, spec.n_t))
 
 
 def run_quantum(
@@ -236,28 +296,50 @@ def run_quantum(
     params: GaParams,
     table: ScoreTable = ScoreTable(),
 ) -> RunResult:
-    """Run the quantum-inspired genetic algorithm; bit-reproducible per seed."""
-    seed = params.seed
-    uniform = uniform_quantum_chromosome(spec)
+    """Run the quantum-inspired genetic algorithm; bit-reproducible per seed.
 
-    def fresh(i: int) -> QuantumChromosome:
-        return uniform
+    The run's members are the rows of one population arena, sized for its
+    largest population; the loop's population is a list of row indices,
+    and every step rewrites the rows it picks in place.  Crossover children
+    take rows that no survivor holds.
+    """
+    seed = params.seed
+    uniform = [grid.reshape(spec.n_cells, -1) for grid in uniform_quantum_chromosome(spec).grids]
+    capacity = _peak_population(params, math.inf)
+    grids = tuple(np.empty((capacity, *grid.shape)) for grid in uniform)
+
+    def fresh(i: int) -> int:
+        for grid, row in zip(grids, uniform):
+            grid[i] = row
+        return i
 
     def evaluate(pop: list, gen: int) -> list[tuple[FitnessBreakdown, Chromosome]]:
-        rng = substream(seed, gen, PHASE_EVAL, 0)
-        shadows = [observe(q, rng) for q in pop]
+        u = substream(seed, gen, PHASE_EVAL, 0).random((len(pop), 2, spec.n_cells))
+        stacks = (stack.reshape(-1, spec.n_g, spec.n_t) for stack in _observe(grids, pop, u))
+        shadows = [Chromosome._adopt(*member) for member in zip(*stacks)]
         return list(zip(_score_members(shadows, table), shadows))
 
-    mutators = ((PHASE_MUTATE_PICK_A, _each_member(seed, PHASE_MUTATE_A, q_mutate)),)
+    def crossover(pop: list, r_c: float, rng: np.random.Generator) -> list:
+        pairs = _crossover_pairs(len(pop), r_c, spec.n_cells, rng)
+        children = sorted(set(range(capacity)).difference(pop))[: 2 * len(pairs)]
+        for (i, j, point), c, d in zip(pairs, children[::2], children[1::2], strict=True):
+            a, b = pop[i], pop[j]
+            for grid in grids:
+                grid[c, :point], grid[c, point:] = grid[a, :point], grid[b, point:]
+                grid[d, :point], grid[d, point:] = grid[b, :point], grid[a, point:]
+        return pop + children
+
+    def mutate(pop: list, gen: int, picked: list[int]) -> None:
+        _collapse(grids, [pop[i] for i in picked], substream(seed, gen, PHASE_MUTATE_A, 0))
 
     def repair(pop: list, gen: int, picked: list[int]) -> None:
-        _q_repair_members(pop, picked, spec, substream(seed, gen, PHASE_REPAIR, 0))
+        _repair_rows(grids, [pop[i] for i in picked], spec, substream(seed, gen, PHASE_REPAIR, 0))
 
-    return _evolve(params, fresh, evaluate, _paired_crossover, mutators, repair)
+    return _evolve(params, fresh, evaluate, crossover, ((PHASE_MUTATE_PICK_A, mutate),), repair)
 
 
 def memory_estimate(spec: ProblemSpec, params: GaParams) -> int:
-    """Bytes that the grids of a run's largest quantum population take.
+    """Bytes of a run's population arena: the grids of its largest quantum population.
 
     A chromosome holds amplitude and cumulative grids of float64 over both
     registers: n_g * n_t * (n_p + 8) * 16 bytes.  Past the bound the

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import tracemalloc
 
@@ -31,7 +30,7 @@ from gantrysched import (
 )
 from gantrysched import quantum
 from gantrysched.classical import _repair_layout, _repair_patients
-from gantrysched.quantum import _amplify_grid, _q_repair_members, memory_estimate
+from gantrysched.quantum import _amplify_grid, _repair_rows, memory_estimate
 from gantrysched.rng import substream
 
 from brute_amplify import brute_amplify
@@ -464,24 +463,28 @@ def repair_fixed_point(spec: ProblemSpec, seed: int) -> QuantumChromosome:
 
 
 class TestRepairMembers:
-    """One batched repair step returns what ``q_repair`` returns member by member.
+    """One repair step over a population's rows returns what ``q_repair`` returns row by row.
 
-    The step draws from one generator; ``q_repair`` calls on the members in
-    turn, on one copy of that generator, draw the same values.
+    The step draws from one generator; ``q_repair`` calls on the picked
+    members in turn, on one copy of that generator, draw the same values.
+    Rows that the step is not handed stay as they were.
     """
 
     @staticmethod
-    def assert_matches_q_repair(members, spec, seed):
-        got = list(members)
-        _q_repair_members(got, list(range(len(got))), spec, substream(seed, 1, 8, 0))
+    def assert_matches_q_repair(members, spec, seed, picked):
+        grids = tuple(
+            np.array([grid.reshape(spec.n_cells, -1) for grid in column])
+            for column in zip(*(q.grids for q in members))
+        )
+        _repair_rows(grids, picked, spec, substream(seed, 1, 8, 0))
         rng = substream(seed, 1, 8, 0)
-        for q, out in zip(members, got):
-            want = q_repair(q, spec, rng)
-            assert [g.tobytes() for g in out.grids] == [g.tobytes() for g in want.grids]
-        # every member owns its grids, so a population's memory stays per member
-        for j, k in itertools.combinations(range(len(got)), 2):
-            for a, b in itertools.product(got[j].grids, got[k].grids):
-                assert not np.shares_memory(a, b)
+        want = {row: q_repair(members[row], spec, rng).grids for row in picked}
+        got = []
+        for row, q in enumerate(members):
+            out = [grid[row].reshape(q.id_amps.shape[:2] + (-1,)) for grid in grids]
+            expected = want.get(row, q.grids)
+            assert [g.tobytes() for g in out] == [g.tobytes() for g in expected]
+            got.append(QuantumChromosome(*out[:2]))
         return got
 
     @settings(max_examples=60, deadline=None)
@@ -493,7 +496,8 @@ class TestRepairMembers:
                 members.append(repair_fixed_point(spec, data.draw(st.integers(0, 2**32 - 1))))
             else:
                 members.append(data.draw(quantum_chromosomes(spec)))
-        self.assert_matches_q_repair(members, spec, data.draw(st.integers(0, 2**32 - 1)))
+        picked = data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))]
+        self.assert_matches_q_repair(members, spec, data.draw(st.integers(0, 2**32 - 1)), picked)
 
     def test_members_at_the_cap_mix_with_members_that_change(self, medium_spec):
         capped = [repair_fixed_point(medium_spec, s) for s in (1, 2)]
@@ -507,10 +511,9 @@ class TestRepairMembers:
             ),
         ]
         members = [capped[0], changing[0], capped[1], changing[1]]
-        got = self.assert_matches_q_repair(members, medium_spec, 11)
-        # nothing to amplify: the capped members keep their own grids
-        for out, q in ((got[0], capped[0]), (got[2], capped[1])):
-            assert all(a is b for a, b in zip(out.grids, q.grids))
+        got = self.assert_matches_q_repair(members, medium_spec, 11, [3, 0, 1, 2])
+        # nothing to amplify: the capped rows keep their grids
+        assert got[0] == capped[0] and got[2] == capped[1]
         assert got[1] != changing[0] and got[3] != changing[1]
 
 
@@ -536,27 +539,32 @@ class TestRunQuantum:
         assert result.best_breakdown.total > result.records[0].best_fitness
 
     def test_repair_amplifies_through_the_kernel(self, medium_spec, monkeypatch):
-        """Runs amplify each member in ``_amplify_grid``, over the member's carried grids."""
+        """Runs amplify in ``_amplify_rows``, over the cumulative grids the rows carry."""
         calls = []
-        amplify = quantum._amplify_grid
+        amplify = quantum._amplify_rows
 
-        def traced(amps, targets, active, cum=None):
-            calls.append(cum is not None)
-            return amplify(amps, targets, active, cum)
+        def traced(amps, cum, rows, targets, per_pass):
+            carried = cum[rows].tobytes() == (amps[rows] ** 2).cumsum(axis=-1).tobytes()
+            calls.append(carried and per_pass == medium_spec.n_cells)
+            return amplify(amps, cum, rows, targets, per_pass)
 
-        monkeypatch.setattr(quantum, "_amplify_grid", traced)
+        monkeypatch.setattr(quantum, "_amplify_rows", traced)
         run_quantum(medium_spec, dataclasses.replace(PARAMS, g_max=3))
         assert calls and all(calls)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize(
-        "spec",
-        [ProblemSpec(n_g=3, n_p=12, n_t=108), ProblemSpec(n_g=3, n_p=24, n_t=200)],
-        ids=["medium", "3x200x24"],
+        "spec, growth",
+        [
+            (ProblemSpec(n_g=3, n_p=12, n_t=108), {}),
+            (ProblemSpec(n_g=3, n_p=24, n_t=200), {}),
+            (ProblemSpec(n_g=3, n_p=24, n_t=200), {"n_ini": 2, "r_s": 1.0, "r_c": 1.0}),
+        ],
+        ids=["medium", "3x200x24", "3x200x24-growing"],
     )
-    def test_peak_memory_stays_near_the_estimate(self, spec, seed):
-        """A run holds about one population's grids: replaced members are freed."""
-        params = dataclasses.replace(PARAMS, seed=seed)
+    def test_peak_memory_stays_near_the_estimate(self, spec, growth, seed):
+        """A run holds about one population's grids, its largest one's even while it grows."""
+        params = dataclasses.replace(PARAMS, seed=seed, **growth)
         run_quantum(spec, dataclasses.replace(params, g_max=1))  # warm-up: caches and imports
         tracemalloc.start()
         try:

@@ -34,6 +34,9 @@ PARAMS = st.builds(
 # No repair at all, and a cap of 3 that binds at every selection.
 NO_REPAIR = GaParams(r_s=0.8, r_c=0.5, r_m=0.5, r_r=0.0, n_ini=8, n_max=8, g_max=4, seed=3)
 CAPPED = GaParams(r_s=1.0, r_c=1.0, r_m=0.5, r_r=0.5, n_ini=12, n_max=3, g_max=4, seed=4)
+# A population that doubles from 2 up to the cap, and one that halves to 2.
+GROWING = GaParams(r_s=1.0, r_c=1.0, r_m=0.5, r_r=0.5, n_ini=2, n_max=12, g_max=4, seed=5)
+SHRINKING = GaParams(r_s=0.5, r_c=0.0, r_m=0.5, r_r=0.5, n_ini=12, n_max=12, g_max=4, seed=6)
 SPEC = ProblemSpec(n_g=2, n_p=3, n_t=56)
 
 
@@ -43,6 +46,8 @@ SPEC = ProblemSpec(n_g=2, n_p=3, n_t=56)
 @example(spec=SPEC, params=NO_REPAIR, algorithm="quantum")
 @example(spec=SPEC, params=CAPPED, algorithm="classical")
 @example(spec=SPEC, params=CAPPED, algorithm="quantum")
+@example(spec=SPEC, params=GROWING, algorithm="quantum")
+@example(spec=SPEC, params=SHRINKING, algorithm="quantum")
 def test_runners_match_reference_loop(spec, params, algorithm):
     result = RUNNERS[algorithm](spec, params)
     records, best_schedule, best_breakdown = brute_evolve(spec, params, algorithm)
