@@ -176,13 +176,13 @@ def q_mutate(qchrom: QuantumChromosome, rng: np.random.Generator) -> QuantumChro
 
 def _amplify_rows(
     amps: np.ndarray, cum: np.ndarray, rows: np.ndarray, targets: np.ndarray, per_pass: int
-) -> int:
+) -> None:
     """Amplify the listed rows of ``amps`` toward their targets in place, ``per_pass`` at a time.
 
     ``amps`` holds one vector per row and ``cum`` its cumulative squares.
     The listed rows of both are rewritten as :func:`_amplify_grid`
     describes, and no other row is read.  A pass's temporaries hold
-    ``per_pass`` vectors.  Returns how many rows changed.
+    ``per_pass`` vectors.
     """
     below = np.abs(amps[rows, targets]) < _AMP_CAP
     rows, targets = rows[below], targets[below]
@@ -204,11 +204,10 @@ def _amplify_rows(
         np.multiply(vectors, vectors, out=squares).cumsum(axis=-1, out=squares)
         amps[part] = vectors
         cum[part] = squares
-    return rows.size
 
 
 def _amplify_grid(
-    amps: np.ndarray, targets: np.ndarray, active: np.ndarray, cum: np.ndarray | None = None
+    amps: np.ndarray, targets: np.ndarray, active: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Boost each active vector's target amplitude and rescale the rest of it.
 
@@ -218,21 +217,15 @@ def _amplify_grid(
     amplitudes shrink in proportion to their previous squared values (or
     share the residual uniformly if they were all zero).  A target at or
     above the cap leaves the vector unchanged, as does an inactive cell.
-    Signs are preserved.
-
-    Returns the new grid and its cumulative squares.  ``cum`` holds the
-    input's cumulative squares (``None`` computes them); only the changed
-    vectors are recomputed over it, and when none changes ``amps`` and
-    ``cum`` themselves come back.
+    Signs are preserved.  Returns a new grid and its cumulative squares.
     """
     n = amps.shape[-1]
-    cum = _cumulative(amps) if cum is None else cum
-    out, out_cum = amps.copy(), cum.copy()
+    out = amps.copy()
+    out_cum = _cumulative(out)
     rows = np.asarray(active).reshape(-1).nonzero()[0]
     targets = np.asarray(targets).reshape(-1)[rows]
-    if _amplify_rows(out.reshape(-1, n), out_cum.reshape(-1, n), rows, targets, out.size // n):
-        return out, out_cum
-    return amps, cum
+    _amplify_rows(out.reshape(-1, n), out_cum.reshape(-1, n), rows, targets, out.size // n)
+    return out, out_cum
 
 
 def _repair_rows(

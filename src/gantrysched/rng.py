@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 SEED_MAX = 2**64
-_WORD = 2**32 - 1
 
 # Phase tags for substream derivation.  The values are arbitrary but frozen:
 # changing any of them changes every seeded run.
@@ -33,22 +32,12 @@ PHASE_REPAIR = 8
 
 
 def _seed_sequence(seed: int, *coordinates: int) -> np.random.SeedSequence:
-    """``SeedSequence(entropy=seed, spawn_key=coordinates)`` without its per-int coercion.
-
-    Given a spawn key, numpy mixes the seed's 32-bit words (least significant
-    first, zero-padded to four), then each coordinate's words (one for zero).
-    """
+    """``SeedSequence(entropy=seed, spawn_key=coordinates)``, its inputs range-checked."""
     if not 0 <= seed < SEED_MAX:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     if min(coordinates) < 0:
         raise ValueError("seed coordinates must be non-negative")
-    words = [seed & _WORD, seed >> 32, 0, 0]
-    for value in coordinates:
-        words.append(value & _WORD)
-        while value > _WORD:
-            value >>= 32
-            words.append(value & _WORD)
-    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return np.random.SeedSequence(seed, spawn_key=coordinates)
 
 
 def substream(seed: int, generation: int, phase: int, index: int) -> np.random.Generator:

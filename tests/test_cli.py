@@ -177,6 +177,21 @@ class TestRunErrors:
         assert f"{where}.json" in err and message in err
         assert not (tmp_path / "out").exists()
 
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the default output directory lies here
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        assert main(["run", "--config", str(path)]) == 2
+        assert "top level must be a JSON object" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_out_dir_that_is_not_a_string_exits_2(self, tmp_path, capsys, monkeypatch, no_runs):
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, out_dir=5)
+        assert main(["run", "--config", str(config)]) == 2
+        assert "config field 'out_dir' must be a string" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path, extra={"n_gantries": 2})
         assert main(["run", "--config", str(config)]) == 2
@@ -373,6 +388,23 @@ class TestSweepCommand:
         )
         assert main(["sweep", "--config", str(config), "--grid", str(grid)]) == 2
         assert "g_max" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "exclude, message",
+        [
+            ([0.4], "grid 'exclude' must be an object of value lists"),
+            ({"r_s": 0.4}, "exclusion 'r_s' must list values"),
+        ],
+        ids=["exclude-list", "exclusion-number"],
+    )
+    def test_malformed_exclusions_exit_2(self, tmp_path, capsys, no_runs, exclude, message):
+        config = write_config(tmp_path)
+        grid = write_grid(
+            tmp_path, {"r_s": {"center": 0.6, "half_width": 0.2, "step": 0.2}}, exclude=exclude
+        )
+        assert main(["sweep", "--config", str(config), "--grid", str(grid)]) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_axis_outside_unit_interval_exits_2(self, tmp_path, capsys):

@@ -104,6 +104,11 @@ class TestChromosome:
         with pytest.raises(ValueError):
             Chromosome([[1]], [[0.0]])  # float patient ids
 
+    def test_rejects_zero_cells(self):
+        empty = np.zeros((1, 0), dtype=np.int8)
+        with pytest.raises(ValueError, match="at least one gantry and one slot"):
+            Chromosome(empty, empty)
+
     def test_equality_is_by_value(self):
         a = perfect_chromosome()
         b = perfect_chromosome()
