@@ -2,7 +2,10 @@
 
 The generation loop is deterministic for a given seed.  Every randomized
 population step draws from its own substream (see :mod:`gantrysched.rng`),
-so a step's draws do not depend on how many draws other steps made.
+so a step's draws do not depend on how many draws other steps made.  A run
+of either variant holds its population as the rows of one arena of stacked
+grids, and each step rewrites the rows it picks in place; the public
+operators are one-row calls into those kernels.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -93,9 +96,7 @@ class RunResult:
     elapsed: float = field(compare=False)
 
 
-def select(
-    pairs: Sequence[tuple], r_s: float, n_max: int
-) -> list[tuple]:
+def select(pairs: Sequence[tuple], r_s: float, n_max: int) -> list[tuple]:
     """Keep the top slice of (chromosome, fitness) pairs by fitness.
 
     The slice size is min(n_max, max(2, floor(r_s * len(pairs))), len(pairs)),
@@ -157,15 +158,9 @@ def single_point_crossover(a: G, b: G, point: int) -> tuple[G, G]:
     n_cells = a.n_cells
     if not 1 <= point <= n_cells - 1:
         raise ValueError(f"crossover point must lie in [1, {n_cells - 1}], got {point}")
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        flat_x, flat_y = x.reshape(n_cells, -1), y.reshape(n_cells, -1)
-        return np.concatenate((flat_x[:point], flat_y[point:])).reshape(x.shape)
-
-    return (
-        type(a)._adopt(*(mix(x, y) for x, y in pairs)),
-        type(a)._adopt(*(mix(y, x) for x, y in pairs)),
-    )
+    grids = tuple(np.concatenate((x, y, x, y)) for x, y in zip(a._one_row(), b._one_row()))
+    children = _crossover(grids, [0, 1], [(0, 1, point)])[2:]
+    return tuple(type(a)._from_row(grids, row, (a.n_g, a.n_t)) for row in children)
 
 
 def _crossover_pairs(n: int, r_c: float, n_cells: int, rng: np.random.Generator) -> list:
@@ -181,70 +176,91 @@ def _crossover_pairs(n: int, r_c: float, n_cells: int, rng: np.random.Generator)
     return list(zip(chosen[::2], chosen[1::2], points))
 
 
-def _paired_crossover(pop, r_c, rng):
-    """Append the two children of each pair that :func:`_crossover_pairs` draws."""
-    out = list(pop)
-    for a, b, point in _crossover_pairs(len(pop), r_c, pop[0].n_cells, rng):
-        out.extend(single_point_crossover(pop[a], pop[b], point))
-    return out
+def _crossover(grids: tuple[np.ndarray, ...], pop: list[int], pairs: list) -> list[int]:
+    """The rows ``pop`` followed by the rows of the two children of each (i, j, cut p) pair.
+
+    A population arena stacks each grid of its members over rows, the cells
+    flattened, and its kernels rewrite the rows they are handed in place.
+    The children take pop[i]'s cells before p and pop[j]'s from p on, and the
+    reverse, in the lowest rows of ``grids`` that ``pop`` does not hold.
+    """
+    children = sorted(set(range(len(grids[0]))).difference(pop))[: 2 * len(pairs)]
+    for (i, j, point), c, d in zip(pairs, children[::2], children[1::2], strict=True):
+        a, b = pop[i], pop[j]
+        for grid in grids:
+            grid[c, :point], grid[c, point:] = grid[a, :point], grid[b, point:]
+            grid[d, :point], grid[d, point:] = grid[b, :point], grid[a, point:]
+    return pop + children
+
+
+def _mutate_patient_rows(grids, rows: list[int], n_t: int, n_p: int, rng) -> None:
+    """Rewrite the patient of one busy cell's same-status run in each of ``rows`` in turn."""
+    statuses, patients = grids
+    for row in rows:
+        cells = statuses[row]
+        flat = int(rng.integers(0, cells.size))
+        if cells[flat] == 0:  # idle
+            busy = np.flatnonzero(cells)
+            if busy.size == 0:
+                continue
+            flat = int(busy[int(rng.integers(0, busy.size))])
+        new_id = int(rng.integers(0, n_p))
+        status, first = cells[flat], flat - flat % n_t  # the cell's track starts at first
+        left = right = flat
+        while left > first and cells[left - 1] == status:
+            left -= 1
+        while right + 1 < first + n_t and cells[right + 1] == status:
+            right += 1
+        patients[row, left : right + 1] = new_id
 
 
 def mutate_patient_ids(
     chrom: Chromosome, spec: ProblemSpec, rng: np.random.Generator
 ) -> Chromosome:
-    """Rewrite the patient of one busy cell and of its whole same-status run."""
-    n_t = chrom.n_t
-    flat = int(rng.integers(0, chrom.n_cells))
-    g, t = divmod(flat, n_t)
-    if chrom.statuses[g, t] == 0:  # idle
-        busy = np.flatnonzero(chrom.statuses.reshape(-1))
-        if busy.size == 0:
-            return chrom
-        flat = int(busy[int(rng.integers(0, busy.size))])
-        g, t = divmod(flat, n_t)
-    new_id = int(rng.integers(0, spec.n_p))
-    row = chrom.statuses[g]
-    status = row[t]
-    left = t
-    while left > 0 and row[left - 1] == status:
-        left -= 1
-    right = t
-    while right + 1 < n_t and row[right + 1] == status:
-        right += 1
-    patients = chrom.patients.copy()
-    patients[g, left : right + 1] = new_id
-    return Chromosome._adopt(chrom.statuses.copy(), patients)  # repair outputs alone share grids
+    """Rewrite the patient of one busy cell and of its whole same-status run.
+
+    An all-idle schedule has no patient to rewrite and comes back as it is.
+    """
+    grids = chrom._one_row()
+    _mutate_patient_rows(grids, [0], chrom.n_t, spec.n_p, rng)
+    mutated = Chromosome._from_row(grids, 0, (chrom.n_g, chrom.n_t))
+    return mutated if chrom.statuses.any() else chrom
+
+
+def _mutate_status_rows(grids, rows: list[int], n_t: int, n_p: int, rng) -> None:
+    """Stamp a random status over its nominal duration from a random cell of each row in turn."""
+    statuses, patients = grids
+    for row in rows:
+        flat = int(rng.integers(0, statuses.shape[1]))
+        status = int(rng.integers(0, N_STATUSES))
+        end = flat + min(status_duration(status), n_t - flat % n_t)
+        if status == 0:  # idle
+            patient = VACANT
+        else:
+            incumbent = int(patients[row, flat])
+            patient = incumbent if incumbent != VACANT else int(rng.integers(0, n_p))
+        statuses[row, flat:end] = status
+        patients[row, flat:end] = patient
 
 
 def mutate_statuses(
     chrom: Chromosome, spec: ProblemSpec, rng: np.random.Generator
 ) -> Chromosome:
     """Stamp a random status over its nominal duration from a random cell."""
-    flat = int(rng.integers(0, chrom.n_cells))
-    g, t = divmod(flat, chrom.n_t)
-    status = int(rng.integers(0, N_STATUSES))
-    span = min(status_duration(status), chrom.n_t - t)
-    if status == 0:  # idle
-        patient = VACANT
-    else:
-        incumbent = int(chrom.patients[g, t])
-        patient = incumbent if incumbent != VACANT else int(rng.integers(0, spec.n_p))
-    statuses = chrom.statuses.copy()
-    patients = chrom.patients.copy()
-    statuses[g, t : t + span] = status
-    patients[g, t : t + span] = patient
-    return Chromosome._adopt(statuses, patients)
+    grids = chrom._one_row()
+    _mutate_status_rows(grids, [0], chrom.n_t, spec.n_p, rng)
+    return Chromosome._from_row(grids, 0, (chrom.n_g, chrom.n_t))
 
 
 @functools.lru_cache(maxsize=None)
 def _repair_layout(spec: ProblemSpec):
-    """Filled start cells, the status grid marking repair outputs, and cell episodes.
+    """Filled start cells, and the status and episode of each cell of a repair output.
 
     Every track holds the same episode slots: one idle separator ahead of
     each complete working cycle while room allows, the last one flush
     against the previous cycle if only that fits.  Repair fills the first
     min(n_p, episodes) in gantry-major order: their start cells come as
-    flat indices in that order, and the episode grid numbers their cells
+    flat indices in that order, and the episode table numbers their cells
     alike and points all other cells one past the last, at a VACANT slot.
     """
     cycle = cycle_status_pattern()
@@ -256,14 +272,23 @@ def _repair_layout(spec: ProblemSpec):
         t += span + 1 if t + 2 * span + 1 <= spec.n_t else span
     starts = np.array(starts, dtype=np.intp)
     flat = (np.arange(0, spec.n_cells, spec.n_t)[:, None] + starts).ravel()[: spec.n_p]
-    statuses = np.zeros((spec.n_g, spec.n_t), dtype=np.int8)
-    episode = np.full((spec.n_g, spec.n_t), flat.size, dtype=np.intp)
+    statuses = np.zeros(spec.n_cells, dtype=np.int8)
+    episode = np.full(spec.n_cells, flat.size, dtype=np.intp)
     for k, start in enumerate(flat):
-        statuses.flat[start : start + span] = cycle
-        episode.flat[start : start + span] = k
+        statuses[start : start + span] = cycle
+        episode[start : start + span] = k
     for table in (flat, statuses, episode):
         table.setflags(write=False)
     return flat, statuses, episode
+
+
+def _repair_schedule_rows(grids, rows: list[int], spec: ProblemSpec) -> None:
+    """Replace each of ``rows`` by its :func:`repair_chromosome`, in place."""
+    statuses, patients = grids
+    flat, layout, _ = _repair_layout(spec)
+    for row in rows:
+        patients[row] = _repair_patients(statuses[row, flat], patients[row, flat], spec)
+        statuses[row] = layout
 
 
 def repair_chromosome(chrom: Chromosome, spec: ProblemSpec) -> Chromosome:
@@ -277,20 +302,21 @@ def repair_chromosome(chrom: Chromosome, spec: ProblemSpec) -> Chromosome:
     left the remaining episodes stay idle.  Episodes are filled gantry by
     gantry, so earlier gantries win any contention for patients.  The result
     has no duration violations, conflicts, interruptions, or duplicate
-    treatments; its statuses are the layout's one grid (:func:`_repair_layout`).
+    treatments; its statuses are the same for every input of the spec
+    (:func:`_repair_layout`), and it is its own repair.
     """
     if chrom.statuses.shape != (spec.n_g, spec.n_t):
         raise ValueError(
             f"schedule shape {chrom.statuses.shape} does not match the spec's (n_g, n_t) "
             f"{(spec.n_g, spec.n_t)}"
         )
-    flat, statuses, _ = _repair_layout(spec)
-    patients = _repair_patients(chrom.statuses.take(flat), chrom.patients.take(flat), spec)
-    return Chromosome._adopt(statuses, patients)
+    grids = chrom._one_row()
+    _repair_schedule_rows(grids, [0], spec)
+    return Chromosome._from_row(grids, 0, (spec.n_g, spec.n_t))
 
 
 def _repair_patients(busy, incumbents, spec: ProblemSpec) -> np.ndarray:
-    """Patient grid of a repair from its filled start cells: busy (nonzero) flags and incumbents."""
+    """Patients of a repair's cells from its filled start cells' busy flags and incumbents."""
     picks = incumbents.tolist()
     if not busy.all() or len(set(picks)) < len(picks):  # else the loop keeps every incumbent
         treated = set()
@@ -307,23 +333,21 @@ def _repair_patients(busy, incumbents, spec: ProblemSpec) -> np.ndarray:
 
 def _evolve(
     params: GaParams,
-    fresh: Callable[[int], object],
-    evaluate: Callable[[list, int], list[tuple[FitnessBreakdown, Chromosome]]],
-    crossover_pop: Callable,  # each variant's own; benchmark/tracer.py times it here
-    mutators: Sequence[tuple[int, Callable[[list, int, list[int]], None]]],
-    repair: Callable[[list, int, list[int]], None],
+    fresh: Callable[[int], int],
+    evaluate: Callable[[list[int], int], list[tuple[FitnessBreakdown, _CellGrids]]],
+    crossover_pop: Callable,  # benchmark/tracer.py times it here
+    mutators: Sequence[tuple[int, Callable[[list[int], int, list[int]], None]]],
+    repair: Callable[[list[int], int, list[int]], None],
 ) -> RunResult:
     """Generation loop shared by the classical and quantum variants.
 
-    A member is what ``fresh`` and ``crossover_pop`` return: a chromosome,
-    or the index of its row in an arena that the steps share.
-    ``evaluate(pop, gen)`` returns a (breakdown, schedule) pair per member;
-    the loop keeps the first best pair it sees.  ``crossover_pop(pop, r_c,
-    rng)`` returns the survivors followed by their children.  ``step(pop,
-    gen, picked)``, a mutator or ``repair``, replaces each picked member of
-    ``pop`` in place.  Through these steps the loop keeps no member of the
-    previous generation, only ``pop`` and the best pair, so a replaced
-    member can be freed.
+    A member is the index of its row in a population arena that the steps
+    share, and ``fresh(i)`` fills row i.  ``evaluate(pop, gen)`` returns a
+    (breakdown, schedule) pair per member; the loop keeps a copy of the
+    first best schedule it sees, since a schedule may view a row that later
+    steps rewrite.  ``crossover_pop(pop, r_c, rng)`` returns the survivors
+    followed by their children.  ``step(pop, gen, picked)``, a mutator or
+    ``repair``, rewrites the rows of the picked members in place.
     """
     started = perf_counter()
     seed = params.seed
@@ -333,19 +357,20 @@ def _evolve(
     steps.append((PHASE_REPAIR_PICK, params.r_r, repair))
     pop = [fresh(i) for i in range(params.n_ini)]
     records: list[GenerationRecord] = []
-    best: tuple[FitnessBreakdown, Chromosome] | None = None
+    best: tuple[FitnessBreakdown, _CellGrids] | None = None
     for gen in range(params.g_max + 1):
         evals = evaluate(pop, gen)
         totals = [breakdown.total for breakdown, _ in evals]
         best_idx = int(np.argmax(totals))
         records.append(GenerationRecord(gen, totals[best_idx], len(pop)))
         if best is None or totals[best_idx] > best[0].total:
-            best = evals[best_idx]
+            breakdown, schedule = evals[best_idx]
+            best = breakdown, type(schedule)._adopt(*(grid.copy() for grid in schedule.grids))
         del evals
         if gen == params.g_max:
             break
 
-        pop = [chrom for chrom, _ in select(list(zip(pop, totals)), params.r_s, params.n_max)]
+        pop = [row for row, _ in select(list(zip(pop, totals)), params.r_s, params.n_max)]
         pop = crossover_pop(pop, params.r_c, substream(seed, gen, PHASE_PAIRING, 0))
 
         for pick_phase, ratio, step in steps:
@@ -363,76 +388,70 @@ def _evolve(
     )
 
 
-def _each_member(seed: int, phase: int, operator: Callable) -> Callable:
-    """A population step applying ``operator(member, rng)`` to each pick in turn, on one rng."""
-
-    def step(pop: list, gen: int, picked: list[int]) -> None:
-        rng = substream(seed, gen, phase, 0)
-        for i in picked:
-            pop[i] = operator(pop[i], rng)
-
-    return step
-
-
 def _score_members(
-    schedules: list[Chromosome],
-    table: ScoreTable,
-    held: Callable[[Chromosome], FitnessBreakdown | None] = lambda chrom: None,
+    schedules: list, table: ScoreTable, breakdowns: Iterator[FitnessBreakdown]
 ) -> list[FitnessBreakdown]:
-    """Score a generation's schedules, counting all that ``held`` does not answer in stacks.
-
-    Every schedule still goes through :func:`evaluate_breakdown`, whose
-    ``known`` lookup answers from ``held`` or from the stacks of
-    :func:`_count_stacks`.
-    """
-    counted = _count_stacks([chrom for chrom in schedules if held(chrom) is None], table)
-    # evaluate_breakdown asks ``known`` once per schedule, in schedule order
-    known = lambda chrom: held(chrom) or next(counted)  # noqa: E731
+    """Score each schedule in turn through :func:`evaluate_breakdown`, as ``breakdowns`` yields."""
+    known = lambda chrom: next(breakdowns)  # noqa: E731
     return [evaluate_breakdown(chrom, table, known) for chrom in schedules]
 
 
 def run_classical(
-    spec: ProblemSpec,
-    params: GaParams,
-    table: ScoreTable = ScoreTable(),
+    spec: ProblemSpec, params: GaParams, table: ScoreTable = ScoreTable()
 ) -> RunResult:
-    """Run the classical genetic algorithm; bit-reproducible per seed."""
+    """Run the classical genetic algorithm; bit-reproducible per seed.
+
+    The members are rows of a status and a patient arena sized for the largest
+    population.  Repair sets a row's ``repaired`` flag and every other step that
+    writes the row clears it: a flagged row is its own repair and scores as the
+    layout, so repair skips it and scoring does not count it.
+    """
     seed = params.seed
+    capacity = _peak_population(params, math.inf)
+    grids = tuple(np.empty((capacity, spec.n_cells), dtype) for dtype in (np.int8, np.int32))
+    statuses, patients = (grid.reshape(capacity, spec.n_g, spec.n_t) for grid in grids)
+    repaired = np.zeros(capacity, dtype=bool)
+    layout = repair_chromosome(random_chromosome(spec, substream(seed, 0, PHASE_INIT, 0)), spec)
+    (layout_score,) = _count_stacks(layout.statuses[None], layout.patients[None], table)
 
-    def fresh(i: int) -> Chromosome:
-        return random_chromosome(spec, substream(seed, 0, PHASE_INIT, i))
-
-    mutators = (
-        (
-            PHASE_MUTATE_PICK_A,
-            _each_member(seed, PHASE_MUTATE_A, lambda c, rng: mutate_patient_ids(c, spec, rng)),
-        ),
-        (
-            PHASE_MUTATE_PICK_B,
-            _each_member(seed, PHASE_MUTATE_B, lambda c, rng: mutate_statuses(c, spec, rng)),
-        ),
-    )
-
-    # Every repair output scores as the layout, and only repair outputs hold its statuses.
-    layout = repair_chromosome(fresh(0), spec)
-    (layout_score,) = _count_stacks([layout], table)
-
-    def repair(pop: list, gen: int, picked: list[int]) -> None:
-        for i in picked:
-            if pop[i].statuses is not layout.statuses:  # repair outputs repair to themselves
-                pop[i] = repair_chromosome(pop[i], spec)
-
-    def held(chrom: Chromosome) -> FitnessBreakdown | None:
-        return layout_score if chrom.statuses is layout.statuses else None
+    def fresh(i: int) -> int:
+        chrom = random_chromosome(spec, substream(seed, 0, PHASE_INIT, i))
+        for grid, cells in zip(grids, chrom.grids):
+            grid[i] = cells.reshape(-1)
+        return i
 
     def evaluate(pop: list, gen: int) -> list[tuple[FitnessBreakdown, Chromosome]]:
-        return list(zip(_score_members(pop, table, held), pop))
+        flags = repaired[pop].tolist()
+        unflagged = [row for row, done in zip(pop, flags) if not done]
+        counted = _count_stacks(statuses, patients, table, unflagged)
+        breakdowns = (layout_score if done else next(counted) for done in flags)
+        schedules = [Chromosome._adopt(statuses[row], patients[row]) for row in pop]
+        return list(zip(_score_members(schedules, table, breakdowns), schedules))
 
-    return _evolve(params, fresh, evaluate, _paired_crossover, mutators, repair)
+    def crossover(pop: list, r_c: float, rng: np.random.Generator) -> list:
+        grown = _crossover(grids, pop, _crossover_pairs(len(pop), r_c, spec.n_cells, rng))
+        repaired[grown[len(pop) :]] = False
+        return grown
+
+    def mutate(kernel: Callable, phase: int, pop: list, gen: int, picked: list[int]) -> None:
+        rows = [pop[i] for i in picked]
+        kernel(grids, rows, spec.n_t, spec.n_p, substream(seed, gen, phase, 0))
+        repaired[rows] = False
+
+    def repair(pop: list, gen: int, picked: list[int]) -> None:
+        rows = [pop[i] for i in picked]
+        _repair_schedule_rows(grids, [row for row in rows if not repaired[row]], spec)
+        repaired[rows] = True
+
+    mutators = (
+        (PHASE_MUTATE_PICK_A, functools.partial(mutate, _mutate_patient_rows, PHASE_MUTATE_A)),
+        (PHASE_MUTATE_PICK_B, functools.partial(mutate, _mutate_status_rows, PHASE_MUTATE_B)),
+    )
+    return _evolve(params, fresh, evaluate, crossover, mutators, repair)
 
 
 def memory_estimate(spec: ProblemSpec, params: GaParams) -> int:
-    """Grid bytes of a run's largest classical population: 5 per cell (int8 + int32).
+    """Bytes of a run's population arena: 5 per cell (int8 + int32) of its largest population.
 
     Past the bound the estimate stops at the first population beyond it.
     """

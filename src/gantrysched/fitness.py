@@ -42,7 +42,7 @@ _DISPOSE = int(GantryStatus.DISPOSE)
 # Offsets of the seven working runs of one episode from its first run.
 _CYCLE_RUNS = np.arange(N_STATUSES - 1)
 # Cells per stack of schedules counted in one pass (see _count_stacks).
-_COUNT_CELLS = 2**14
+_COUNT_CELLS = 2**13
 # Bytes per stacked cell that counting holds at most: about 85 when every cell
 # is its own nominal READY run, which maximizes the run arrays.
 _COUNT_CELL_BYTES = 96
@@ -155,7 +155,7 @@ def evaluate_breakdown(
     ``None`` from it means count.
     """
     breakdown = known(chrom) if known is not None else None
-    return next(_count_stacks([chrom], table)) if breakdown is None else breakdown
+    return breakdown or _count_events(chrom.statuses[None], chrom.patients[None], table)[0]
 
 
 def _count_bytes(spec: ProblemSpec) -> int:
@@ -163,18 +163,21 @@ def _count_bytes(spec: ProblemSpec) -> int:
     return _COUNT_CELL_BYTES * max(spec.n_cells, _COUNT_CELLS)
 
 
-def _count_stacks(schedules: Sequence[Chromosome], table: ScoreTable) -> Iterator[FitnessBreakdown]:
-    """Breakdowns of the schedules in order, counted a stack at a time.
+def _count_stacks(
+    statuses: np.ndarray, patients: np.ndarray, table: ScoreTable, rows: Sequence[int] | None = None
+) -> Iterator[FitnessBreakdown]:
+    """Breakdowns of stacked (N, n_g, n_t) schedules, or of their ``rows``, a stack at a time.
 
     A stack holds at most ``_COUNT_CELLS`` cells (or one schedule), which
     bounds the counting kernel's temporaries: a medium generation is one
-    stack, a large one a stack per eight schedules.
+    stack, a large one a stack per four schedules.  Listed rows are
+    gathered one stack at a time, and unlisted stacks are counted in place.
     """
-    per_stack = max(1, _COUNT_CELLS // schedules[0].n_cells) if schedules else 1
-    for k in range(0, len(schedules), per_stack):
-        stack = schedules[k : k + per_stack]
-        statuses = np.array([chrom.statuses for chrom in stack])
-        yield from _count_events(statuses, np.array([chrom.patients for chrom in stack]), table)
+    n = len(statuses) if rows is None else len(rows)
+    per_stack = max(1, _COUNT_CELLS // (statuses.shape[1] * statuses.shape[2]))
+    for k in range(0, n, per_stack):
+        part = slice(k, k + per_stack) if rows is None else rows[k : k + per_stack]
+        yield from _count_events(statuses[part], patients[part], table)
 
 
 def _count_events(

@@ -103,6 +103,18 @@ class _CellGrids:
             setattr(obj, name, grid)
         return obj
 
+    @classmethod
+    def _from_row(cls, grids: tuple[np.ndarray, ...], row: int, shape: tuple[int, int]):
+        """The value in row ``row`` of a population's grids, cells reshaped to (n_g, n_t) ``shape``.
+
+        Its grids are read-only views of the row, so they change when the row is rewritten.
+        """
+        return cls._adopt(*(grid[row].reshape(*shape, *grid.shape[2:]) for grid in grids))
+
+    def _one_row(self) -> tuple[np.ndarray, ...]:
+        """A writable copy of the grids as a population of one row, the cells flattened."""
+        return tuple(grid.reshape(1, self.n_cells, *grid.shape[2:]).copy() for grid in self.grids)
+
     @property
     def grids(self) -> tuple[np.ndarray, ...]:
         return tuple(getattr(self, name) for name in self._GRIDS)

@@ -5,10 +5,9 @@ over the patient ids and one over the eight gantry statuses.  Observation
 projects each cell onto a classical slot without disturbing the stored
 amplitudes; mutation collapses one cell to random basis states; repair
 amplifies the amplitudes of the classical repair of a shadow schedule so
-that later observations concentrate near it.  The generation loop mirrors the
-classical one with these operators substituted.  A run holds its population
-as the rows of one arena of stacked grids, and each step works on the rows
-it picks in place; the public operators are one-row calls into those kernels.
+that later observations concentrate near it.  The generation loop, the
+population arena and crossover are the classical ones (see
+:mod:`gantrysched.classical`), with these operators substituted.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from .classical import (
     MEMORY_BOUND,
     GaParams,
     RunResult,
+    _crossover,
     _crossover_pairs,
     _evolve,
     _peak_population,
@@ -28,7 +28,7 @@ from .classical import (
     _repair_patients,
     _score_members,
 )
-from .fitness import FitnessBreakdown, ScoreTable
+from .fitness import FitnessBreakdown, ScoreTable, _count_stacks
 from .model import (
     N_STATUSES,
     VACANT,
@@ -112,21 +112,8 @@ def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cum < np.maximum(u[..., None] * cum[..., -1:], _TINY)).argmin(axis=-1)
 
 
-# A population arena: the four grids of QuantumChromosome._GRIDS, each with a
-# leading row axis and its cells flattened, (rows, n_cells, vector length), one
-# member per row.  Its kernels rewrite the rows they are handed in place and
-# read no other row.
+# A population arena (see classical._crossover) of QuantumChromosome's four grids.
 _Arena = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def _one_row(qchrom: QuantumChromosome) -> _Arena:
-    """A writable copy of a chromosome's grids as a population of one row."""
-    return tuple(grid.reshape(1, qchrom.n_cells, -1).copy() for grid in qchrom.grids)
-
-
-def _from_row(grids: _Arena, shape: tuple[int, int]) -> QuantumChromosome:
-    """The chromosome that a population of one row holds, over its grids."""
-    return QuantumChromosome._adopt(*(grid.reshape(*shape, -1) for grid in grids))
 
 
 def _observe(grids: _Arena, rows: list[int], u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -169,9 +156,9 @@ def _collapse(grids: _Arena, rows: list[int], rng: np.random.Generator) -> None:
 
 def q_mutate(qchrom: QuantumChromosome, rng: np.random.Generator) -> QuantumChromosome:
     """Collapse one random cell to random basis states in both registers."""
-    grids = _one_row(qchrom)
+    grids = qchrom._one_row()
     _collapse(grids, [0], rng)
-    return _from_row(grids, (qchrom.n_g, qchrom.n_t))
+    return QuantumChromosome._from_row(grids, 0, (qchrom.n_g, qchrom.n_t))
 
 
 def _amplify_rows(
@@ -246,8 +233,7 @@ def _repair_rows(
     rows = np.array(rows, dtype=np.intp)[:, None]
     u = rng.random((rows.size, 2, n_cells))[..., flat]
     at_starts = zip(_pick(status_cum[rows, flat], u[:, 0]), _pick(id_cum[rows, flat], u[:, 1]))
-    patients = np.array([_repair_patients(*at, spec).reshape(-1) for at in at_starts])
-    layout = layout.reshape(-1)
+    patients = np.array([_repair_patients(*at, spec) for at in at_starts])
     busy = layout.nonzero()[0]
     everywhere = np.arange(n_cells)
     for amps, cum, cells, targets in (
@@ -261,9 +247,7 @@ def _repair_rows(
 
 
 def q_repair(
-    qchrom: QuantumChromosome,
-    spec: ProblemSpec,
-    rng: np.random.Generator,
+    qchrom: QuantumChromosome, spec: ProblemSpec, rng: np.random.Generator
 ) -> QuantumChromosome:
     """Amplify the amplitudes of the classical repair of a shadow of the chromosome.
 
@@ -279,22 +263,16 @@ def q_repair(
             f"chromosome shape {qchrom.id_amps.shape} does not match the spec's (n_g, n_t, n_p) "
             f"{(spec.n_g, spec.n_t, spec.n_p)}"
         )
-    grids = _one_row(qchrom)
+    grids = qchrom._one_row()
     _repair_rows(grids, [0], spec, rng)
-    return _from_row(grids, (spec.n_g, spec.n_t))
+    return QuantumChromosome._from_row(grids, 0, (spec.n_g, spec.n_t))
 
 
-def run_quantum(
-    spec: ProblemSpec,
-    params: GaParams,
-    table: ScoreTable = ScoreTable(),
-) -> RunResult:
+def run_quantum(spec: ProblemSpec, params: GaParams, table: ScoreTable = ScoreTable()) -> RunResult:
     """Run the quantum-inspired genetic algorithm; bit-reproducible per seed.
 
-    The run's members are the rows of one population arena, sized for its
-    largest population; the loop's population is a list of row indices,
-    and every step rewrites the rows it picks in place.  Crossover children
-    take rows that no survivor holds.
+    The members are the rows of an arena of the four grids, sized for the
+    largest population, and evaluation scores the observed stacks in place.
     """
     seed = params.seed
     uniform = [grid.reshape(spec.n_cells, -1) for grid in uniform_quantum_chromosome(spec).grids]
@@ -308,19 +286,12 @@ def run_quantum(
 
     def evaluate(pop: list, gen: int) -> list[tuple[FitnessBreakdown, Chromosome]]:
         u = substream(seed, gen, PHASE_EVAL, 0).random((len(pop), 2, spec.n_cells))
-        stacks = (stack.reshape(-1, spec.n_g, spec.n_t) for stack in _observe(grids, pop, u))
+        stacks = [stack.reshape(-1, spec.n_g, spec.n_t) for stack in _observe(grids, pop, u)]
         shadows = [Chromosome._adopt(*member) for member in zip(*stacks)]
-        return list(zip(_score_members(shadows, table), shadows))
+        return list(zip(_score_members(shadows, table, _count_stacks(*stacks, table)), shadows))
 
     def crossover(pop: list, r_c: float, rng: np.random.Generator) -> list:
-        pairs = _crossover_pairs(len(pop), r_c, spec.n_cells, rng)
-        children = sorted(set(range(capacity)).difference(pop))[: 2 * len(pairs)]
-        for (i, j, point), c, d in zip(pairs, children[::2], children[1::2], strict=True):
-            a, b = pop[i], pop[j]
-            for grid in grids:
-                grid[c, :point], grid[c, point:] = grid[a, :point], grid[b, point:]
-                grid[d, :point], grid[d, point:] = grid[b, :point], grid[a, point:]
-        return pop + children
+        return _crossover(grids, pop, _crossover_pairs(len(pop), r_c, spec.n_cells, rng))
 
     def mutate(pop: list, gen: int, picked: list[int]) -> None:
         _collapse(grids, [pop[i] for i in picked], substream(seed, gen, PHASE_MUTATE_A, 0))
@@ -348,14 +319,8 @@ def qubit_estimate(n_chromosomes: int, n_t: int, n_g: int, n_p: int, n_s: int) -
     Each cell stores a patient register of ceil(log2 n_p) qubits and a
     status register of ceil(log2 n_s) qubits.
     """
-    values = {
-        "n_chromosomes": n_chromosomes,
-        "n_t": n_t,
-        "n_g": n_g,
-        "n_p": n_p,
-        "n_s": n_s,
-    }
-    for name, value in values.items():
+    names = ("n_chromosomes", "n_t", "n_g", "n_p", "n_s")
+    for name, value in zip(names, (n_chromosomes, n_t, n_g, n_p, n_s)):
         _check_int(name, value, 1)
     bits = (n_p - 1).bit_length() + (n_s - 1).bit_length()
     return n_chromosomes * n_t * n_g * bits

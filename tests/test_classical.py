@@ -31,7 +31,7 @@ from gantrysched import (
 )
 from gantrysched import classical, cli, quantum
 from gantrysched import fitness as scoring
-from gantrysched.classical import _pair_count, _paired_crossover, _peak_population
+from gantrysched.classical import _crossover, _crossover_pairs, _pair_count, _peak_population
 from gantrysched.cli import main
 from gantrysched.rng import SEED_MAX, substream
 
@@ -203,12 +203,30 @@ class TestCrossover:
         assert chrom != qchrom and qchrom != chrom
 
     def test_population_growth(self, small_spec):
+        """Survivors keep their rows; children take the lowest rows that no survivor holds."""
         rng = substream(32, 0, 0, 0)
-        pop = [random_chromosome(small_spec, rng) for _ in range(10)]
-        grown = _paired_crossover(pop, 0.27, substream(32, 0, 2, 0))
-        # floor(0.27 * 10 / 2) = 1 pair, two children appended
-        assert len(grown) == 12
-        assert grown[:10] == pop
+        members = [random_chromosome(small_spec, rng) for _ in range(20)]
+        grids = tuple(np.concatenate(rows) for rows in zip(*(c._one_row() for c in members)))
+        pop = list(range(0, 20, 2))
+        pairs = _crossover_pairs(len(pop), 0.27, small_spec.n_cells, substream(32, 0, 2, 0))
+        # floor(0.27 * 10 / 2) = 1 pair, its two children in rows 1 and 3
+        assert len(pairs) == 1
+        assert _crossover(grids, pop, pairs) == pop + [1, 3]
+        shape = (small_spec.n_g, small_spec.n_t)
+        after = [Chromosome._from_row(grids, row, shape) for row in range(20)]
+        ((i, j, point),) = pairs
+        want = single_point_crossover(members[pop[i]], members[pop[j]], point)
+        assert (after[1], after[3]) == want
+        assert [c for k, c in enumerate(after) if k not in (1, 3)] == [
+            c for k, c in enumerate(members) if k not in (1, 3)
+        ]
+
+    def test_an_arena_without_room_for_the_children_raises(self, small_spec):
+        rng = substream(32, 0, 0, 1)
+        members = [random_chromosome(small_spec, rng) for _ in range(3)]
+        grids = tuple(np.concatenate(rows) for rows in zip(*(c._one_row() for c in members)))
+        with pytest.raises(ValueError):
+            _crossover(grids, [0, 1], [(0, 1, 1)])
 
 
 class TestMutatePatientIds:
@@ -289,10 +307,6 @@ def seeded_case(spec: ProblemSpec) -> tuple[ProblemSpec, Chromosome]:
     return spec, random_chromosome(spec, substream(61, 0, 0, spec.n_t))
 
 
-def seeded_cases(spec: ProblemSpec) -> tuple[ProblemSpec, list[Chromosome]]:
-    return spec, [random_chromosome(spec, substream(61, 0, k, spec.n_t)) for k in range(2)]
-
-
 class TestRepair:
     @settings(max_examples=50, deadline=None)
     @given(data=st.data(), spec=SMALL_SPECS)
@@ -365,30 +379,45 @@ class TestRepair:
 
     @settings(max_examples=50, deadline=None)
     @given(
-        case=SMALL_SPECS.flatmap(
-            lambda spec: st.tuples(st.just(spec), st.lists(chromosomes(spec), min_size=2))
-        )
+        spec=SMALL_SPECS,
+        ratios=st.tuples(*[st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)] * 4),
+        g_max=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
     )
-    @example(case=seeded_cases(ProblemSpec(n_g=3, n_p=2, n_t=60)))  # 6 episodes, 2 patients
-    @example(case=seeded_cases(ProblemSpec(n_g=1, n_p=5, n_t=60)))  # 2 episodes, 5 patients
-    def test_outputs_share_one_read_only_status_grid(self, case):
-        """Every repair output of a spec holds the one status grid of the walking reference.
+    # populations that halve and regrow, so crossover reuses the rows of dropped repair outputs
+    @example(spec=ProblemSpec(n_g=3, n_p=2, n_t=60), ratios=(0.6, 1.0, 0.37, 1.0), g_max=5, seed=0)
+    @example(spec=ProblemSpec(n_g=1, n_p=5, n_t=60), ratios=(0.5, 1.0, 0.37, 0.85), g_max=5, seed=0)
+    def test_the_repaired_flag_never_lies(self, spec, ratios, g_max, seed):
+        """Every row that a run scores as a repair output, uncounted, is its own repair.
 
-        No other operator hands that grid on: an output that holds it is its
-        input, returned unchanged.
+        The check runs when the row is scored: later steps rewrite it in place.
         """
-        spec, chroms = case
-        fixed = [repair_chromosome(chrom, spec) for chrom in chroms]
-        statuses = fixed[0].statuses
-        assert all(out.statuses is statuses for out in fixed)
-        assert not statuses.flags.writeable
-        assert statuses.tobytes() == brute_repair(chroms[0], spec).statuses.tobytes()
-        rng = substream(64, 0, 0, len(chroms))
-        changed = [mutate_patient_ids(fixed[0], spec, rng), mutate_statuses(fixed[0], spec, rng)]
-        if spec.n_cells > 1:
-            point = int(rng.integers(1, spec.n_cells))
-            changed += single_point_crossover(fixed[0], fixed[1], point)
-        assert all(out.statuses is not statuses for out in changed if out is not fixed[0])
+        r_s, r_c, r_m, r_r = ratios
+        counted_rows, flagged = [], []
+        count, evolve = classical._count_stacks, classical._evolve
+
+        def counting(statuses, patients, table, rows=None):
+            counted_rows.append(rows)
+            return count(statuses, patients, table, rows)
+
+        def spy(params, fresh, evaluate, *rest):
+            def checking(pop, gen):
+                evals = evaluate(pop, gen)
+                for row, (breakdown, chrom) in zip(pop, evals):
+                    if row not in counted_rows[-1]:
+                        assert chrom == brute_repair(chrom, spec)
+                        got = {**breakdown.counts(), "total": breakdown.total}
+                        assert got == brute_breakdown(chrom.statuses, chrom.patients)
+                        flagged.append(row)
+                return evals
+
+            return evolve(params, fresh, checking, *rest)
+
+        params = tiny_params(r_s=r_s, r_c=r_c, r_m=r_m, r_r=r_r, g_max=g_max, seed=seed)
+        with mock.patch.multiple(classical, _count_stacks=counting, _evolve=spy):
+            run_classical(spec, params)
+        if r_r == 1.0 and g_max:  # every member of every later generation is a repair output
+            assert flagged
 
     @settings(max_examples=100, deadline=None)
     @given(case=SMALL_SPECS.flatmap(lambda spec: st.tuples(st.just(spec), chromosomes(spec))))
@@ -527,21 +556,26 @@ class TestScoreReuse:
     """Classical scoring counts each repair layout once and other schedules afresh."""
 
     @staticmethod
-    def record_evaluations(monkeypatch) -> list:
-        """Collect every (breakdown, schedule) the loop's evaluate callback returns."""
-        returned = []
+    def check_evaluations(monkeypatch, check=lambda breakdown, chrom: None) -> list:
+        """Check every (breakdown, schedule) the loop's evaluate callback returns, as it returns it.
+
+        A schedule views its arena row, which later steps rewrite in place.
+        """
+        checked = []
         evolve = classical._evolve
 
         def spy(params, fresh, evaluate, *rest):
-            def recording(pop, gen):
+            def checking(pop, gen):
                 evals = evaluate(pop, gen)
-                returned.extend(evals)
+                for breakdown, chrom in evals:
+                    check(breakdown, chrom)
+                    checked.append(None)
                 return evals
 
-            return evolve(params, fresh, recording, *rest)
+            return evolve(params, fresh, checking, *rest)
 
         monkeypatch.setattr(classical, "_evolve", spy)
-        return returned
+        return checked
 
     @staticmethod
     def count_calls(monkeypatch, name, *modules) -> list:
@@ -576,49 +610,59 @@ class TestScoreReuse:
     @settings(max_examples=15, deadline=None)
     @given(spec=SMALL_SPECS, seed=st.integers(0, 2**32 - 1))
     def test_every_returned_total_matches_oracle(self, spec, seed):
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            returned = self.record_evaluations(monkeypatch)
-            run_classical(spec, tiny_params(seed=seed, g_max=6))
         oracle = {}
-        for breakdown, chrom in returned:
+
+        def check(breakdown, chrom):
             key = chrom.statuses.tobytes() + chrom.patients.tobytes()
             if key not in oracle:
                 oracle[key] = brute_breakdown(chrom.statuses, chrom.patients)["total"]
             assert breakdown.total == oracle[key]
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            checked = self.check_evaluations(monkeypatch, check)
+            run_classical(spec, tiny_params(seed=seed, g_max=6))
+        assert len(checked) >= 7 * 2  # seven generations of at least two members
 
     def test_only_repair_outputs_get_the_layout_score(self, medium_spec, monkeypatch):
         callbacks = {}
         evolve = classical._evolve
 
         def spy(params, fresh, evaluate, crossover_pop, mutators, repair):
-            callbacks.update(fresh=fresh, evaluate=evaluate, repair=repair)
+            callbacks.update(
+                fresh=fresh, evaluate=evaluate, crossover=crossover_pop, repair=repair,
+                stamp=mutators[1][1],
+            )
             return evolve(params, fresh, evaluate, crossover_pop, mutators, repair)
 
+        def evaluate(row):
+            ((breakdown, chrom),) = callbacks["evaluate"]([row], 1)
+            return breakdown, {**breakdown.counts(), "total": breakdown.total}, chrom
+
         monkeypatch.setattr(classical, "_evolve", spy)
-        run_classical(medium_spec, tiny_params(g_max=0))
+        run_classical(medium_spec, tiny_params(g_max=0))  # an arena of 10 rows
         pop = [callbacks["fresh"](1)]
         callbacks["repair"](pop, 0, [0])
-        (fixed,) = pop
-        layout = evaluate_breakdown(fixed)
+        layout, _, fixed = evaluate(1)
+        assert fixed == brute_repair(fixed, medium_spec)
         counted = self.count_schedules(monkeypatch, scoring, classical)
         # the output itself is known without counting ...
-        assert callbacks["evaluate"]([fixed], 1)[0][0] == layout
+        assert evaluate(1)[0] == layout
         assert not counted
-        # ... while a content copy is counted, and scores the layout ...
-        assert callbacks["evaluate"]([Chromosome(*fixed.grids)], 1)[0][0] == layout
+        # ... while the children of its crossing with itself, copies of it, are
+        # counted and score the layout ...
+        children = callbacks["crossover"]([1, 1], 1.0, substream(65, 0, 2, 0))[2:]
+        assert children == [0, 2]
+        got, _, twin = evaluate(0)
         assert counted == [1]
-        # ... and one that agrees at every episode start but not elsewhere differs
-        statuses, patients = fixed.statuses.copy(), fixed.patients.copy()
-        flat = classical._repair_layout(medium_spec)[0]
-        assert statuses[0, 0] == 0 and 0 not in flat
-        statuses[0, 0], patients[0, 0] = GantryStatus.DISPOSE, patients[0, 1]
-        got = callbacks["evaluate"]([Chromosome(statuses, patients)], 1)[0][0]
+        assert (got, twin) == (layout, fixed)
+        # ... and a mutated copy is counted too, and scores as the oracle says
+        callbacks["stamp"]([0], 1, [0])
+        _, got, chrom = evaluate(0)
         assert counted == [1, 1]
-        assert {**got.counts(), "total": got.total} == brute_breakdown(statuses, patients)
-        assert got != layout
+        assert got == brute_breakdown(chrom.statuses, chrom.patients)
 
     def test_counts_only_unknown_schedules_on_medium(self, medium_spec, monkeypatch):
-        returned = self.record_evaluations(monkeypatch)
+        returned = self.check_evaluations(monkeypatch)
         scorer_calls = self.count_calls(monkeypatch, "evaluate_breakdown", classical)
         counted = self.count_schedules(monkeypatch, scoring, classical)
         run_classical(medium_spec, tiny_params(g_max=200))
@@ -645,7 +689,14 @@ class TestScoreReuse:
             monkeypatch, "evaluate_breakdown", scoring, classical, quantum, cli
         )
         counted = self.count_schedules(monkeypatch, scoring, classical)
-        repairs = self.count_calls(monkeypatch, "repair_chromosome", classical)
+        repairs = []
+        kernel = classical._repair_schedule_rows
+
+        def counting(grids, rows, spec):
+            repairs.extend(rows)
+            return kernel(grids, rows, spec)
+
+        monkeypatch.setattr(classical, "_repair_schedule_rows", counting)
         code = main(
             [
                 "run", "--config", str(ROOT / "configs" / "medium.json"),
@@ -655,6 +706,6 @@ class TestScoreReuse:
         assert code == 0
         assert len(scorer_calls) == 2010
         assert sum(counted) == 258
-        # one repair scores the layout; of the 1600 schedules sent to repair, the
-        # 605 that already are repair outputs are kept as they are
+        # one repair scores the layout; of the 1600 rows sent to repair, the
+        # 605 flagged as repair outputs are kept as they are
         assert len(repairs) == 1 + 995

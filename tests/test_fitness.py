@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gantrysched import (
+    VACANT,
     Chromosome,
     ConfigError,
     FitnessBreakdown,
@@ -406,14 +407,27 @@ class TestStackedCount:
         assert [b.duration_violations for b in together] == [1, 2, 1]
 
 
+def stacked(schedules: list[Chromosome], spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, n_g, n_t) status and patient stacks of a list of schedules."""
+    statuses = np.zeros((len(schedules), spec.n_g, spec.n_t), dtype=np.int8)
+    patients = np.full(statuses.shape, VACANT, dtype=np.int32)
+    for k, chrom in enumerate(schedules):
+        statuses[k], patients[k] = chrom.grids
+    return statuses, patients
+
+
 class TestCountStacks:
-    """``_count_stacks`` yields every schedule's breakdown in order, one bounded stack at a time."""
+    """``_count_stacks`` yields the breakdowns of a stack, or of its listed rows, in order,
+    one bounded stack at a time."""
 
     @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), spec=SMALL_SPECS)
-    def test_yields_each_breakdown_in_order_in_bounded_stacks(self, data, spec):
+    @given(data=st.data(), spec=SMALL_SPECS, listed=st.booleans())
+    def test_yields_each_breakdown_in_order_in_bounded_stacks(self, data, spec, listed):
         bound = data.draw(st.integers(1, 4 * spec.n_cells), label="_COUNT_CELLS")
         schedules = data.draw(st.lists(chromosomes(spec), max_size=12), label="schedules")
+        rows = None
+        if listed and schedules:  # any rows, repeats too, in any order
+            rows = data.draw(st.lists(st.integers(0, len(schedules) - 1)), label="rows")
         sizes = []
         count = fitness._count_events
 
@@ -424,14 +438,19 @@ class TestCountStacks:
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(fitness, "_COUNT_CELLS", bound)
             monkeypatch.setattr(fitness, "_count_events", counting)
-            got = list(fitness._count_stacks(schedules, ScoreTable()))
-        want = [brute_breakdown(chrom.statuses, chrom.patients) for chrom in schedules]
+            got = list(fitness._count_stacks(*stacked(schedules, spec), ScoreTable(), rows))
+        counted = schedules if rows is None else [schedules[k] for k in rows]
+        want = [brute_breakdown(chrom.statuses, chrom.patients) for chrom in counted]
         assert [{**b.counts(), "total": b.total} for b in got] == want
-        assert sum(sizes) == len(schedules)
+        assert sum(sizes) == len(counted)
         assert max(sizes, default=0) <= max(1, bound // spec.n_cells)
 
     def test_no_schedules_yield_nothing(self):
-        assert list(fitness._count_stacks([], ScoreTable())) == []
+        spec = ProblemSpec(n_g=2, n_p=3, n_t=5)
+        empty = stacked([], spec)
+        assert list(fitness._count_stacks(*empty, ScoreTable())) == []
+        full = stacked([random_chromosome(spec, substream(4, 0, 0, 0))], spec)
+        assert list(fitness._count_stacks(*full, ScoreTable(), [])) == []
 
     @pytest.mark.parametrize("n_g", [1, 3, 200, 400, 800])
     def test_full_stack_peak_stays_within_the_buffer_bound(self, n_g):
@@ -439,10 +458,11 @@ class TestCountStacks:
         spec = ProblemSpec(n_g=n_g, n_p=8, n_t=30)
         size = max(1, fitness._COUNT_CELLS // spec.n_cells)
         worst = Chromosome(np.ones((n_g, 30), dtype=np.int8), np.tile(np.arange(30) % 2, (n_g, 1)))
-        list(fitness._count_stacks([worst], ScoreTable()))  # warm-up: caches and imports
+        list(fitness._count_stacks(*stacked([worst], spec), ScoreTable()))  # warm-up
+        stacks = stacked([worst] * size, spec)
         tracemalloc.start()
         try:
-            list(fitness._count_stacks([worst] * size, ScoreTable()))
+            list(fitness._count_stacks(*stacks, ScoreTable()))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

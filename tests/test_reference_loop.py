@@ -1,7 +1,7 @@
 """Both runners against the reference generation loop of ``brute_evolve``.
 
 The reference repeats every step of a run without the package's loop,
-memo or crossover, so any drift in the draws, the picks or the population
+arena or crossover, so any drift in the draws, the picks or the population
 sizes shows as a different record, best schedule or best breakdown.
 """
 
@@ -46,7 +46,9 @@ SPEC = ProblemSpec(n_g=2, n_p=3, n_t=56)
 @example(spec=SPEC, params=NO_REPAIR, algorithm="quantum")
 @example(spec=SPEC, params=CAPPED, algorithm="classical")
 @example(spec=SPEC, params=CAPPED, algorithm="quantum")
+@example(spec=SPEC, params=GROWING, algorithm="classical")
 @example(spec=SPEC, params=GROWING, algorithm="quantum")
+@example(spec=SPEC, params=SHRINKING, algorithm="classical")
 @example(spec=SPEC, params=SHRINKING, algorithm="quantum")
 def test_runners_match_reference_loop(spec, params, algorithm):
     result = RUNNERS[algorithm](spec, params)
