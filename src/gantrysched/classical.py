@@ -14,7 +14,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -221,9 +221,7 @@ def mutate_patient_ids(
 
     An all-idle schedule has no patient to rewrite and comes back as it is.
     """
-    grids = chrom._one_row()
-    _mutate_patient_rows(grids, [0], chrom.n_t, spec.n_p, rng)
-    mutated = Chromosome._from_row(grids, 0, (chrom.n_g, chrom.n_t))
+    mutated = chrom._through(_mutate_patient_rows, chrom.n_t, spec.n_p, rng)
     return mutated if chrom.statuses.any() else chrom
 
 
@@ -247,9 +245,7 @@ def mutate_statuses(
     chrom: Chromosome, spec: ProblemSpec, rng: np.random.Generator
 ) -> Chromosome:
     """Stamp a random status over its nominal duration from a random cell."""
-    grids = chrom._one_row()
-    _mutate_status_rows(grids, [0], chrom.n_t, spec.n_p, rng)
-    return Chromosome._from_row(grids, 0, (chrom.n_g, chrom.n_t))
+    return chrom._through(_mutate_status_rows, chrom.n_t, spec.n_p, rng)
 
 
 @functools.lru_cache(maxsize=None)
@@ -310,9 +306,7 @@ def repair_chromosome(chrom: Chromosome, spec: ProblemSpec) -> Chromosome:
             f"schedule shape {chrom.statuses.shape} does not match the spec's (n_g, n_t) "
             f"{(spec.n_g, spec.n_t)}"
         )
-    grids = chrom._one_row()
-    _repair_schedule_rows(grids, [0], spec)
-    return Chromosome._from_row(grids, 0, (spec.n_g, spec.n_t))
+    return chrom._through(_repair_schedule_rows, spec)
 
 
 def _repair_patients(busy, incumbents, spec: ProblemSpec) -> np.ndarray:
@@ -333,21 +327,22 @@ def _repair_patients(busy, incumbents, spec: ProblemSpec) -> np.ndarray:
 
 def _evolve(
     params: GaParams,
-    fresh: Callable[[int], int],
+    fresh: Callable[[list[int]], None],
     evaluate: Callable[[list[int], int], list[tuple[FitnessBreakdown, _CellGrids]]],
     crossover_pop: Callable,  # benchmark/tracer.py times it here
-    mutators: Sequence[tuple[int, Callable[[list[int], int, list[int]], None]]],
-    repair: Callable[[list[int], int, list[int]], None],
+    mutators: Sequence[tuple[int, Callable[[list[int], int], None]]],
+    repair: Callable[[list[int], int], None],
 ) -> RunResult:
     """Generation loop shared by the classical and quantum variants.
 
     A member is the index of its row in a population arena that the steps
-    share, and ``fresh(i)`` fills row i.  ``evaluate(pop, gen)`` returns a
-    (breakdown, schedule) pair per member; the loop keeps a copy of the
-    first best schedule it sees, since a schedule may view a row that later
-    steps rewrite.  ``crossover_pop(pop, r_c, rng)`` returns the survivors
-    followed by their children.  ``step(pop, gen, picked)``, a mutator or
-    ``repair``, rewrites the rows of the picked members in place.
+    share, and ``fresh(rows)`` fills the first population's rows.
+    ``evaluate(pop, gen)`` returns a (breakdown, schedule) pair per member;
+    the loop keeps a copy of the first best schedule it sees, since a
+    schedule may view a row that later steps rewrite.
+    ``crossover_pop(pop, r_c, rng)`` returns the survivors followed by their
+    children.  ``step(rows, gen)``, a mutator or ``repair``, rewrites the
+    picked members' rows in place.
     """
     started = perf_counter()
     seed = params.seed
@@ -355,7 +350,8 @@ def _evolve(
     # one step reads no result of itself.
     steps = [(tag, params.r_m, mutate) for tag, mutate in mutators]
     steps.append((PHASE_REPAIR_PICK, params.r_r, repair))
-    pop = [fresh(i) for i in range(params.n_ini)]
+    pop = list(range(params.n_ini))
+    fresh(pop)
     records: list[GenerationRecord] = []
     best: tuple[FitnessBreakdown, _CellGrids] | None = None
     for gen in range(params.g_max + 1):
@@ -379,7 +375,7 @@ def _evolve(
                 picked = substream(seed, gen, pick_phase, 0).choice(
                     len(pop), size=n_picks, replace=False
                 )
-                step(pop, gen, picked.tolist())
+                step([pop[i] for i in picked.tolist()], gen)
     return RunResult(
         records=tuple(records),
         best_schedule=best[1],
@@ -389,11 +385,10 @@ def _evolve(
 
 
 def _score_members(
-    schedules: list, table: ScoreTable, breakdowns: Iterator[FitnessBreakdown]
-) -> list[FitnessBreakdown]:
-    """Score each schedule in turn through :func:`evaluate_breakdown`, as ``breakdowns`` yields."""
-    known = lambda chrom: next(breakdowns)  # noqa: E731
-    return [evaluate_breakdown(chrom, table, known) for chrom in schedules]
+    schedules: list, table: ScoreTable, breakdowns: Iterable[FitnessBreakdown]
+) -> list[tuple[FitnessBreakdown, Chromosome]]:
+    """(breakdown, schedule) per schedule, scored with the breakdown counted for it."""
+    return [(evaluate_breakdown(s, table, known), s) for s, known in zip(schedules, breakdowns)]
 
 
 def run_classical(
@@ -414,11 +409,11 @@ def run_classical(
     layout = repair_chromosome(random_chromosome(spec, substream(seed, 0, PHASE_INIT, 0)), spec)
     (layout_score,) = _count_stacks(layout.statuses[None], layout.patients[None], table)
 
-    def fresh(i: int) -> int:
-        chrom = random_chromosome(spec, substream(seed, 0, PHASE_INIT, i))
-        for grid, cells in zip(grids, chrom.grids):
-            grid[i] = cells.reshape(-1)
-        return i
+    def fresh(rows: list[int]) -> None:
+        for i in rows:
+            chrom = random_chromosome(spec, substream(seed, 0, PHASE_INIT, i))
+            for grid, cells in zip(grids, chrom.grids):
+                grid[i] = cells.reshape(-1)
 
     def evaluate(pop: list, gen: int) -> list[tuple[FitnessBreakdown, Chromosome]]:
         flags = repaired[pop].tolist()
@@ -426,20 +421,18 @@ def run_classical(
         counted = _count_stacks(statuses, patients, table, unflagged)
         breakdowns = (layout_score if done else next(counted) for done in flags)
         schedules = [Chromosome._adopt(statuses[row], patients[row]) for row in pop]
-        return list(zip(_score_members(schedules, table, breakdowns), schedules))
+        return _score_members(schedules, table, breakdowns)
 
     def crossover(pop: list, r_c: float, rng: np.random.Generator) -> list:
         grown = _crossover(grids, pop, _crossover_pairs(len(pop), r_c, spec.n_cells, rng))
         repaired[grown[len(pop) :]] = False
         return grown
 
-    def mutate(kernel: Callable, phase: int, pop: list, gen: int, picked: list[int]) -> None:
-        rows = [pop[i] for i in picked]
+    def mutate(kernel: Callable, phase: int, rows: list[int], gen: int) -> None:
         kernel(grids, rows, spec.n_t, spec.n_p, substream(seed, gen, phase, 0))
         repaired[rows] = False
 
-    def repair(pop: list, gen: int, picked: list[int]) -> None:
-        rows = [pop[i] for i in picked]
+    def repair(rows: list[int], gen: int) -> None:
         _repair_schedule_rows(grids, [row for row in rows if not repaired[row]], spec)
         repaired[rows] = True
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -145,17 +145,14 @@ def _complete_episode_starts(
 
 
 def evaluate_breakdown(
-    chrom: Chromosome,
-    table: ScoreTable = ScoreTable(),
-    known: Callable[[Chromosome], FitnessBreakdown | None] | None = None,
+    chrom: Chromosome, table: ScoreTable = ScoreTable(), known: FitnessBreakdown | None = None
 ) -> FitnessBreakdown:
     """Deterministically count all scored events of a schedule in one pass.
 
-    A breakdown that ``known`` returns for the schedule comes back uncounted;
-    ``None`` from it means count.
+    ``known``, the breakdown already counted for the schedule, comes back
+    uncounted; ``None`` means count.
     """
-    breakdown = known(chrom) if known is not None else None
-    return breakdown or _count_events(chrom.statuses[None], chrom.patients[None], table)[0]
+    return known or _count_events(chrom.statuses[None], chrom.patients[None], table)[0]
 
 
 def _count_bytes(spec: ProblemSpec) -> int:

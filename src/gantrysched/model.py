@@ -89,6 +89,8 @@ class _CellGrids:
 
     A subclass names its grids in ``_GRIDS``, first grid first; a trailing
     axis holds per-cell data.  Equality compares every grid by content.
+    Population arenas hold values as rows, the cells flattened, and a row
+    kernel ``kernel(grids, rows, *args)`` rewrites the listed rows in place.
     """
 
     __slots__ = ()
@@ -114,6 +116,12 @@ class _CellGrids:
     def _one_row(self) -> tuple[np.ndarray, ...]:
         """A writable copy of the grids as a population of one row, the cells flattened."""
         return tuple(grid.reshape(1, self.n_cells, *grid.shape[2:]).copy() for grid in self.grids)
+
+    def _through(self, kernel, *args):
+        """The value that ``kernel(grids, [0], *args)`` makes of a one-row copy of this one."""
+        grids = self._one_row()
+        kernel(grids, [0], *args)
+        return type(self)._from_row(grids, 0, (self.n_g, self.n_t))
 
     @property
     def grids(self) -> tuple[np.ndarray, ...]:

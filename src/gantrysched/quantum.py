@@ -156,9 +156,7 @@ def _collapse(grids: _Arena, rows: list[int], rng: np.random.Generator) -> None:
 
 def q_mutate(qchrom: QuantumChromosome, rng: np.random.Generator) -> QuantumChromosome:
     """Collapse one random cell to random basis states in both registers."""
-    grids = qchrom._one_row()
-    _collapse(grids, [0], rng)
-    return QuantumChromosome._from_row(grids, 0, (qchrom.n_g, qchrom.n_t))
+    return qchrom._through(_collapse, rng)
 
 
 def _amplify_rows(
@@ -263,9 +261,7 @@ def q_repair(
             f"chromosome shape {qchrom.id_amps.shape} does not match the spec's (n_g, n_t, n_p) "
             f"{(spec.n_g, spec.n_t, spec.n_p)}"
         )
-    grids = qchrom._one_row()
-    _repair_rows(grids, [0], spec, rng)
-    return QuantumChromosome._from_row(grids, 0, (spec.n_g, spec.n_t))
+    return qchrom._through(_repair_rows, spec, rng)
 
 
 def run_quantum(spec: ProblemSpec, params: GaParams, table: ScoreTable = ScoreTable()) -> RunResult:
@@ -279,25 +275,24 @@ def run_quantum(spec: ProblemSpec, params: GaParams, table: ScoreTable = ScoreTa
     capacity = _peak_population(params, math.inf)
     grids = tuple(np.empty((capacity, *grid.shape)) for grid in uniform)
 
-    def fresh(i: int) -> int:
+    def fresh(rows: list[int]) -> None:
         for grid, row in zip(grids, uniform):
-            grid[i] = row
-        return i
+            grid[rows] = row
 
     def evaluate(pop: list, gen: int) -> list[tuple[FitnessBreakdown, Chromosome]]:
         u = substream(seed, gen, PHASE_EVAL, 0).random((len(pop), 2, spec.n_cells))
         stacks = [stack.reshape(-1, spec.n_g, spec.n_t) for stack in _observe(grids, pop, u)]
         shadows = [Chromosome._adopt(*member) for member in zip(*stacks)]
-        return list(zip(_score_members(shadows, table, _count_stacks(*stacks, table)), shadows))
+        return _score_members(shadows, table, _count_stacks(*stacks, table))
 
     def crossover(pop: list, r_c: float, rng: np.random.Generator) -> list:
         return _crossover(grids, pop, _crossover_pairs(len(pop), r_c, spec.n_cells, rng))
 
-    def mutate(pop: list, gen: int, picked: list[int]) -> None:
-        _collapse(grids, [pop[i] for i in picked], substream(seed, gen, PHASE_MUTATE_A, 0))
+    def mutate(rows: list[int], gen: int) -> None:
+        _collapse(grids, rows, substream(seed, gen, PHASE_MUTATE_A, 0))
 
-    def repair(pop: list, gen: int, picked: list[int]) -> None:
-        _repair_rows(grids, [pop[i] for i in picked], spec, substream(seed, gen, PHASE_REPAIR, 0))
+    def repair(rows: list[int], gen: int) -> None:
+        _repair_rows(grids, rows, spec, substream(seed, gen, PHASE_REPAIR, 0))
 
     return _evolve(params, fresh, evaluate, crossover, ((PHASE_MUTATE_PICK_A, mutate),), repair)
 

@@ -640,8 +640,8 @@ class TestScoreReuse:
 
         monkeypatch.setattr(classical, "_evolve", spy)
         run_classical(medium_spec, tiny_params(g_max=0))  # an arena of 10 rows
-        pop = [callbacks["fresh"](1)]
-        callbacks["repair"](pop, 0, [0])
+        callbacks["fresh"]([1])
+        callbacks["repair"]([1], 0)
         layout, _, fixed = evaluate(1)
         assert fixed == brute_repair(fixed, medium_spec)
         counted = self.count_schedules(monkeypatch, scoring, classical)
@@ -656,7 +656,7 @@ class TestScoreReuse:
         assert counted == [1]
         assert (got, twin) == (layout, fixed)
         # ... and a mutated copy is counted too, and scores as the oracle says
-        callbacks["stamp"]([0], 1, [0])
+        callbacks["stamp"]([0], 1)
         _, got, chrom = evaluate(0)
         assert counted == [1, 1]
         assert got == brute_breakdown(chrom.statuses, chrom.patients)

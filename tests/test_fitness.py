@@ -515,20 +515,20 @@ class TestInvariants:
 
 
 class TestKnownBreakdown:
-    """A breakdown that ``known`` returns comes back uncounted; ``None`` means count."""
+    """A breakdown passed as ``known`` comes back uncounted; ``None`` means count."""
 
     def test_known_breakdown_is_returned_uncounted(self, monkeypatch):
         chrom = perfect_chromosome(n_g=2)
         want = evaluate_breakdown(chrom)
         held = dataclasses.replace(want, total=-1.0)
-        counted, asked = [], []
+        counted = []
         count = fitness._count_events
         monkeypatch.setattr(fitness, "_count_events", lambda *a: counted.append(a) or count(*a))
         table = ScoreTable()
-        assert evaluate_breakdown(chrom, table, lambda c: asked.append(c) or held) is held
-        assert asked == [chrom] and not counted
-        assert evaluate_breakdown(chrom, table, lambda c: asked.append(c)) == want
-        assert asked == [chrom, chrom] and len(counted) == 1
+        assert evaluate_breakdown(chrom, table, held) is held
+        assert not counted
+        assert evaluate_breakdown(chrom, table, None) == want
+        assert len(counted) == 1
 
 
 class TestKnownObjectiveFlaw:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -40,6 +41,16 @@ def test_module_uses_every_name_it_imports(path):
             imported.update(alias.asname or alias.name for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_console_script_target_runs_a_command(capsys):
+    """The ``gantrysched`` command that pyproject.toml installs names a working entry point."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    module, _, name = project["project"]["scripts"]["gantrysched"].partition(":")
+    main = getattr(importlib.import_module(module), name)
+    assert main(["qubits", "--N", "70", "--nt", "650", "--ng", "3", "--np", "72", "--ns", "8"]) == 0
+    assert capsys.readouterr().out == "1365000\n"
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")

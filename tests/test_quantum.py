@@ -13,11 +13,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gantrysched import (
+    Chromosome,
     ConfigError,
     GaParams,
     ProblemSpec,
     QuantumChromosome,
     evaluate_breakdown,
+    mutate_patient_ids,
+    mutate_statuses,
     observe,
     q_mutate,
     q_repair,
@@ -29,13 +32,25 @@ from gantrysched import (
     uniform_quantum_chromosome,
 )
 from gantrysched import quantum
-from gantrysched.classical import _repair_layout, _repair_patients
-from gantrysched.quantum import _amplify_grid, _repair_rows, memory_estimate
+from gantrysched.classical import (
+    _mutate_patient_rows,
+    _mutate_status_rows,
+    _repair_layout,
+    _repair_patients,
+    _repair_schedule_rows,
+)
+from gantrysched.quantum import _amplify_grid, _collapse, _repair_rows, memory_estimate
 from gantrysched.rng import substream
 
 from brute_amplify import brute_amplify
 from brute_sample import brute_sample
-from conftest import SMALL_SPECS, quantum_chromosomes, quantum_from_schedule, sample_indices
+from conftest import (
+    SMALL_SPECS,
+    chromosomes,
+    quantum_chromosomes,
+    quantum_from_schedule,
+    sample_indices,
+)
 
 CAP = math.sqrt(0.99)
 
@@ -469,48 +484,87 @@ class TestQRepair:
             q_repair(q, medium_spec, substream(82, 0, 8, 0))
 
 
+def repair_output(spec: ProblemSpec, seed: int) -> Chromosome:
+    """The repair of a random schedule: every repair output is its own repair."""
+    return repair_chromosome(random_chromosome(spec, substream(seed, 0, 0, 0)), spec)
+
+
 def repair_fixed_point(spec: ProblemSpec, seed: int) -> QuantumChromosome:
     """The basis encoding of a repair output: every repair target sits at the cap."""
-    schedule = repair_chromosome(random_chromosome(spec, substream(seed, 0, 0, 0)), spec)
-    return quantum_from_schedule(schedule, spec.n_p)
+    return quantum_from_schedule(repair_output(spec, seed), spec.n_p)
+
+
+# Members of either kind: a repair output from a seed, and a strategy over a spec.
+CLASSICAL = (repair_output, chromosomes)
+QUANTUM = (repair_fixed_point, quantum_chromosomes)
+
+# Each row kernel and the one-row operator that calls it, both called over (spec, rng), with
+# the kind of their members.
+ROW_OPERATORS = {
+    "mutate_patient_ids": (
+        lambda grids, rows, spec, rng: _mutate_patient_rows(grids, rows, spec.n_t, spec.n_p, rng),
+        mutate_patient_ids,
+        CLASSICAL,
+    ),
+    "mutate_statuses": (
+        lambda grids, rows, spec, rng: _mutate_status_rows(grids, rows, spec.n_t, spec.n_p, rng),
+        mutate_statuses,
+        CLASSICAL,
+    ),
+    "repair_chromosome": (
+        lambda grids, rows, spec, rng: _repair_schedule_rows(grids, rows, spec),
+        lambda chrom, spec, rng: repair_chromosome(chrom, spec),
+        CLASSICAL,
+    ),
+    "q_mutate": (
+        lambda grids, rows, spec, rng: _collapse(grids, rows, rng),
+        lambda qchrom, spec, rng: q_mutate(qchrom, rng),
+        QUANTUM,
+    ),
+    "q_repair": (_repair_rows, q_repair, QUANTUM),
+}
 
 
 class TestRepairMembers:
-    """One repair step over a population's rows returns what ``q_repair`` returns row by row.
+    """One row-kernel call over a population's rows returns what its operator returns row by row.
 
-    The step draws from one generator; ``q_repair`` calls on the picked
-    members in turn, on one copy of that generator, draw the same values.
-    Rows that the step is not handed stay as they were.
+    The kernel draws from one generator; the one-row operator, called on the
+    picked members in turn on one copy of that generator, draws the same
+    values.  Rows that the kernel is not handed stay as they were.
     """
 
     @staticmethod
-    def assert_matches_q_repair(members, spec, seed, picked):
+    def assert_matches_operator(name, members, spec, seed, picked):
+        kernel, operator, _ = ROW_OPERATORS[name]
         grids = tuple(
-            np.array([grid.reshape(spec.n_cells, -1) for grid in column])
-            for column in zip(*(q.grids for q in members))
+            np.array([grid.reshape(spec.n_cells, *grid.shape[2:]) for grid in column])
+            for column in zip(*(member.grids for member in members))
         )
-        _repair_rows(grids, picked, spec, substream(seed, 1, 8, 0))
+        kernel(grids, picked, spec, substream(seed, 1, 8, 0))
         rng = substream(seed, 1, 8, 0)
-        want = {row: q_repair(members[row], spec, rng).grids for row in picked}
+        want = {row: operator(members[row], spec, rng).grids for row in picked}
         got = []
-        for row, q in enumerate(members):
-            out = [grid[row].reshape(q.id_amps.shape[:2] + (-1,)) for grid in grids]
-            expected = want.get(row, q.grids)
+        for row, member in enumerate(members):
+            out = [grid[row].reshape(spec.n_g, spec.n_t, *grid.shape[2:]) for grid in grids]
+            expected = want.get(row, member.grids)
             assert [g.tobytes() for g in out] == [g.tobytes() for g in expected]
-            got.append(QuantumChromosome(*out[:2]))
+            got.append(type(member)(*out[:2]))
         return got
 
+    @pytest.mark.parametrize("name", list(ROW_OPERATORS))
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), spec=SMALL_SPECS, n=st.integers(1, 5))
-    def test_matches_q_repair_member_by_member(self, data, spec, n):
+    def test_matches_the_operator_member_by_member(self, name, data, spec, n):
+        _, _, (repaired, drawn) = ROW_OPERATORS[name]
         members = []
         for _ in range(n):
             if data.draw(st.booleans()):
-                members.append(repair_fixed_point(spec, data.draw(st.integers(0, 2**32 - 1))))
+                members.append(repaired(spec, data.draw(st.integers(0, 2**32 - 1))))
             else:
-                members.append(data.draw(quantum_chromosomes(spec)))
+                members.append(data.draw(drawn(spec)))
         picked = data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))]
-        self.assert_matches_q_repair(members, spec, data.draw(st.integers(0, 2**32 - 1)), picked)
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        self.assert_matches_operator(name, members, spec, seed, picked)
 
     def test_members_at_the_cap_mix_with_members_that_change(self, medium_spec):
         capped = [repair_fixed_point(medium_spec, s) for s in (1, 2)]
@@ -524,7 +578,7 @@ class TestRepairMembers:
             ),
         ]
         members = [capped[0], changing[0], capped[1], changing[1]]
-        got = self.assert_matches_q_repair(members, medium_spec, 11, [3, 0, 1, 2])
+        got = self.assert_matches_operator("q_repair", members, medium_spec, 11, [3, 0, 1, 2])
         # nothing to amplify: the capped rows keep their grids
         assert got[0] == capped[0] and got[2] == capped[1]
         assert got[1] != changing[0] and got[3] != changing[1]
