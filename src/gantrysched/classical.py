@@ -32,13 +32,12 @@ from .model import (
     status_duration,
 )
 from .rng import (
+    PHASE_EVAL,
     PHASE_INIT,
     PHASE_MUTATE_A,
     PHASE_MUTATE_B,
-    PHASE_MUTATE_PICK_A,
-    PHASE_MUTATE_PICK_B,
     PHASE_PAIRING,
-    PHASE_REPAIR_PICK,
+    PHASE_REPAIR,
     SEED_MAX,
     substream,
 )
@@ -327,35 +326,33 @@ def _repair_patients(busy, incumbents, spec: ProblemSpec) -> np.ndarray:
 
 def _evolve(
     params: GaParams,
-    fresh: Callable[[list[int]], None],
-    evaluate: Callable[[list[int], int], list[tuple[FitnessBreakdown, _CellGrids]]],
+    fresh: Callable[[list[int], np.random.Generator], None],
+    evaluate: Callable[[list[int], int, np.random.Generator], list],
     crossover_pop: Callable,  # benchmark/tracer.py times it here
-    mutators: Sequence[tuple[int, Callable[[list[int], int], None]]],
-    repair: Callable[[list[int], int], None],
+    mutators: Sequence[tuple[int, Callable[[list[int], np.random.Generator], None]]],
+    repair: Callable[[list[int], np.random.Generator], None],
 ) -> RunResult:
     """Generation loop shared by the classical and quantum variants.
 
     A member is the index of its row in a population arena that the steps
-    share, and ``fresh(rows)`` fills the first population's rows.
-    ``evaluate(pop, gen)`` returns a (breakdown, schedule) pair per member;
-    the loop keeps a copy of the first best schedule it sees, since a
-    schedule may view a row that later steps rewrite.
-    ``crossover_pop(pop, r_c, rng)`` returns the survivors followed by their
-    children.  ``step(rows, gen)``, a mutator or ``repair``, rewrites the
-    picked members' rows in place.
+    share; the loop derives each step's one generator and passes it last.
+    ``fresh(rows, rng)`` fills the first rows, ``evaluate(pop, gen, rng)`` returns
+    a (breakdown, schedule) pair per member (``gen`` serves wrappers such as
+    benchmark/tracer.py), and ``crossover_pop(pop, r_c, rng)`` appends children.
+    A mutator or ``repair`` picks rows with its generator and rewrites them as
+    ``step(rows, rng)``.  The first best schedule is copied: steps rewrite rows.
     """
     started = perf_counter()
-    seed = params.seed
     # Mutation and repair alike replace floor(ratio * N) distinct members, so
     # one step reads no result of itself.
-    steps = [(tag, params.r_m, mutate) for tag, mutate in mutators]
-    steps.append((PHASE_REPAIR_PICK, params.r_r, repair))
+    steps = [(tag, params.r_m, step) for tag, step in mutators]
+    steps.append((PHASE_REPAIR, params.r_r, repair))
     pop = list(range(params.n_ini))
-    fresh(pop)
+    fresh(pop, substream(params.seed, 0, PHASE_INIT, 0))
     records: list[GenerationRecord] = []
     best: tuple[FitnessBreakdown, _CellGrids] | None = None
     for gen in range(params.g_max + 1):
-        evals = evaluate(pop, gen)
+        evals = evaluate(pop, gen, substream(params.seed, gen, PHASE_EVAL, 0))
         totals = [breakdown.total for breakdown, _ in evals]
         best_idx = int(np.argmax(totals))
         records.append(GenerationRecord(gen, totals[best_idx], len(pop)))
@@ -367,15 +364,14 @@ def _evolve(
             break
 
         pop = [row for row, _ in select(list(zip(pop, totals)), params.r_s, params.n_max)]
-        pop = crossover_pop(pop, params.r_c, substream(seed, gen, PHASE_PAIRING, 0))
+        pop = crossover_pop(pop, params.r_c, substream(params.seed, gen, PHASE_PAIRING, 0))
 
-        for pick_phase, ratio, step in steps:
+        for phase, ratio, step in steps:
             n_picks = _floor_count(ratio * len(pop))
             if n_picks:
-                picked = substream(seed, gen, pick_phase, 0).choice(
-                    len(pop), size=n_picks, replace=False
-                )
-                step([pop[i] for i in picked.tolist()], gen)
+                rng = substream(params.seed, gen, phase, 0)
+                picked = rng.choice(len(pop), size=n_picks, replace=False)
+                step([pop[i] for i in picked.tolist()], rng)
     return RunResult(
         records=tuple(records),
         best_schedule=best[1],
@@ -401,21 +397,20 @@ def run_classical(
     writes the row clears it: a flagged row is its own repair and scores as the
     layout, so repair skips it and scoring does not count it.
     """
-    seed = params.seed
     capacity = _peak_population(params, math.inf)
     grids = tuple(np.empty((capacity, spec.n_cells), dtype) for dtype in (np.int8, np.int32))
     statuses, patients = (grid.reshape(capacity, spec.n_g, spec.n_t) for grid in grids)
     repaired = np.zeros(capacity, dtype=bool)
-    layout = repair_chromosome(random_chromosome(spec, substream(seed, 0, PHASE_INIT, 0)), spec)
+    idle = np.zeros((spec.n_g, spec.n_t), dtype=np.int8)
+    layout = repair_chromosome(Chromosome(idle, np.full(idle.shape, VACANT)), spec)
     (layout_score,) = _count_stacks(layout.statuses[None], layout.patients[None], table)
 
-    def fresh(rows: list[int]) -> None:
+    def fresh(rows: list[int], rng: np.random.Generator) -> None:
         for i in rows:
-            chrom = random_chromosome(spec, substream(seed, 0, PHASE_INIT, i))
-            for grid, cells in zip(grids, chrom.grids):
+            for grid, cells in zip(grids, random_chromosome(spec, rng).grids):
                 grid[i] = cells.reshape(-1)
 
-    def evaluate(pop: list, gen: int) -> list[tuple[FitnessBreakdown, Chromosome]]:
+    def evaluate(pop: list, gen: int, rng) -> list[tuple[FitnessBreakdown, Chromosome]]:
         flags = repaired[pop].tolist()
         unflagged = [row for row, done in zip(pop, flags) if not done]
         counted = _count_stacks(statuses, patients, table, unflagged)
@@ -428,17 +423,17 @@ def run_classical(
         repaired[grown[len(pop) :]] = False
         return grown
 
-    def mutate(kernel: Callable, phase: int, rows: list[int], gen: int) -> None:
-        kernel(grids, rows, spec.n_t, spec.n_p, substream(seed, gen, phase, 0))
+    def mutate(kernel: Callable, rows: list[int], rng: np.random.Generator) -> None:
+        kernel(grids, rows, spec.n_t, spec.n_p, rng)
         repaired[rows] = False
 
-    def repair(rows: list[int], gen: int) -> None:
+    def repair(rows: list[int], rng: np.random.Generator) -> None:
         _repair_schedule_rows(grids, [row for row in rows if not repaired[row]], spec)
         repaired[rows] = True
 
     mutators = (
-        (PHASE_MUTATE_PICK_A, functools.partial(mutate, _mutate_patient_rows, PHASE_MUTATE_A)),
-        (PHASE_MUTATE_PICK_B, functools.partial(mutate, _mutate_status_rows, PHASE_MUTATE_B)),
+        (PHASE_MUTATE_A, functools.partial(mutate, _mutate_patient_rows)),
+        (PHASE_MUTATE_B, functools.partial(mutate, _mutate_status_rows)),
     )
     return _evolve(params, fresh, evaluate, crossover, mutators, repair)
 

@@ -76,11 +76,20 @@ def _check_keys(doc: dict, what: str, allowed, required=()) -> None:
         raise ConfigError(f"{what} is missing keys: {missing}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The dict of a JSON object's (key, value) pairs, refusing a repeated key."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ConfigError(f"repeated key {next(k for k in doc if keys.count(k) > 1)!r}")
+    return doc
+
+
 def _load_json(path: Path, what: str) -> dict:
     if not path.is_file():
         raise ConfigError(f"{what} file not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise ConfigError(
             f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}"
@@ -89,7 +98,7 @@ def _load_json(path: Path, what: str) -> dict:
         raise ConfigError(f"{path}: not UTF-8 text at byte {err.start}") from err
     except RecursionError as err:
         raise ConfigError(f"{path}: JSON nested too deeply") from err
-    except ValueError as err:  # an integer literal past the interpreter's digit limit
+    except ValueError as err:  # a repeated key, or an integer past the interpreter's digit limit
         raise ConfigError(f"{path}: {err}") from err
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")

@@ -12,6 +12,7 @@ population arena and crossover are the classical ones (see
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -37,13 +38,7 @@ from .model import (
     _CellGrids,
     _check_int,
 )
-from .rng import (
-    PHASE_EVAL,
-    PHASE_MUTATE_A,
-    PHASE_MUTATE_PICK_A,
-    PHASE_REPAIR,
-    substream,
-)
+from .rng import PHASE_MUTATE_A
 
 _NORM_TOL = 1e-9
 _TINY = np.nextafter(0.0, 1.0)  # the least positive float
@@ -270,17 +265,16 @@ def run_quantum(spec: ProblemSpec, params: GaParams, table: ScoreTable = ScoreTa
     The members are the rows of an arena of the four grids, sized for the
     largest population, and evaluation scores the observed stacks in place.
     """
-    seed = params.seed
     uniform = [grid.reshape(spec.n_cells, -1) for grid in uniform_quantum_chromosome(spec).grids]
     capacity = _peak_population(params, math.inf)
     grids = tuple(np.empty((capacity, *grid.shape)) for grid in uniform)
 
-    def fresh(rows: list[int]) -> None:
+    def fresh(rows: list[int], rng: np.random.Generator) -> None:
         for grid, row in zip(grids, uniform):
             grid[rows] = row
 
-    def evaluate(pop: list, gen: int) -> list[tuple[FitnessBreakdown, Chromosome]]:
-        u = substream(seed, gen, PHASE_EVAL, 0).random((len(pop), 2, spec.n_cells))
+    def evaluate(pop: list, gen: int, rng) -> list[tuple[FitnessBreakdown, Chromosome]]:
+        u = rng.random((len(pop), 2, spec.n_cells))
         stacks = [stack.reshape(-1, spec.n_g, spec.n_t) for stack in _observe(grids, pop, u)]
         shadows = [Chromosome._adopt(*member) for member in zip(*stacks)]
         return _score_members(shadows, table, _count_stacks(*stacks, table))
@@ -288,13 +282,11 @@ def run_quantum(spec: ProblemSpec, params: GaParams, table: ScoreTable = ScoreTa
     def crossover(pop: list, r_c: float, rng: np.random.Generator) -> list:
         return _crossover(grids, pop, _crossover_pairs(len(pop), r_c, spec.n_cells, rng))
 
-    def mutate(rows: list[int], gen: int) -> None:
-        _collapse(grids, rows, substream(seed, gen, PHASE_MUTATE_A, 0))
+    def repair(rows: list[int], rng: np.random.Generator) -> None:
+        _repair_rows(grids, rows, spec, rng)
 
-    def repair(rows: list[int], gen: int) -> None:
-        _repair_rows(grids, rows, spec, substream(seed, gen, PHASE_REPAIR, 0))
-
-    return _evolve(params, fresh, evaluate, crossover, ((PHASE_MUTATE_PICK_A, mutate),), repair)
+    mutators = ((PHASE_MUTATE_A, functools.partial(_collapse, grids)),)
+    return _evolve(params, fresh, evaluate, crossover, mutators, repair)
 
 
 def memory_estimate(spec: ProblemSpec, params: GaParams) -> int:

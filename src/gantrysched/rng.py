@@ -1,12 +1,12 @@
 """Deterministic substream construction for reproducible runs.
 
-Every randomized population step (one phase of one generation) owns one
-generator derived by mixing the run seed with the coordinates (generation,
-phase, 0); the members a step touches draw from it one after another, in
-the order the step takes them.  Members of the initial population own one
-generator each, at (0, PHASE_INIT, index).  A step's draws therefore depend
-only on its coordinates and on the members it is handed, never on the
-draws of other steps, and a run is bit-reproducible for a given seed.
+Every randomized population step (one phase of one generation, the initial
+population included) owns one generator derived by mixing the run seed with
+the coordinates (generation, phase, 0).  The generation loop derives it and
+hands it to the step, whose picks and members draw from it one after another.
+A step's draws therefore depend only on its coordinates and on the members
+it is handed, never on the draws of other steps, and a run is
+bit-reproducible for a given seed.
 
 The generator of a unit is ``default_rng(SeedSequence(entropy=seed,
 spawn_key=(generation, phase, index)))``.
@@ -19,15 +19,12 @@ import numpy as np
 SEED_MAX = 2**64
 
 # Phase tags for substream derivation.  The values are arbitrary but frozen:
-# changing any of them changes every seeded run.
+# changing any of them changes every seeded run.  3, 5 and 7, once pick phases, stay unused.
 PHASE_INIT = 0
 PHASE_EVAL = 1
 PHASE_PAIRING = 2
-PHASE_MUTATE_PICK_A = 3
 PHASE_MUTATE_A = 4
-PHASE_MUTATE_PICK_B = 5
 PHASE_MUTATE_B = 6
-PHASE_REPAIR_PICK = 7
 PHASE_REPAIR = 8
 
 

@@ -4,9 +4,10 @@ This is the generation loop written out once per algorithm, step by step:
 no memo, no shared callbacks, every schedule and quantum chromosome built
 through its validating constructor, schedules scored by the brute-force
 evaluator and repaired by the slot-by-slot reference repair.  It derives
-its own generator for each population step, from the same substream
-coordinates as the package's loop, and the step's members draw from it in
-pick order, so a seeded run of either runner must match it exactly.  The
+one generator for each population step, the initial population included,
+at the step's (generation, phase, 0) substream coordinates; a mutation or
+repair step draws its picks from it and then its members' numbers, in pick
+order, so a seeded run of either runner must match it exactly.  The
 single-chromosome operators (random schedules, mutations, observation)
 come from the package; the selection, pairing, crossover, pick-and-replace
 and amplification steps are written again here.
@@ -32,11 +33,8 @@ from gantrysched.rng import (
     PHASE_INIT,
     PHASE_MUTATE_A,
     PHASE_MUTATE_B,
-    PHASE_MUTATE_PICK_A,
-    PHASE_MUTATE_PICK_B,
     PHASE_PAIRING,
     PHASE_REPAIR,
-    PHASE_REPAIR_PICK,
     substream,
 )
 
@@ -112,8 +110,8 @@ def brute_evolve(spec, params, algorithm):
     seed = params.seed
     quantum = algorithm == "quantum"
 
-    def draw(gen, phase, index):
-        return substream(seed, gen, phase, index)
+    def draw(gen, phase):
+        return substream(seed, gen, phase, 0)
 
     if quantum:
         uniform = QuantumChromosome(
@@ -121,19 +119,17 @@ def brute_evolve(spec, params, algorithm):
             np.full((spec.n_g, spec.n_t, N_STATUSES), 1.0 / math.sqrt(N_STATUSES)),
         )
         pop = [uniform] * params.n_ini
-        mutators = [(PHASE_MUTATE_PICK_A, PHASE_MUTATE_A, q_mutate)]
+        mutators = [(PHASE_MUTATE_A, q_mutate)]
 
         def repair(q, rng):
             return quantum_repair(q, spec, rng)
 
     else:
-        pop = [
-            rebuild(random_chromosome(spec, draw(0, PHASE_INIT, i)), spec)
-            for i in range(params.n_ini)
-        ]
+        rng = draw(0, PHASE_INIT)
+        pop = [rebuild(random_chromosome(spec, rng), spec) for _ in range(params.n_ini)]
         mutators = [
-            (PHASE_MUTATE_PICK_A, PHASE_MUTATE_A, lambda c, rng: mutate_patient_ids(c, spec, rng)),
-            (PHASE_MUTATE_PICK_B, PHASE_MUTATE_B, lambda c, rng: mutate_statuses(c, spec, rng)),
+            (PHASE_MUTATE_A, lambda c, rng: mutate_patient_ids(c, spec, rng)),
+            (PHASE_MUTATE_B, lambda c, rng: mutate_statuses(c, spec, rng)),
         ]
 
         def repair(c, rng):
@@ -143,7 +139,7 @@ def brute_evolve(spec, params, algorithm):
     best = None
     for gen in range(params.g_max + 1):
         scored = []
-        rng = draw(gen, PHASE_EVAL, 0)
+        rng = draw(gen, PHASE_EVAL)
         for chrom in pop:
             schedule = rebuild(observe(chrom, rng), spec) if quantum else chrom
             scored.append((brute_breakdown(schedule.statuses, schedule.patients), schedule))
@@ -159,19 +155,17 @@ def brute_evolve(spec, params, algorithm):
         keep = min(params.n_max, max(2, floor_count(params.r_s * len(pop))), len(pop))
         order = sorted(range(len(pop)), key=lambda i: (-totals[i], i))
         pop = [pop[i] for i in order[:keep]]
-        pop = crossover(pop, params.r_c, draw(gen, PHASE_PAIRING, 0), spec)
+        pop = crossover(pop, params.r_c, draw(gen, PHASE_PAIRING), spec)
 
-        for pick_phase, phase, mutate in mutators:
+        for phase, mutate in mutators:
             n_mut = floor_count(params.r_m * len(pop))
             if n_mut:
-                picked = draw(gen, pick_phase, 0).choice(len(pop), size=n_mut, replace=False)
-                rng = draw(gen, phase, 0)
-                for i in picked.tolist():
+                rng = draw(gen, phase)
+                for i in rng.choice(len(pop), size=n_mut, replace=False).tolist():
                     pop[i] = rebuild(mutate(pop[i], rng), spec)
         n_rep = floor_count(params.r_r * len(pop))
         if n_rep:
-            picked = draw(gen, PHASE_REPAIR_PICK, 0).choice(len(pop), size=n_rep, replace=False)
-            rng = draw(gen, PHASE_REPAIR, 0)
-            for i in picked.tolist():
+            rng = draw(gen, PHASE_REPAIR)
+            for i in rng.choice(len(pop), size=n_rep, replace=False).tolist():
                 pop[i] = repair(pop[i], rng)
     return records, best[1], best[0]

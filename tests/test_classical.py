@@ -401,8 +401,8 @@ class TestRepair:
             return count(statuses, patients, table, rows)
 
         def spy(params, fresh, evaluate, *rest):
-            def checking(pop, gen):
-                evals = evaluate(pop, gen)
+            def checking(pop, gen, rng):
+                evals = evaluate(pop, gen, rng)
                 for row, (breakdown, chrom) in zip(pop, evals):
                     if row not in counted_rows[-1]:
                         assert chrom == brute_repair(chrom, spec)
@@ -565,8 +565,8 @@ class TestScoreReuse:
         evolve = classical._evolve
 
         def spy(params, fresh, evaluate, *rest):
-            def checking(pop, gen):
-                evals = evaluate(pop, gen)
+            def checking(pop, gen, rng):
+                evals = evaluate(pop, gen, rng)
                 for breakdown, chrom in evals:
                     check(breakdown, chrom)
                     checked.append(None)
@@ -635,13 +635,13 @@ class TestScoreReuse:
             return evolve(params, fresh, evaluate, crossover_pop, mutators, repair)
 
         def evaluate(row):
-            ((breakdown, chrom),) = callbacks["evaluate"]([row], 1)
+            ((breakdown, chrom),) = callbacks["evaluate"]([row], 1, substream(65, 1, 1, 0))
             return breakdown, {**breakdown.counts(), "total": breakdown.total}, chrom
 
         monkeypatch.setattr(classical, "_evolve", spy)
         run_classical(medium_spec, tiny_params(g_max=0))  # an arena of 10 rows
-        callbacks["fresh"]([1])
-        callbacks["repair"]([1], 0)
+        callbacks["fresh"]([1], substream(65, 0, 0, 0))
+        callbacks["repair"]([1], substream(65, 0, 8, 0))
         layout, _, fixed = evaluate(1)
         assert fixed == brute_repair(fixed, medium_spec)
         counted = self.count_schedules(monkeypatch, scoring, classical)
@@ -656,7 +656,7 @@ class TestScoreReuse:
         assert counted == [1]
         assert (got, twin) == (layout, fixed)
         # ... and a mutated copy is counted too, and scores as the oracle says
-        callbacks["stamp"]([0], 1)
+        callbacks["stamp"]([0], substream(65, 1, 6, 0))
         _, got, chrom = evaluate(0)
         assert counted == [1, 1]
         assert got == brute_breakdown(chrom.statuses, chrom.patients)
@@ -670,8 +670,8 @@ class TestScoreReuse:
         # every evaluation enters the scorer once ...
         assert len(scorer_calls) == 2010
         # ... which counts the repair layout once and, of the rest, only the
-        # 257 schedules that are not this generation's repair outputs
-        assert sum(counted) == 258
+        # 260 schedules that are not this generation's repair outputs
+        assert sum(counted) == 261
 
     @pytest.mark.parametrize("runner", [run_classical, quantum.run_quantum])
     @pytest.mark.parametrize("stack_cells", [1, 3 * 324 - 1])
@@ -705,7 +705,7 @@ class TestScoreReuse:
         )
         assert code == 0
         assert len(scorer_calls) == 2010
-        assert sum(counted) == 258
+        assert sum(counted) == 261
         # one repair scores the layout; of the 1600 rows sent to repair, the
-        # 605 flagged as repair outputs are kept as they are
-        assert len(repairs) == 1 + 995
+        # 628 flagged as repair outputs are kept as they are
+        assert len(repairs) == 1 + 972

@@ -177,6 +177,29 @@ class TestRunErrors:
         assert f"{where}.json" in err and message in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "where, repeat, key",
+        [
+            ("config", lambda doc: '{"n_g": 2, ' + doc[1:], "n_g"),
+            ("grid", lambda doc: doc.replace('{"r_s": ', '{"r_s": {}, "r_s": '), "r_s"),
+            ("grid", lambda doc: doc.replace('"step"', '"step": 0.2, "step"'), "step"),
+        ],
+        ids=["config-key", "axis", "axis-field"],
+    )
+    def test_repeated_key_exits_2_without_outputs(
+        self, tmp_path, where, repeat, key, capsys, no_runs
+    ):
+        config = write_config(tmp_path)
+        grid = write_grid(tmp_path, {"r_s": {"center": 0.5, "half_width": 0, "step": 0.1}})
+        path = tmp_path / f"{where}.json"
+        path.write_text(repeat(path.read_text()))
+        assert main(["sweep", "--config", str(config), "--grid", str(grid)]) == 2
+        assert f"{path}: repeated key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        if where == "config":
+            assert main(["run", "--config", str(config)]) == 2
+            assert not (tmp_path / "out").exists()
+
     def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)  # the default output directory lies here
         path = tmp_path / "config.json"
@@ -463,6 +486,15 @@ class TestSweepCommand:
         config = write_config(tmp_path)
         grid = write_grid(tmp_path, {"g_max": {"center": 0.5, "half_width": 0, "step": 1}})
         assert main(["sweep", "--config", str(config), "--grid", str(grid)]) == 2
+
+    @pytest.mark.parametrize("doc", [{}, {"exclude": {}}, {"axes": [1]}, {"axes": None}])
+    def test_grid_without_an_axes_object_exits_2(self, tmp_path, doc, capsys, no_runs):
+        config = write_config(tmp_path)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(doc))
+        assert main(["sweep", "--config", str(config), "--grid", str(grid)]) == 2
+        assert "grid file must define an 'axes' object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_axis_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -756,6 +788,7 @@ def summary_without_time(out: Path) -> bytes:
     return b"".join(line for line in lines if b'"elapsed_seconds":' not in line)
 
 
+GOLDEN = ROOT / "tests" / "golden"
 # Configs of the recorded summaries, each run from its own directory with a relative out_dir.
 SUMMARY_CASES = {
     "integer-values": {**TINY_CONFIG, "r_r": 1, "score_conflict": 25, "score_time_per_slot": 2},
@@ -769,6 +802,25 @@ SUMMARY_CASES = {
         "score_consecutive_run": 2.5,
     },
 }
+SUMMARY_RUNS = [("integer-values", "classical"), ("per-algorithm", "classical"),
+                ("per-algorithm", "quantum")]
+
+
+def medium_outputs(algo: str) -> dict[Path, bytes]:
+    """Each recorded file of the seeded medium run of ``algo``, and what a run from here writes."""
+    config = str(ROOT / "configs" / "medium.json")
+    args = ["--algo", algo, "--seed", "0", "--threads", "1", "--out", "run"]
+    assert main(["run", "--config", config, *args]) == 0
+    golden, names = GOLDEN / f"medium-{algo}-seed0", ("curves.csv", "best_schedule.json")
+    outputs = {golden / name: Path("run", name).read_bytes() for name in names}
+    return {**outputs, golden / "summary.json": summary_without_time(Path("run"))}
+
+
+def summary_outputs(case: str, algo: str) -> dict[Path, bytes]:
+    """The recorded summary of a run of ``case`` by ``algo``, and what a run from here writes."""
+    Path("config.json").write_text(json.dumps({**SUMMARY_CASES[case], "out_dir": "out"}))
+    assert main(["run", "--config", "config.json", "--algo", algo]) == 0
+    return {GOLDEN / f"summary-{case}-{algo}.json": summary_without_time(Path("out"))}
 
 
 class TestGoldenRun:
@@ -776,35 +828,39 @@ class TestGoldenRun:
 
     ``summary.json`` is compared without its ``elapsed_seconds`` line; the
     recorded summaries live beside the medium runs' outputs and in
-    ``golden/summary-<case>-<algo>.json``.
+    ``golden/summary-<case>-<algo>.json``.  A change that means to alter
+    seeded results regenerates them all, and says why:
+
+        PYTHONPATH=src python tests/test_cli.py
     """
 
     @pytest.mark.parametrize("algo", ["classical", "quantum"])
     def test_medium_seed0_is_byte_identical(self, tmp_path, monkeypatch, algo):
         """The seeded medium run of each algorithm reproduces its recorded outputs exactly."""
         monkeypatch.chdir(tmp_path)
-        code = main(
-            [
-                "run", "--config", str(ROOT / "configs" / "medium.json"),
-                "--algo", algo, "--seed", "0", "--threads", "1", "--out", "run",
-            ]
-        )
-        assert code == 0
-        out = tmp_path / "run"
-        golden = ROOT / "tests" / "golden" / f"medium-{algo}-seed0"
-        for name in ("curves.csv", "best_schedule.json"):
-            assert (out / name).read_bytes() == (golden / name).read_bytes(), name
-        assert summary_without_time(out) == (golden / "summary.json").read_bytes()
+        for path, content in medium_outputs(algo).items():
+            assert content == path.read_bytes(), path.name
 
-    @pytest.mark.parametrize(
-        "case, algo",
-        [("integer-values", "classical"), ("per-algorithm", "classical"),
-         ("per-algorithm", "quantum")],
-    )
+    @pytest.mark.parametrize("case, algo", SUMMARY_RUNS)
     def test_summary_is_byte_identical(self, tmp_path, monkeypatch, case, algo):
         """JSON integers for ratios and weights, and per-algorithm keys, echo as recorded."""
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "config.json").write_text(json.dumps({**SUMMARY_CASES[case], "out_dir": "out"}))
-        assert main(["run", "--config", "config.json", "--algo", algo]) == 0
-        golden = ROOT / "tests" / "golden" / f"summary-{case}-{algo}.json"
-        assert summary_without_time(tmp_path / "out") == golden.read_bytes()
+        for path, content in summary_outputs(case, algo).items():
+            assert content == path.read_bytes(), path.name
+
+
+if __name__ == "__main__":
+    runs = [(medium_outputs, (algo,)) for algo in ("classical", "quantum")]
+    runs += [(summary_outputs, run) for run in SUMMARY_RUNS]
+    home = Path.cwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            for k, (outputs, args) in enumerate(runs):
+                work = Path(tmp, str(k))
+                work.mkdir()
+                os.chdir(work)
+                for path, content in outputs(*args).items():
+                    path.write_bytes(content)
+                    print(f"wrote {path.relative_to(ROOT)}")
+        finally:
+            os.chdir(home)
