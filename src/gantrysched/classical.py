@@ -280,10 +280,11 @@ def _repair_layout(spec: ProblemSpec):
 def _repair_schedule_rows(grids, rows: list[int], spec: ProblemSpec) -> None:
     """Replace each of ``rows`` by its :func:`repair_chromosome`, in place."""
     statuses, patients = grids
-    flat, layout, _ = _repair_layout(spec)
-    for row in rows:
-        patients[row] = _repair_patients(statuses[row, flat], patients[row, flat], spec)
-        statuses[row] = layout
+    flat, layout, episode = _repair_layout(spec)
+    starts = np.ix_(rows, flat)
+    for row, picks in zip(rows, _repair_patients(statuses[starts], patients[starts])):
+        patients[row] = picks[episode]
+    statuses[rows] = layout
 
 
 def repair_chromosome(chrom: Chromosome, spec: ProblemSpec) -> Chromosome:
@@ -308,20 +309,19 @@ def repair_chromosome(chrom: Chromosome, spec: ProblemSpec) -> Chromosome:
     return chrom._through(_repair_schedule_rows, spec)
 
 
-def _repair_patients(busy, incumbents, spec: ProblemSpec) -> np.ndarray:
-    """Patients of a repair's cells from its filled start cells' busy flags and incumbents."""
+def _repair_patients(busy: np.ndarray, incumbents: np.ndarray) -> np.ndarray:
+    """Each row's episode patients, then VACANT, from (rows, starts) busy flags and incumbents."""
     picks = incumbents.tolist()
-    if not busy.all() or len(set(picks)) < len(picks):  # else the loop keeps every incumbent
-        treated = set()
-        lowest = 0
-        for k, is_busy in enumerate(busy.tolist()):
-            if not is_busy or picks[k] in treated:
+    for row, flags in zip(picks, busy.tolist()):
+        treated, lowest = set(), 0
+        for k, is_busy in enumerate(flags):
+            if not is_busy or row[k] in treated:
                 while lowest in treated:  # at most n_p starts: someone is left
                     lowest += 1
-                picks[k] = lowest
-            treated.add(picks[k])
-    picks.append(VACANT)
-    return np.array(picks, dtype=np.int32)[_repair_layout(spec)[2]]
+                row[k] = lowest
+            treated.add(row[k])
+        row.append(VACANT)
+    return np.array(picks, dtype=np.int32).reshape(len(picks), busy.shape[1] + 1)
 
 
 def _evolve(

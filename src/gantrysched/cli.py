@@ -86,16 +86,22 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def _load_json(path: Path, what: str) -> dict:
-    if not path.is_file():
-        raise ConfigError(f"{what} file not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+        if not path.exists():
+            raise ConfigError(f"{what} file not found: {path}")
+        if not path.is_file():  # never read it: reading a FIFO would block
+            raise ConfigError(f"{what} file {path} is not a regular file")
+        text = path.read_text(encoding="utf-8")
+    except OSError as err:  # a name the file system refuses, say
+        raise ConfigError(f"{what} file {path}: {err.strerror}") from err
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text at byte {err.start}") from err
+    try:
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise ConfigError(
             f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}"
         ) from err
-    except UnicodeDecodeError as err:
-        raise ConfigError(f"{path}: not UTF-8 text at byte {err.start}") from err
     except RecursionError as err:
         raise ConfigError(f"{path}: JSON nested too deeply") from err
     except ValueError as err:  # a repeated key, or an integer past the interpreter's digit limit

@@ -215,18 +215,19 @@ def _repair_rows(
 
     Every row's status target is the status grid of all repair outputs, so
     a row samples only the filled episode starts and picks only their
-    patients.  One draw holds the uniforms of one observation per row, and
-    the picks of all rows come in one pass per register.  The vectors below
-    the cap of all rows are then amplified together, one member's grid of
-    vectors per pass, over the cumulative grids the rows carry.
+    patients.  One draw holds the uniforms of one observation per row, the
+    picks of all rows come in one pass per register, and one call chooses
+    their patients.  The vectors below the cap of all rows are then
+    amplified together, one member's grid of vectors per pass, over the
+    cumulative grids the rows carry.
     """
     ids, statuses, id_cum, status_cum = grids
     n_cells = spec.n_cells
-    flat, layout, _ = _repair_layout(spec)
+    flat, layout, episode = _repair_layout(spec)
     rows = np.array(rows, dtype=np.intp)[:, None]
     u = rng.random((rows.size, 2, n_cells))[..., flat]
-    at_starts = zip(_pick(status_cum[rows, flat], u[:, 0]), _pick(id_cum[rows, flat], u[:, 1]))
-    patients = np.array([_repair_patients(*at, spec) for at in at_starts])
+    at_starts = _pick(status_cum[rows, flat], u[:, 0]), _pick(id_cum[rows, flat], u[:, 1])
+    patients = _repair_patients(*at_starts)[:, episode]
     busy = layout.nonzero()[0]
     everywhere = np.arange(n_cells)
     for amps, cum, cells, targets in (

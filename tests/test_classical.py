@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -556,26 +557,48 @@ class TestScoreReuse:
     """Classical scoring counts each repair layout once and other schedules afresh."""
 
     @staticmethod
-    def check_evaluations(monkeypatch, check=lambda breakdown, chrom: None) -> list:
+    def check_evaluations(monkeypatch, check=lambda breakdown, chrom: None) -> Counter:
         """Check every (breakdown, schedule) the loop's evaluate callback returns, as it returns it.
 
-        A schedule views its arena row, which later steps rewrite in place.
+        A schedule views its arena row, which later steps rewrite in place.  The
+        spy also models each row's ``repaired`` flag: repair sets it, while
+        crossover children and mutated rows clear it.  It tallies the members
+        ``returned``, the ``unflagged_scored`` ones among them, the rows
+        ``sent_to_repair`` and the ``unflagged_repaired`` ones among those.
         """
-        checked = []
+        tally = Counter()
+        flagged = set()
         evolve = classical._evolve
 
-        def spy(params, fresh, evaluate, *rest):
+        def spy(params, fresh, evaluate, crossover_pop, mutators, repair):
             def checking(pop, gen, rng):
+                tally["unflagged_scored"] += len(set(pop) - flagged)
                 evals = evaluate(pop, gen, rng)
                 for breakdown, chrom in evals:
                     check(breakdown, chrom)
-                    checked.append(None)
+                tally["returned"] += len(evals)
                 return evals
 
-            return evolve(params, fresh, checking, *rest)
+            def crossing(pop, r_c, rng):
+                grown = crossover_pop(pop, r_c, rng)
+                flagged.difference_update(grown[len(pop) :])
+                return grown
+
+            def mutating(step, rows, rng):
+                step(rows, rng)
+                flagged.difference_update(rows)
+
+            def repairing(rows, rng):
+                tally["sent_to_repair"] += len(rows)
+                tally["unflagged_repaired"] += len(set(rows) - flagged)
+                repair(rows, rng)
+                flagged.update(rows)
+
+            mutators = [(tag, functools.partial(mutating, step)) for tag, step in mutators]
+            return evolve(params, fresh, checking, crossing, mutators, repairing)
 
         monkeypatch.setattr(classical, "_evolve", spy)
-        return checked
+        return tally
 
     @staticmethod
     def count_calls(monkeypatch, name, *modules) -> list:
@@ -619,9 +642,9 @@ class TestScoreReuse:
             assert breakdown.total == oracle[key]
 
         with pytest.MonkeyPatch.context() as monkeypatch:
-            checked = self.check_evaluations(monkeypatch, check)
+            tally = self.check_evaluations(monkeypatch, check)
             run_classical(spec, tiny_params(seed=seed, g_max=6))
-        assert len(checked) >= 7 * 2  # seven generations of at least two members
+        assert tally["returned"] >= 7 * 2  # seven generations of at least two members
 
     def test_only_repair_outputs_get_the_layout_score(self, medium_spec, monkeypatch):
         callbacks = {}
@@ -662,16 +685,17 @@ class TestScoreReuse:
         assert got == brute_breakdown(chrom.statuses, chrom.patients)
 
     def test_counts_only_unknown_schedules_on_medium(self, medium_spec, monkeypatch):
-        returned = self.check_evaluations(monkeypatch)
+        tally = self.check_evaluations(monkeypatch)
         scorer_calls = self.count_calls(monkeypatch, "evaluate_breakdown", classical)
         counted = self.count_schedules(monkeypatch, scoring, classical)
         run_classical(medium_spec, tiny_params(g_max=200))
-        assert len(returned) == 2010
+        assert tally["returned"] == 2010
         # every evaluation enters the scorer once ...
         assert len(scorer_calls) == 2010
         # ... which counts the repair layout once and, of the rest, only the
-        # 260 schedules that are not this generation's repair outputs
-        assert sum(counted) == 261
+        # schedules that are not flagged as repair outputs
+        assert 0 < tally["unflagged_scored"] < 2010
+        assert sum(counted) == 1 + tally["unflagged_scored"]
 
     @pytest.mark.parametrize("runner", [run_classical, quantum.run_quantum])
     @pytest.mark.parametrize("stack_cells", [1, 3 * 324 - 1])
@@ -688,6 +712,7 @@ class TestScoreReuse:
         scorer_calls = self.count_calls(
             monkeypatch, "evaluate_breakdown", scoring, classical, quantum, cli
         )
+        tally = self.check_evaluations(monkeypatch)
         counted = self.count_schedules(monkeypatch, scoring, classical)
         repairs = []
         kernel = classical._repair_schedule_rows
@@ -705,7 +730,9 @@ class TestScoreReuse:
         )
         assert code == 0
         assert len(scorer_calls) == 2010
-        assert sum(counted) == 261
-        # one repair scores the layout; of the 1600 rows sent to repair, the
-        # 628 flagged as repair outputs are kept as they are
-        assert len(repairs) == 1 + 972
+        assert sum(counted) == 1 + tally["unflagged_scored"]
+        # one repair scores the layout; of the 1600 rows sent to repair, those
+        # flagged as repair outputs are kept as they are
+        assert tally["sent_to_repair"] == 1600
+        assert 0 < tally["unflagged_repaired"] < 1600
+        assert len(repairs) == 1 + tally["unflagged_repaired"]

@@ -178,6 +178,30 @@ class TestRunErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "name, message",
+        [("x" * 300, "File name too long"), ("folder", "is not a regular file")],
+        ids=["long-name", "directory"],
+    )
+    @pytest.mark.parametrize("where", ["config", "grid"])
+    def test_unopenable_path_exits_2_without_outputs(self, tmp_path, name, message, where, capsys):
+        """A path the file system refuses, or one that names no regular file, is not read."""
+        (tmp_path / "folder").mkdir()
+        paths = {
+            "config": write_config(tmp_path),
+            "grid": write_grid(tmp_path, {"r_s": {"center": 0.5, "half_width": 0, "step": 0.1}}),
+        }
+        paths[where] = tmp_path / name
+        out = ["--out", str(tmp_path / "out")]
+        commands = [["sweep", "--config", str(paths["config"]), "--grid", str(paths["grid"])]]
+        if where == "config":
+            commands.append(["run", "--config", str(paths["config"])])
+        for command in commands:
+            assert main(command + out) == 2
+            err = capsys.readouterr().err
+            assert f"{where} file {paths[where]}" in err and message in err
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "where, repeat, key",
         [
             ("config", lambda doc: '{"n_g": 2, ' + doc[1:], "n_g"),

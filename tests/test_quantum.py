@@ -430,7 +430,7 @@ class TestQRepair:
     def test_start_only_sampling_matches_observe_then_repair(self, data, spec, first_seed):
         """Sampling only the episode starts draws and repairs as a full observation."""
         q = data.draw(quantum_chromosomes(spec))
-        flat = _repair_layout(spec)[0]
+        flat, _, episode = _repair_layout(spec)
         for seed in range(first_seed, first_seed + 4):
             shadow = observe(q, np.random.default_rng(seed))
             desired = repair_chromosome(shadow, spec)
@@ -446,7 +446,7 @@ class TestQRepair:
             ids = st.integers(0, spec.n_p - 1)
             others = data.draw(arrays(np.int64, at_starts.shape, elements=ids))
             incumbents = np.where(at_starts, shadow.patients.take(flat), others)
-            patients = _repair_patients(at_starts, incumbents, spec)
+            patients = _repair_patients(at_starts[None], incumbents[None])[0, episode]
             assert patients.tobytes() == desired.patients.tobytes()
 
     def test_repaired_basis_state_is_a_fixed_point(self, medium_spec):
