@@ -122,6 +122,10 @@ def _pair_count(n: int, r_c: float) -> int:
 MEMORY_BOUND = 2**31
 # Generations of growth the peak search follows before it answers with a bound.
 _PEAK_STEPS = 10**5
+# Bytes of the objects a run holds per member besides its arena row: its breakdown,
+# schedule view, result pair, selection key and free-row entry.  tracemalloc reads
+# about 600 per member of one-cell runs of 2**14 members.
+_MEMBER_OBJECT_BYTES = 1024
 
 
 def _peak_population(params: GaParams, most: int) -> int:
@@ -143,6 +147,16 @@ def _peak_population(params: GaParams, most: int) -> int:
             return params.n_max + 2 * _pair_count(params.n_max, params.r_c)
         n = grown
     return n
+
+
+def _population_bytes(params: GaParams, row_bytes: int) -> int:
+    """Bytes of a run's largest population whose members hold ``row_bytes`` of arena each.
+
+    Every member also holds ``_MEMBER_OBJECT_BYTES`` of loop objects.  Past
+    the bound the estimate stops at the first population beyond it.
+    """
+    member_bytes = row_bytes + _MEMBER_OBJECT_BYTES
+    return member_bytes * _peak_population(params, MEMORY_BOUND // member_bytes)
 
 
 def single_point_crossover(a: G, b: G, point: int) -> tuple[G, G]:
@@ -381,10 +395,11 @@ def _evolve(
 
 
 def _score_members(
-    schedules: list, table: ScoreTable, breakdowns: Iterable[FitnessBreakdown]
+    statuses: np.ndarray, patients: np.ndarray, rows: Iterable[int], table: ScoreTable, breakdowns
 ) -> list[tuple[FitnessBreakdown, Chromosome]]:
-    """(breakdown, schedule) per schedule, scored with the breakdown counted for it."""
-    return [(evaluate_breakdown(s, table, known), s) for s, known in zip(schedules, breakdowns)]
+    """(breakdown, schedule view) per listed row of stacked grids, given its counted breakdown."""
+    views = (Chromosome._adopt(statuses[row], patients[row]) for row in rows)
+    return [(evaluate_breakdown(s, table, known), s) for s, known in zip(views, breakdowns)]
 
 
 def run_classical(
@@ -403,7 +418,7 @@ def run_classical(
     repaired = np.zeros(capacity, dtype=bool)
     idle = np.zeros((spec.n_g, spec.n_t), dtype=np.int8)
     layout = repair_chromosome(Chromosome(idle, np.full(idle.shape, VACANT)), spec)
-    (layout_score,) = _count_stacks(layout.statuses[None], layout.patients[None], table)
+    (layout_score,) = _count_stacks(layout.statuses[None], layout.patients[None], table, [0])
 
     def fresh(rows: list[int], rng: np.random.Generator) -> None:
         for i in rows:
@@ -415,8 +430,7 @@ def run_classical(
         unflagged = [row for row, done in zip(pop, flags) if not done]
         counted = _count_stacks(statuses, patients, table, unflagged)
         breakdowns = (layout_score if done else next(counted) for done in flags)
-        schedules = [Chromosome._adopt(statuses[row], patients[row]) for row in pop]
-        return _score_members(schedules, table, breakdowns)
+        return _score_members(statuses, patients, pop, table, breakdowns)
 
     def crossover(pop: list, r_c: float, rng: np.random.Generator) -> list:
         grown = _crossover(grids, pop, _crossover_pairs(len(pop), r_c, spec.n_cells, rng))
@@ -439,9 +453,5 @@ def run_classical(
 
 
 def memory_estimate(spec: ProblemSpec, params: GaParams) -> int:
-    """Bytes of a run's population arena: 5 per cell (int8 + int32) of its largest population.
-
-    Past the bound the estimate stops at the first population beyond it.
-    """
-    member_bytes = spec.n_cells * 5
-    return member_bytes * _peak_population(params, MEMORY_BOUND // member_bytes)
+    """Bytes of a run's largest population: 5 per cell (int8 + int32) and the loop objects."""
+    return _population_bytes(params, spec.n_cells * 5)

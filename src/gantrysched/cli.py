@@ -115,7 +115,7 @@ def _resolve_config(
     doc: dict,
     algo: str,
     seed_override: int | None = None,
-    out_override: Path | None = None,
+    out_override: str | Path | None = None,
 ):
     """Turn a flat config document into (spec, params, table, out_dir)."""
     allowed = [*_SPEC_DEFAULTS, *_GA_FIELDS, "out_dir"]
@@ -150,9 +150,12 @@ def _resolve_config(
     out_name = doc.get("out_dir", "out")
     if not isinstance(out_name, str):
         raise ConfigError("config field 'out_dir' must be a string")
-    out_dir = Path(out_override) if out_override is not None else Path(out_name)
-    if "\0" in str(out_dir):
-        raise ConfigError(f"output directory {str(out_dir)!r} contains a NUL character")
+    out_name = out_name if out_override is None else str(out_override)
+    if not out_name:  # Path("") would be the working directory
+        raise ConfigError("output directory name '' is empty; '.' names the working directory")
+    if "\0" in out_name:
+        raise ConfigError(f"output directory {out_name!r} contains a NUL character")
+    out_dir = Path(out_name)
     try:
         existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
     except OSError as err:  # a name too long, say
@@ -284,7 +287,7 @@ def _summary_csv(summary) -> str:
         [label, *dataclasses.astuple(fit), *dataclasses.astuple(tim)[1:]]
         for label, fit, tim in (
             ("all", summary.fitness, summary.run_time),
-            (f"top{summary.k}", summary.top_fitness, summary.top_run_time),
+            ("top10", summary.top_fitness, summary.top_run_time),
         )
     ]
     return _csv(header, rows)
@@ -378,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=1,
             help="accepted and ignored; runs are always serial",
         )
-        p.add_argument("--out", type=Path, default=None, help="overrides the output directory")
+        p.add_argument("--out", default=None, help="overrides the output directory")
     sweep_p.add_argument("--grid", type=Path, required=True, help="JSON grid file")
     run_p.set_defaults(func=_cmd_run)
     sweep_p.set_defaults(func=_cmd_sweep)

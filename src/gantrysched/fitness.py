@@ -152,7 +152,7 @@ def evaluate_breakdown(
     ``known``, the breakdown already counted for the schedule, comes back
     uncounted; ``None`` means count.
     """
-    return known or _count_events(chrom.statuses[None], chrom.patients[None], table)[0]
+    return known or next(_count_stacks(chrom.statuses[None], chrom.patients[None], table, [0]))
 
 
 def _count_bytes(spec: ProblemSpec) -> int:
@@ -161,19 +161,18 @@ def _count_bytes(spec: ProblemSpec) -> int:
 
 
 def _count_stacks(
-    statuses: np.ndarray, patients: np.ndarray, table: ScoreTable, rows: Sequence[int] | None = None
+    statuses: np.ndarray, patients: np.ndarray, table: ScoreTable, rows: Sequence[int]
 ) -> Iterator[FitnessBreakdown]:
-    """Breakdowns of stacked (N, n_g, n_t) schedules, or of their ``rows``, a stack at a time.
+    """Breakdowns of the listed ``rows`` of stacked (N, n_g, n_t) schedules, a stack at a time.
 
     A stack holds at most ``_COUNT_CELLS`` cells (or one schedule), which
     bounds the counting kernel's temporaries: a medium generation is one
-    stack, a large one a stack per four schedules.  Listed rows are
-    gathered one stack at a time, and unlisted stacks are counted in place.
+    stack, a large one a stack per four schedules.  The rows are gathered
+    one stack at a time.
     """
-    n = len(statuses) if rows is None else len(rows)
     per_stack = max(1, _COUNT_CELLS // (statuses.shape[1] * statuses.shape[2]))
-    for k in range(0, n, per_stack):
-        part = slice(k, k + per_stack) if rows is None else rows[k : k + per_stack]
+    for k in range(0, len(rows), per_stack):
+        part = rows[k : k + per_stack]
         yield from _count_events(statuses[part], patients[part], table)
 
 

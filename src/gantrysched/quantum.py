@@ -18,13 +18,13 @@ import math
 import numpy as np
 
 from .classical import (
-    MEMORY_BOUND,
     GaParams,
     RunResult,
     _crossover,
     _crossover_pairs,
     _evolve,
     _peak_population,
+    _population_bytes,
     _repair_layout,
     _repair_patients,
     _score_members,
@@ -264,7 +264,7 @@ def run_quantum(spec: ProblemSpec, params: GaParams, table: ScoreTable = ScoreTa
     """Run the quantum-inspired genetic algorithm; bit-reproducible per seed.
 
     The members are the rows of an arena of the four grids, sized for the
-    largest population, and evaluation scores the observed stacks in place.
+    largest population, and evaluation scores every row of the observed stacks.
     """
     uniform = [grid.reshape(spec.n_cells, -1) for grid in uniform_quantum_chromosome(spec).grids]
     capacity = _peak_population(params, math.inf)
@@ -277,8 +277,8 @@ def run_quantum(spec: ProblemSpec, params: GaParams, table: ScoreTable = ScoreTa
     def evaluate(pop: list, gen: int, rng) -> list[tuple[FitnessBreakdown, Chromosome]]:
         u = rng.random((len(pop), 2, spec.n_cells))
         stacks = [stack.reshape(-1, spec.n_g, spec.n_t) for stack in _observe(grids, pop, u)]
-        shadows = [Chromosome._adopt(*member) for member in zip(*stacks)]
-        return _score_members(shadows, table, _count_stacks(*stacks, table))
+        rows = range(len(pop))
+        return _score_members(*stacks, rows, table, _count_stacks(*stacks, table, rows))
 
     def crossover(pop: list, r_c: float, rng: np.random.Generator) -> list:
         return _crossover(grids, pop, _crossover_pairs(len(pop), r_c, spec.n_cells, rng))
@@ -291,14 +291,12 @@ def run_quantum(spec: ProblemSpec, params: GaParams, table: ScoreTable = ScoreTa
 
 
 def memory_estimate(spec: ProblemSpec, params: GaParams) -> int:
-    """Bytes of a run's population arena: the grids of its largest quantum population.
+    """Bytes of a run's largest quantum population, grids and loop objects.
 
     A chromosome holds amplitude and cumulative grids of float64 over both
-    registers: n_g * n_t * (n_p + 8) * 16 bytes.  Past the bound the
-    estimate stops at the first population beyond it.
+    registers: n_g * n_t * (n_p + 8) * 16 bytes.
     """
-    member_bytes = spec.n_cells * (spec.n_p + N_STATUSES) * 16
-    return member_bytes * _peak_population(params, MEMORY_BOUND // member_bytes)
+    return _population_bytes(params, spec.n_cells * (spec.n_p + N_STATUSES) * 16)
 
 
 def qubit_estimate(n_chromosomes: int, n_t: int, n_g: int, n_p: int, n_s: int) -> int:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .classical import GaParams, run_classical
 from .fitness import ScoreTable
-from .model import ConfigError, ProblemSpec, _check_int, _check_real
+from .model import ConfigError, ProblemSpec, _check_real
 from .quantum import run_quantum
 from .rng import derive_seed
 
@@ -79,13 +79,12 @@ class Stats:
 
 @dataclass(frozen=True)
 class SweepSummary:
-    """Fitness and time statistics overall and over the top-k points."""
+    """Fitness and time statistics overall and over the ten best points."""
 
     fitness: Stats
     run_time: Stats
     top_fitness: Stats
     top_run_time: Stats
-    k: int
 
 
 def build_grid(
@@ -167,24 +166,22 @@ def _stats(values: Sequence[float]) -> Stats:
     )
 
 
-def summarize(records: Sequence[SweepRecord], k: int = 10) -> SweepSummary:
-    """Fitness and run-time statistics overall and over the k best points.
+def summarize(records: Sequence[SweepRecord]) -> SweepSummary:
+    """Fitness and run-time statistics overall and over the ten best points.
 
     The result depends only on the multiset of records, not their order:
     every statistic is taken over the records ranked by fitness, best
     first, then by run time, and records tied on both hold equal values.
     """
-    _check_int("k", k, 1)
     if not records:
         raise ConfigError("cannot summarize an empty record set")
     if any(record.error is not None for record in records):
         raise ConfigError("cannot summarize failed runs; filter them out first")
     ranked = sorted(records, key=lambda r: (-r.best_fitness, r.run_seconds))
-    top = ranked[:k]
+    top = ranked[:10]
     return SweepSummary(
         fitness=_stats([r.best_fitness for r in ranked]),
         run_time=_stats([r.run_seconds for r in ranked]),
         top_fitness=_stats([r.best_fitness for r in top]),
         top_run_time=_stats([r.run_seconds for r in top]),
-        k=k,
     )

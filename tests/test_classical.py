@@ -397,7 +397,7 @@ class TestRepair:
         counted_rows, flagged = [], []
         count, evolve = classical._count_stacks, classical._evolve
 
-        def counting(statuses, patients, table, rows=None):
+        def counting(statuses, patients, table, rows):
             counted_rows.append(rows)
             return count(statuses, patients, table, rows)
 

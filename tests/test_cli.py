@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -22,7 +24,7 @@ from gantrysched import GaParams, ProblemSpec, build_grid, classical, cli, deriv
 from gantrysched.cli import main
 from gantrysched.quantum import memory_estimate
 from gantrysched.fitness import COUNT_NAMES
-from gantrysched.model import GantryStatus
+from gantrysched.model import ConfigError, GantryStatus
 from gantrysched.sweep import SWEEP_PARAMS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -354,6 +356,21 @@ class TestRunErrors:
         assert f"{blocker} is not a directory" in capsys.readouterr().err
         assert blocker.read_text() == "a file, not a directory"
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_empty_out_dir_name_exits_2(self, tmp_path, capsys, monkeypatch, command, via):
+        """An empty name is no directory: it must not fall back to the working directory."""
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, g_max=1, **({"out_dir": ""} if via == "config" else {}))
+        args = [command, "--config", str(config)] + (["--out", ""] if via == "flag" else [])
+        if command == "sweep":
+            grid = write_grid(tmp_path, {"r_s": {"center": 0.6, "half_width": 0.0, "step": 0.1}})
+            args += ["--grid", str(grid)]
+        before = sorted(tmp_path.iterdir())
+        assert main(args) == 2
+        assert "output directory name '' is empty" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
 
 class TestSweepCommand:
     def test_writes_sweep_outputs(self, tmp_path):
@@ -562,10 +579,11 @@ class TestMemoryBound:
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_slow_growth_past_the_bound_exits_2_at_once(self, tmp_path, capsys, no_runs, command):
-        """The peak search ends early, not after some 10**7 generations of slow growth."""
-        # chromosomes of 5 bytes: from 2**30 by one crossover pair a generation, from
-        # 2**28 by one pair a generation, and from 2**28 by about 2**-26 of the population
-        slow = [(2**30, 1, 3 / 2**30), (2**28, 1, 2 / 2**28), (2**28, 0.8 + 2**-26, 0.25)]
+        """The peak search ends early, not after some 10**5 generations of slow growth."""
+        # one-cell members of 5 + 1024 bytes, about 2**21 to the bound: from 2**22 by one
+        # crossover pair a generation, from 2**20 by one pair a generation, and from
+        # 2**20 by about 2**-18 of the population
+        slow = [(2**22, 1, 3 / 2**22), (2**20, 1, 2 / 2**20), (2**20, 0.8 + 2**-18, 0.25)]
         grid = write_grid(tmp_path, {"r_m": {"center": 0.37, "half_width": 0.0, "step": 0.1}})
         for n_ini, r_s, r_c in slow:
             config = write_config(
@@ -636,8 +654,34 @@ class TestMemoryBound:
         params = GaParams(
             r_s=0.83, r_c=0.37, r_m=0.37, r_r=0.85, n_ini=40, n_max=250, g_max=20, seed=0
         )
-        assert memory_estimate(spec, params) == 342 * 3 * 650 * (72 + 8) * 16
-        assert classical.memory_estimate(spec, params) == 342 * 3 * 650 * 5
+        # a member's grids and 1024 bytes of loop objects
+        assert memory_estimate(spec, params) == 342 * (3 * 650 * (72 + 8) * 16 + 1024)
+        assert classical.memory_estimate(spec, params) == 342 * (3 * 650 * 5 + 1024)
+
+    @pytest.mark.parametrize("algo", ["classical", "quantum"])
+    def test_loop_objects_count_toward_the_bound(self, tmp_path, algo):
+        """2**22 one-cell members hold a few GiB of breakdowns and views, if few bytes of grids."""
+        config = write_config(tmp_path, n_g=1, n_p=1, n_t=1, n_ini=2**22, n_max=2**22)
+        spec, params, *_ = cli._resolve_config(json.loads(config.read_text()), algo)
+        with pytest.raises(ConfigError, match="MiB bound"):
+            cli._check_memory(spec, params, algo)
+
+    @pytest.mark.parametrize("algo", ["classical", "quantum"])
+    def test_one_cell_run_peaks_below_its_estimate(self, algo):
+        """Where the grids are small, the loop's objects per member make the peak."""
+        spec = ProblemSpec(n_g=1, n_p=1, n_t=1)
+        params = GaParams(
+            r_s=1.0, r_c=0.5, r_m=0.37, r_r=0.85, n_ini=2**14, n_max=2**14, g_max=1, seed=0
+        )
+        run = cli.ALGORITHMS[algo]
+        run(spec, dataclasses.replace(params, n_ini=64, n_max=64))  # warm-up: caches and imports
+        tracemalloc.start()
+        try:
+            run(spec, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cli._MEMORY_ESTIMATES[algo](spec, params) + fitness._count_bytes(spec)
 
     @pytest.mark.parametrize("name", ["medium", "large"])
     def test_shipped_configs_sit_far_below_the_bound(self, name):

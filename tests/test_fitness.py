@@ -417,7 +417,7 @@ def stacked(schedules: list[Chromosome], spec: ProblemSpec) -> tuple[np.ndarray,
 
 
 class TestCountStacks:
-    """``_count_stacks`` yields the breakdowns of a stack, or of its listed rows, in order,
+    """``_count_stacks`` yields the breakdowns of a stack's listed rows, in order,
     one bounded stack at a time."""
 
     @settings(max_examples=100, deadline=None)
@@ -425,7 +425,7 @@ class TestCountStacks:
     def test_yields_each_breakdown_in_order_in_bounded_stacks(self, data, spec, listed):
         bound = data.draw(st.integers(1, 4 * spec.n_cells), label="_COUNT_CELLS")
         schedules = data.draw(st.lists(chromosomes(spec), max_size=12), label="schedules")
-        rows = None
+        rows = range(len(schedules))
         if listed and schedules:  # any rows, repeats too, in any order
             rows = data.draw(st.lists(st.integers(0, len(schedules) - 1)), label="rows")
         sizes = []
@@ -439,7 +439,7 @@ class TestCountStacks:
             monkeypatch.setattr(fitness, "_COUNT_CELLS", bound)
             monkeypatch.setattr(fitness, "_count_events", counting)
             got = list(fitness._count_stacks(*stacked(schedules, spec), ScoreTable(), rows))
-        counted = schedules if rows is None else [schedules[k] for k in rows]
+        counted = [schedules[k] for k in rows]
         want = [brute_breakdown(chrom.statuses, chrom.patients) for chrom in counted]
         assert [{**b.counts(), "total": b.total} for b in got] == want
         assert sum(sizes) == len(counted)
@@ -448,7 +448,7 @@ class TestCountStacks:
     def test_no_schedules_yield_nothing(self):
         spec = ProblemSpec(n_g=2, n_p=3, n_t=5)
         empty = stacked([], spec)
-        assert list(fitness._count_stacks(*empty, ScoreTable())) == []
+        assert list(fitness._count_stacks(*empty, ScoreTable(), range(0))) == []
         full = stacked([random_chromosome(spec, substream(4, 0, 0, 0))], spec)
         assert list(fitness._count_stacks(*full, ScoreTable(), [])) == []
 
@@ -458,11 +458,11 @@ class TestCountStacks:
         spec = ProblemSpec(n_g=n_g, n_p=8, n_t=30)
         size = max(1, fitness._COUNT_CELLS // spec.n_cells)
         worst = Chromosome(np.ones((n_g, 30), dtype=np.int8), np.tile(np.arange(30) % 2, (n_g, 1)))
-        list(fitness._count_stacks(*stacked([worst], spec), ScoreTable()))  # warm-up
+        list(fitness._count_stacks(*stacked([worst], spec), ScoreTable(), [0]))  # warm-up
         stacks = stacked([worst] * size, spec)
         tracemalloc.start()
         try:
-            list(fitness._count_stacks(*stacks, ScoreTable()))
+            list(fitness._count_stacks(*stacks, ScoreTable(), range(size)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -529,6 +529,17 @@ class TestKnownBreakdown:
         assert not counted
         assert evaluate_breakdown(chrom, table, None) == want
         assert len(counted) == 1
+
+    def test_counts_its_schedule_as_the_one_row_of_a_stack(self, monkeypatch):
+        """A schedule scored alone goes through the one stack counter, as a run's members do."""
+        listed = []
+        count = fitness._count_stacks
+        monkeypatch.setattr(fitness, "_count_stacks", lambda *a: listed.append(a[3]) or count(*a))
+        chrom = perfect_chromosome(n_g=2)
+        got = evaluate_breakdown(chrom)
+        want = brute_breakdown(chrom.statuses, chrom.patients)
+        assert {**got.counts(), "total": got.total} == want
+        assert listed == [[0]]
 
 
 class TestKnownObjectiveFlaw:

@@ -223,46 +223,45 @@ class TestRunSweep:
 
 class TestSummarize:
     def test_statistics_by_hand(self):
-        records = [
-            make_record(best_fitness=10.0, run_seconds=1.0),
-            make_record(best_fitness=20.0, run_seconds=3.0),
-            make_record(best_fitness=30.0, run_seconds=2.0),
-        ]
-        summary = summarize(records, k=2)
-        assert summary.fitness.count == 3
-        assert summary.fitness.mean == 20.0
-        assert summary.fitness.maximum == 30.0
+        # fitness 10, 20, ..., 120 in seconds 12, 11, ..., 1; the two slowest rank last
+        records = [make_record(best_fitness=10.0 * i, run_seconds=13.0 - i) for i in range(1, 13)]
+        summary = summarize(records)
+        assert summary.fitness.count == 12
+        assert summary.fitness.mean == 65.0
+        assert summary.fitness.maximum == 120.0
         assert summary.fitness.minimum == 10.0
-        assert summary.fitness.std == pytest.approx(math.sqrt(200 / 3))
-        assert summary.top_fitness.count == 2
-        assert summary.top_fitness.mean == 25.0
-        assert summary.top_run_time.mean == 2.5
+        assert summary.fitness.std == pytest.approx(10 * math.sqrt(143 / 12))
+        assert summary.top_fitness.count == 10
+        assert summary.top_fitness.mean == 75.0
+        assert summary.top_fitness.minimum == 30.0
+        assert summary.top_run_time.mean == 5.5
 
     # The CLI's weight bound keeps fitness totals far below 1e150 in size.
     @settings(max_examples=200, deadline=None)
     @given(
         values=st.lists(
             st.tuples(st.floats(-1e150, 1e150), st.floats(0, 1e150)),
-            min_size=1,
+            min_size=11,
             max_size=30,
         ),
-        k=st.integers(1, 12),
         shuffle=st.randoms(use_true_random=False),
     )
     @example(
-        values=[(f, 0.5) for f in [0.1, 0.2, 0.3, 1e-17, 7.7, 1 / 3, 2 / 7, 1e16, 3.0]],
-        k=10,
+        values=[
+            (f, 0.5) for f in [0.1, 0.2, 0.3, 1e-17, 7.7, 1 / 3, 2 / 7, 1e16, 3.0, 0.7, -2.5]
+        ],
         shuffle=random.Random(1),
     )
-    def test_order_invariant(self, values, k, shuffle):
+    def test_order_invariant(self, values, shuffle):
         records = [make_record(best_fitness=f, run_seconds=t) for f, t in values]
         shuffled = records[:]
         shuffle.shuffle(shuffled)
-        assert summarize(records, k=k) == summarize(shuffled, k=k)
+        assert summarize(records) == summarize(shuffled)
 
     def test_k_larger_than_records(self):
+        """Fewer than ten records make a top ten of all of them."""
         records = [make_record() for _ in range(3)]
-        summary = summarize(records, k=10)
+        summary = summarize(records)
         assert summary.top_fitness.count == 3
 
     def test_rejects_empty_and_failed(self):
@@ -270,6 +269,3 @@ class TestSummarize:
             summarize([])
         with pytest.raises(ConfigError):
             summarize([make_record(error="boom")])
-        for k in (0, -1, True, 2.5):
-            with pytest.raises(ConfigError, match="k must be an integer"):
-                summarize([make_record()], k=k)
