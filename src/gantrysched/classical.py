@@ -124,7 +124,7 @@ MEMORY_BOUND = 2**31
 _PEAK_STEPS = 10**5
 # Bytes of the objects a run holds per member besides its arena row: its breakdown,
 # schedule view, result pair, selection key and free-row entry.  tracemalloc reads
-# about 600 per member of one-cell runs of 2**14 members.
+# about 560 per member of one-cell runs of 2**14 members.
 _MEMBER_OBJECT_BYTES = 1024
 
 
@@ -147,6 +147,11 @@ def _peak_population(params: GaParams, most: int) -> int:
             return params.n_max + 2 * _pair_count(params.n_max, params.r_c)
         n = grown
     return n
+
+
+def _patient_dtype(n_p: int) -> np.dtype:
+    """Narrowest integer type that holds VACANT and every patient id below ``n_p``."""
+    return np.min_scalar_type(-n_p)
 
 
 def _population_bytes(params: GaParams, row_bytes: int) -> int:
@@ -354,7 +359,8 @@ def _evolve(
     a (breakdown, schedule) pair per member (``gen`` serves wrappers such as
     benchmark/tracer.py), and ``crossover_pop(pop, r_c, rng)`` appends children.
     A mutator or ``repair`` picks rows with its generator and rewrites them as
-    ``step(rows, rng)``.  The first best schedule is copied: steps rewrite rows.
+    ``step(rows, rng)``.  The first best schedule is copied, its patients as
+    int32: steps rewrite rows, and a classical arena's patients are narrower.
     """
     started = perf_counter()
     # Mutation and repair alike replace floor(ratio * N) distinct members, so
@@ -364,7 +370,7 @@ def _evolve(
     pop = list(range(params.n_ini))
     fresh(pop, substream(params.seed, 0, PHASE_INIT, 0))
     records: list[GenerationRecord] = []
-    best: tuple[FitnessBreakdown, _CellGrids] | None = None
+    best: tuple[FitnessBreakdown, Chromosome] | None = None
     for gen in range(params.g_max + 1):
         evals = evaluate(pop, gen, substream(params.seed, gen, PHASE_EVAL, 0))
         totals = [breakdown.total for breakdown, _ in evals]
@@ -372,7 +378,8 @@ def _evolve(
         records.append(GenerationRecord(gen, totals[best_idx], len(pop)))
         if best is None or totals[best_idx] > best[0].total:
             breakdown, schedule = evals[best_idx]
-            best = breakdown, type(schedule)._adopt(*(grid.copy() for grid in schedule.grids))
+            statuses, patients = schedule.statuses.copy(), schedule.patients.astype(np.int32)
+            best = breakdown, Chromosome._adopt(statuses, patients)
         del evals
         if gen == params.g_max:
             break
@@ -408,12 +415,14 @@ def run_classical(
     """Run the classical genetic algorithm; bit-reproducible per seed.
 
     The members are rows of a status and a patient arena sized for the largest
-    population.  Repair sets a row's ``repaired`` flag and every other step that
-    writes the row clears it: a flagged row is its own repair and scores as the
+    population, the patient arena in the narrowest integer type that holds the
+    ids.  Repair sets a row's ``repaired`` flag and every other step that writes
+    the row clears it: a flagged row is its own repair and scores as the
     layout, so repair skips it and scoring does not count it.
     """
     capacity = _peak_population(params, math.inf)
-    grids = tuple(np.empty((capacity, spec.n_cells), dtype) for dtype in (np.int8, np.int32))
+    dtypes = (np.int8, _patient_dtype(spec.n_p))
+    grids = tuple(np.empty((capacity, spec.n_cells), dtype) for dtype in dtypes)
     statuses, patients = (grid.reshape(capacity, spec.n_g, spec.n_t) for grid in grids)
     repaired = np.zeros(capacity, dtype=bool)
     idle = np.zeros((spec.n_g, spec.n_t), dtype=np.int8)
@@ -453,5 +462,6 @@ def run_classical(
 
 
 def memory_estimate(spec: ProblemSpec, params: GaParams) -> int:
-    """Bytes of a run's largest population: 5 per cell (int8 + int32) and the loop objects."""
-    return _population_bytes(params, spec.n_cells * 5)
+    """Bytes of a run's largest population: per cell an int8 status and a patient id
+    of the arena's width (1, 2 or 4 bytes), and the loop objects."""
+    return _population_bytes(params, spec.n_cells * (1 + _patient_dtype(spec.n_p).itemsize))

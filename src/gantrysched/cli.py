@@ -218,8 +218,7 @@ def _write_atomic(out_dir: Path, outputs: dict[str, str | dict]) -> None:
                 if isinstance(content, str):
                     fh.write(content)
                 else:
-                    json.dump(content, fh, indent=2, allow_nan=False)
-                    fh.write("\n")
+                    fh.write(json.dumps(content, indent=2, allow_nan=False) + "\n")
         for tmp, name in zip(tmps, outputs):
             tmp.replace(out_dir / name)
     except BaseException:

@@ -66,7 +66,7 @@ class ScoreTable:
             _check_real(f"score {f.name}", getattr(self, f.name), 0, math.inf)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FitnessBreakdown:
     """Event counts of one schedule plus their weighted total.
 

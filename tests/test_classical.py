@@ -483,6 +483,20 @@ class TestRunClassical:
         assert result.best_breakdown.total == max(r.best_fitness for r in result.records)
         assert evaluate_breakdown(result.best_schedule).total == result.best_breakdown.total
 
+    def test_best_schedule_has_the_public_dtypes(self, small_spec):
+        """The arena's patients are narrower than int32; the returned best is not."""
+        assert classical._patient_dtype(small_spec.n_p) != np.int32
+        best = run_classical(small_spec, tiny_params(g_max=3)).best_schedule
+        assert (best.statuses.dtype, best.patients.dtype) == (np.int8, np.int32)
+
+    @pytest.mark.parametrize(
+        "n_p, dtype",
+        [(1, np.int8), (128, np.int8), (129, np.int16), (32_768, np.int16),
+         (32_769, np.int32), (2**31, np.int32)],
+    )
+    def test_patient_arena_is_the_narrowest_type_that_holds_the_ids(self, n_p, dtype):
+        assert classical._patient_dtype(n_p) == dtype
+
     def test_seed_changes_results(self, small_spec):
         a = run_classical(small_spec, tiny_params(seed=1))
         b = run_classical(small_spec, tiny_params(seed=2))
@@ -502,10 +516,14 @@ class TestRunClassical:
         result = run_classical(medium_spec, tiny_params(g_max=10))
         assert result.best_breakdown.total > result.records[0].best_fitness
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_peak_memory_stays_near_the_estimate(self, seed):
+    @pytest.mark.parametrize(  # int8 patient arenas, and int16 ones past 128 patients
+        "n_p, seed",
+        [pytest.param(72, seed, id=str(seed)) for seed in range(3)]
+        + [pytest.param(200, seed, id=f"int16-{seed}") for seed in range(3)],
+    )
+    def test_peak_memory_stays_near_the_estimate(self, n_p, seed):
         """A run holds about one population's grids: replaced members are freed."""
-        spec = ProblemSpec(n_g=3, n_p=72, n_t=650)
+        spec = ProblemSpec(n_g=3, n_p=n_p, n_t=650)
         params = tiny_params(r_c=0.37, n_ini=40, n_max=250, g_max=20, seed=seed)
         run_classical(spec, dataclasses.replace(params, g_max=1))  # warm-up: caches and imports
         tracemalloc.start()

@@ -580,7 +580,7 @@ class TestMemoryBound:
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_slow_growth_past_the_bound_exits_2_at_once(self, tmp_path, capsys, no_runs, command):
         """The peak search ends early, not after some 10**5 generations of slow growth."""
-        # one-cell members of 5 + 1024 bytes, about 2**21 to the bound: from 2**22 by one
+        # one-cell members of 2 + 1024 bytes, about 2**21 to the bound: from 2**22 by one
         # crossover pair a generation, from 2**20 by one pair a generation, and from
         # 2**20 by about 2**-18 of the population
         slow = [(2**22, 1, 3 / 2**22), (2**20, 1, 2 / 2**20), (2**20, 0.8 + 2**-18, 0.25)]
@@ -656,7 +656,11 @@ class TestMemoryBound:
         )
         # a member's grids and 1024 bytes of loop objects
         assert memory_estimate(spec, params) == 342 * (3 * 650 * (72 + 8) * 16 + 1024)
-        assert classical.memory_estimate(spec, params) == 342 * (3 * 650 * 5 + 1024)
+        # a classical cell holds an int8 status and a patient id of 1, 2 or 4 bytes
+        assert classical.memory_estimate(spec, params) == 342 * (3 * 650 * 2 + 1024)
+        for n_p, cell_bytes in [(200, 3), (40_000, 5)]:
+            wider = ProblemSpec(n_g=3, n_p=n_p, n_t=650)
+            assert classical.memory_estimate(wider, params) == 342 * (3 * 650 * cell_bytes + 1024)
 
     @pytest.mark.parametrize("algo", ["classical", "quantum"])
     def test_loop_objects_count_toward_the_bound(self, tmp_path, algo):

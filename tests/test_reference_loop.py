@@ -38,6 +38,11 @@ CAPPED = GaParams(r_s=1.0, r_c=1.0, r_m=0.5, r_r=0.5, n_ini=12, n_max=3, g_max=4
 GROWING = GaParams(r_s=1.0, r_c=1.0, r_m=0.5, r_r=0.5, n_ini=2, n_max=12, g_max=4, seed=5)
 SHRINKING = GaParams(r_s=0.5, r_c=0.0, r_m=0.5, r_r=0.5, n_ini=12, n_max=12, g_max=4, seed=6)
 SPEC = ProblemSpec(n_g=2, n_p=3, n_t=56)
+# Patient counts at the edges of the classical arena's int8, int16 and int32 ids.  At
+# seed 66 the classical best schedules of 128 and 129 patients hold ids 127 and 128.
+WIDE = GaParams(r_s=1.0, r_c=1.0, r_m=0.5, r_r=0.5, n_ini=2, n_max=2, g_max=2, seed=66)
+INT8, INT16 = ProblemSpec(n_g=2, n_p=128, n_t=30), ProblemSpec(n_g=2, n_p=32_768, n_t=30)
+PAST_INT8, PAST_INT16 = ProblemSpec(n_g=2, n_p=129, n_t=30), ProblemSpec(n_g=2, n_p=32_769, n_t=30)
 
 
 @settings(max_examples=60, deadline=None)
@@ -50,6 +55,14 @@ SPEC = ProblemSpec(n_g=2, n_p=3, n_t=56)
 @example(spec=SPEC, params=GROWING, algorithm="quantum")
 @example(spec=SPEC, params=SHRINKING, algorithm="classical")
 @example(spec=SPEC, params=SHRINKING, algorithm="quantum")
+@example(spec=INT8, params=WIDE, algorithm="classical")
+@example(spec=INT8, params=WIDE, algorithm="quantum")
+@example(spec=PAST_INT8, params=WIDE, algorithm="classical")
+@example(spec=PAST_INT8, params=WIDE, algorithm="quantum")
+@example(spec=INT16, params=WIDE, algorithm="classical")
+@example(spec=INT16, params=WIDE, algorithm="quantum")
+@example(spec=PAST_INT16, params=WIDE, algorithm="classical")
+@example(spec=PAST_INT16, params=WIDE, algorithm="quantum")
 def test_runners_match_reference_loop(spec, params, algorithm):
     result = RUNNERS[algorithm](spec, params)
     records, best_schedule, best_breakdown = brute_evolve(spec, params, algorithm)
