@@ -52,18 +52,18 @@ class SweepAxis:
         for value in (round(low, 2), round(low + (count - 1) * self.step, 2)):
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"axis value {value} falls outside [0, 1]")
-        return [round(low + k * self.step, 2) for k in range(count)]
+        # adding 0.0 turns a -0.0 that rounding leaves just below zero into 0.0
+        return [round(low + k * self.step, 2) + 0.0 for k in range(count)]
 
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One grid point and the outcome of its run."""
+    """One grid point and the result of its run."""
 
     point: GaParams
     algorithm: str
     best_fitness: float
     run_seconds: float
-    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,7 @@ def run_sweep(
     """Run every point on its own seed, one after another.
 
     Fitness results are reproducible for given points while wall times are
-    not.  A failing point becomes a record with its ``error`` set; the sweep
-    goes on.
+    not.  A failing point's exception propagates and ends the sweep.
     """
     if not points:
         raise ConfigError("no sweep points to run")
@@ -146,10 +145,7 @@ def run_sweep(
     runner = ALGORITHMS[algorithm]
 
     def run_point(point: GaParams) -> SweepRecord:
-        try:
-            result = runner(spec, point, table)
-        except Exception as err:  # noqa: BLE001 - point outcome is reported
-            return SweepRecord(point, algorithm, math.nan, math.nan, error=str(err))
+        result = runner(spec, point, table)
         return SweepRecord(point, algorithm, result.best_breakdown.total, result.elapsed)
 
     return [run_point(point) for point in points]
@@ -175,8 +171,6 @@ def summarize(records: Sequence[SweepRecord]) -> SweepSummary:
     """
     if not records:
         raise ConfigError("cannot summarize an empty record set")
-    if any(record.error is not None for record in records):
-        raise ConfigError("cannot summarize failed runs; filter them out first")
     ranked = sorted(records, key=lambda r: (-r.best_fitness, r.run_seconds))
     top = ranked[:10]
     return SweepSummary(

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import math
@@ -413,24 +412,29 @@ class TestSweepCommand:
         seeds = [int(row.split(",")[5]) for row in rows[1:]]
         assert seeds == [derive_seed(TINY_CONFIG["seed"], 1), derive_seed(TINY_CONFIG["seed"], 2)]
 
-    @pytest.mark.parametrize(
-        "message",
-        ["disk\rfull", '"quoted" then more', "one, two\nthree"],
-        ids=["return", "quotes", "comma-newline"],
-    )
-    def test_error_text_round_trips(self, tmp_path, monkeypatch, message):
-        def fail(spec, params, table):
-            raise RuntimeError(message)
+    def test_failing_point_stops_the_sweep_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real_runner = cli.ALGORITHMS["classical"]
 
-        monkeypatch.setitem(cli.ALGORITHMS, "classical", fail)
-        config = write_config(tmp_path)
-        grid = write_grid(tmp_path, {"r_s": {"center": 0.6, "half_width": 0.2, "step": 0.2}})
+        def flaky(spec, params, table):
+            calls.append(params.r_s)
+            if len(calls) == 2:
+                raise RuntimeError("point two failed")
+            return real_runner(spec, params, table)
+
+        monkeypatch.setitem(cli.ALGORITHMS, "classical", flaky)
+        config = write_config(tmp_path, g_max=2)
+        grid = write_grid(
+            tmp_path,
+            {"r_s": {"center": 0.6, "half_width": 0.4, "step": 0.2}},
+            exclude={"r_s": [0.4]},
+        )
+        out = tmp_path / "out"
+        out.mkdir()
         assert main(["sweep", "--config", str(config), "--grid", str(grid)]) == 3
-        with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [(row["r_s"], row["error"]) for row in rows] == [
-            ("0.40", message), ("0.60", message), ("0.80", message)
-        ]
+        assert calls == [0.2, 0.6]  # the second kept point fails and the last never runs
+        assert "point two failed" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_grid_excluding_every_point_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -643,11 +647,11 @@ class TestMemoryBound:
             return refuse(spec, params, table)
 
         monkeypatch.setitem(cli.ALGORITHMS, "quantum", counted)
-        assert sweep(exclude={"r_c": [1.0]}) == 3  # every kept point records "a GA ran"
-        assert calls == [0.0, 0.5]
-        assert "MiB bound" not in capsys.readouterr().err
-        rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
-        assert [row.rsplit(",", 1)[1] for row in rows] == ["a GA ran"] * 2
+        assert sweep(exclude={"r_c": [1.0]}) == 3  # the first kept point stops the sweep
+        assert calls == [0.0]
+        err = capsys.readouterr().err
+        assert "MiB bound" not in err and "a GA ran" in err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
 
     def test_estimate_is_chromosome_size_times_peak_population(self):
         spec = ProblemSpec(n_g=3, n_p=72, n_t=650)
