@@ -10,12 +10,14 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
 import sys
 import uuid
 from pathlib import Path
+from typing import NoReturn
 
 from . import classical, fitness, quantum
 from .classical import MEMORY_BOUND, GaParams, RunResult
@@ -214,7 +216,7 @@ def _write_atomic(out_dir: Path, outputs: dict[str, str | dict]) -> None:
         for name, content in outputs.items():
             tmp = out_dir / f".{name}.{uuid.uuid4().hex}.tmp"
             tmps.append(tmp)
-            with open(tmp, "x") as fh:
+            with open(tmp, "x", encoding="utf-8") as fh:
                 if isinstance(content, str):
                     fh.write(content)
                 else:
@@ -397,5 +399,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_RUNTIME
 
 
+def console() -> NoReturn:
+    """The process entry: ``main`` on ``sys.argv``, then exit with its code."""
+    code = main()
+    gc.freeze()  # the shutdown collections skip every object tracked so far
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -813,19 +814,65 @@ class TestQubitsCommand:
         assert main(["qubits", "--N", "0", "--nt", "1", "--ng", "1", "--np", "2", "--ns", "2"]) == 2
 
 
+def run_module(args: list[str], cwd: Path | None = None, flags: tuple[str, ...] = ()):
+    """``python -m gantrysched.cli`` in a child, both streams through pipes."""
+    # Unbuffered output would reach the pipe write by write; buffered, it must survive the exit.
+    env = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "gantrysched.cli", *args],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+    )
+
+
 class TestModuleEntryPoint:
+    """The process entry, ``cli.console``, freezes the collector before it exits."""
+
     def test_runs_as_module(self):
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "gantrysched.cli",
-                "qubits", "--N", "2", "--nt", "3", "--ng", "1", "--np", "4", "--ns", "8",
-            ],
-            capture_output=True,
-            text=True,
-            env=child_env(),
+        proc = run_module(
+            ["qubits", "--N", "2", "--nt", "3", "--ng", "1", "--np", "4", "--ns", "8"]
         )
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "30"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "30\n", "")
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["run", "--config", "config.json", "--out", "out"], 0),
+            (["run", "--config", "missing.json"], 2),
+            (["run", "--config", "config.json", "--algo", "annealing"], 2),
+        ],
+        ids=["run", "missing-config", "bad-flag"],
+    )
+    def test_process_matches_main(self, tmp_path, monkeypatch, capsys, args, code):
+        """Exit code and every byte of stdout and stderr are those of an in-process ``main``."""
+        write_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        try:
+            assert main(args) == code
+        except SystemExit as exit:  # argparse refuses a bad flag by exiting
+            assert exit.code == code
+        expected = capsys.readouterr()
+        proc = run_module(args, cwd=tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, expected.out, expected.err)
+        assert (expected.out if code == 0 else expected.err).endswith("\n")  # not two empty streams
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_writes_utf8_whatever_the_locale(self, tmp_path, command):
+        """Under PEP 597's check no file is opened in the locale's encoding."""
+        config = write_config(tmp_path)
+        grid = ["--grid", str(ROOT / "configs" / "grid_small.json")] if command == "sweep" else []
+        proc = run_module(
+            [command, "--config", str(config), *grid],
+            flags=("-X", "warn_default_encoding", "-W", "error::EncodingWarning"),
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_main_leaves_the_collector_as_it_was(self, tmp_path):
+        """Only the process entry freezes; callers of ``main`` keep their collector."""
+        config = write_config(tmp_path)
+        before = (gc.get_freeze_count(), gc.isenabled())
+        assert main(["run", "--config", str(config)]) == 0
+        assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 class TestAtomicWrites:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ast
-import importlib
 import json
 import os
 import subprocess
@@ -43,14 +42,17 @@ def test_module_uses_every_name_it_imports(path):
     assert sorted(imported - used) == []
 
 
-def test_console_script_target_runs_a_command(capsys):
-    """The ``gantrysched`` command that pyproject.toml installs names a working entry point."""
+def test_console_script_target_runs_a_command():
+    """The ``gantrysched`` command that pyproject.toml installs names a working entry point.
+
+    The target ends its process, so it runs in a child, as the installed command runs it.
+    """
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))
     module, _, name = project["project"]["scripts"]["gantrysched"].partition(":")
-    main = getattr(importlib.import_module(module), name)
-    assert main(["qubits", "--N", "70", "--nt", "650", "--ng", "3", "--np", "72", "--ns", "8"]) == 0
-    assert capsys.readouterr().out == "1365000\n"
+    argv = "gantrysched qubits --N 70 --nt 650 --ng 3 --np 72 --ns 8".split()
+    code = f"import sys\nfrom {module} import {name}\nsys.argv = {argv!r}\n{name}()"
+    assert run_fresh(code) == "1365000"  # run_fresh also checks for exit status 0
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
